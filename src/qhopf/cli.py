@@ -223,6 +223,8 @@ def parse_text(text: str, source: str = "<string>", field_order: int | None = No
                 continue
             if head[0] == "field" and len(head) == 2 and head[1].isdigit():
                 order = int(head[1])
+                if order == 0:
+                    err("field order must be positive, got 0", line_no)
                 continue
         if head[0] == "flags":
             flags = head[1:]
@@ -356,9 +358,9 @@ def parse_text(text: str, source: str = "<string>", field_order: int | None = No
     alg.notes.extend(f"flag {f}" for f in flags)
 
     if field_order is not None:
-        if field_order % order != 0:
+        if field_order < 1 or field_order % order != 0:
             raise ParseError(
-                f"field order {field_order} is not a multiple of declared {order}",
+                f"field order {field_order} is not a positive multiple of declared {order}",
                 source,
             )
         if field_order != order:

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactmath import ExactMatrix, Scalar, basis_vector, stack_rows, matrix_from_columns
+from .exactmath import ExactMatrix, Scalar, basis_vector, common_eigenvectors, matrix_from_columns
 from . import tensorspace as ts
 from .tensorspace import Tensor
-from .qha import QuasiHopfAlgebra, drinfeld_element, drinfeld_twist, monodromy
+from .qha import QuasiHopfAlgebra, drinfeld_element, drinfeld_twist, element_x_d, monodromy
 
 
 @dataclass
@@ -96,14 +96,6 @@ def element_x_q(A: QuasiHopfAlgebra) -> Tensor:
         ],
         mt,
     )
-
-
-def element_x_d(A: QuasiHopfAlgebra) -> Tensor:
-    """2-leg element phi_1 (x) phi_2 beta S(phi_3)."""
-    mt = A.mult_table
-    t = ts.leg_map(A.phi, 3, A.antipode)
-    t = ts.leg_map(t, 2, A.rmult_of(A.beta))
-    return ts.merge_legs(t, ((1,), (2, 3)), mt)
 
 
 def tensor_as_matrix(t: Tensor) -> ExactMatrix:
@@ -343,20 +335,12 @@ def bt_monodromy_via_tangle_element(A: QuasiHopfAlgebra) -> Tensor:
 
 def invariant_functionals(A: QuasiHopfAlgebra) -> list[list[Scalar]]:
     """Basis of functionals fixed by the coadjoint action."""
-    coad = A.coadjoint_action()
-    ident = ExactMatrix.identity(A.dim, A.order)
-    stacked = stack_rows([coad[b] - ident.scale(A.counit[b]) for b in range(A.dim)])
-    return stacked.kernel()
+    return common_eigenvectors(A.coadjoint_action(), A.counit)
 
 
 def coinvariant_elements(A: QuasiHopfAlgebra) -> list[list[Scalar]]:
     """Basis of elements r with sum S(b') r b'' = eps(b) r for all b."""
-    coad = A.coadjoint_action()
-    ident = ExactMatrix.identity(A.dim, A.order)
-    stacked = stack_rows(
-        [coad[b].transpose() - ident.scale(A.counit[b]) for b in range(A.dim)]
-    )
-    return stacked.kernel()
+    return common_eigenvectors([m.transpose() for m in A.coadjoint_action()], A.counit)
 
 
 def factorisability(A: QuasiHopfAlgebra, maps: CoendMaps | None = None) -> FactorisabilityReport:

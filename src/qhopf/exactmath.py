@@ -303,20 +303,21 @@ def basis_vector(n: int, i: int, order: int = 1) -> list[Scalar]:
     return v
 
 
-def vec_add(u: Sequence[Scalar], v: Sequence[Scalar]) -> list[Scalar]:
-    return [x + y for x, y in zip(u, v)]
-
-
-def vec_scale(c: Scalar, v: Sequence[Scalar]) -> list[Scalar]:
-    return [c * x for x in v]
-
-
 def vec_eq(u: Sequence[Scalar], v: Sequence[Scalar]) -> bool:
     return len(u) == len(v) and all(x == y for x, y in zip(u, v))
 
 
 def vec_is_zero(v: Sequence[Scalar]) -> bool:
     return all(x.is_zero() for x in v)
+
+
+def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
+    """sum_i u[i] v[i], skipping the zeros of u."""
+    acc = Scalar.zero(u[0].order)
+    for a, b in zip(u, v):
+        if not a.is_zero():
+            acc = acc + a * b
+    return acc
 
 
 class ExactMatrix:
@@ -342,16 +343,6 @@ class ExactMatrix:
         for i in range(n):
             m.data[i][i] = one
         return m
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[Scalar]], order: int | None = None) -> "ExactMatrix":
-        data = [list(r) for r in rows]
-        if order is None:
-            order = data[0][0].order if data and data[0] else 1
-        return cls(len(data), len(data[0]) if data else 0, order, data)
-
-    def copy(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, self.order, [row[:] for row in self.data])
 
     def __getitem__(self, ij: tuple[int, int]) -> Scalar:
         return self.data[ij[0]][ij[1]]
@@ -395,17 +386,6 @@ class ExactMatrix:
             self.rows, self.cols, self.order,
             [[c * a for a in row] for row in self.data],
         )
-
-    def iadd_scaled(self, other: "ExactMatrix", c: Scalar | None = None) -> "ExactMatrix":
-        """In-place self += c * other, skipping zeros of other."""
-        assert self.rows == other.rows and self.cols == other.cols
-        for i in range(self.rows):
-            srow, orow = self.data[i], other.data[i]
-            for j in range(self.cols):
-                b = orow[j]
-                if not b.is_zero():
-                    srow[j] = srow[j] + (b if c is None else c * b)
-        return self
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         # zero-skipping matmul; inputs here are typically sparse
@@ -562,3 +542,29 @@ def matrix_from_columns(cols: Sequence[Sequence[Scalar]], order: int) -> ExactMa
         n, len(cols), order,
         [[cols[j][i] for j in range(len(cols))] for i in range(n)],
     )
+
+
+def linear_combination(terms: Iterable[tuple[Scalar, ExactMatrix]], n: int,
+                       order: int) -> ExactMatrix:
+    """The n x n matrix sum c M over the (c, M) terms with c nonzero.
+
+    ``terms`` may be a generator: each M is consumed as it is added, so
+    only one of them need exist at a time.
+    """
+    out = ExactMatrix.zeros(n, n, order)
+    for c, m in terms:
+        if c.is_zero():
+            continue
+        assert m.rows == n and m.cols == n, f"term of shape {m.rows}x{m.cols}, expected {n}x{n}"
+        for orow, mrow in zip(out.data, m.data):
+            for j, b in enumerate(mrow):
+                if not b.is_zero():
+                    orow[j] = orow[j] + c * b
+    return out
+
+
+def common_eigenvectors(mats: Sequence[ExactMatrix], values: Sequence[Scalar]) -> list[list[Scalar]]:
+    """Basis of the vectors v with M v = c v for every pair (M, c), the
+    kernel of the stacked matrices M - c 1."""
+    ident = ExactMatrix.identity(mats[0].rows, mats[0].order)
+    return stack_rows([m - ident.scale(c) for m, c in zip(mats, values)]).kernel()

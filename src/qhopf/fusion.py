@@ -208,8 +208,13 @@ def verlinde_fusion(
 
     Every coefficient must come out a non-negative integer, and (with
     ``oracle`` on) must match the character-theoretic decomposition of
-    the corresponding tensor-product module.
+    the corresponding tensor-product module.  Raises FusionError first if
+    the declared simples fail :meth:`SimpleSet.validate`.
     """
+    problems = simples.validate(A)
+    if problems:
+        raise FusionError("declared simples are not a complete set of simple "
+                          "modules: " + "; ".join(problems))
     n = len(simples.simples)
     chis = [chi_central(A, V) for V in simples.simples]
     cmat = matrix_from_columns(chis, A.order)

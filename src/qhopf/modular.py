@@ -13,6 +13,8 @@ from .exactmath import (
     ExactMatrix,
     Scalar,
     basis_vector,
+    common_eigenvectors,
+    dot,
     matrix_from_columns,
     stack_rows,
     zero_vector,
@@ -63,11 +65,6 @@ def center(A: QuasiHopfAlgebra) -> list[list[Scalar]]:
     return stack_rows(mats).kernel()
 
 
-def in_span(vectors: list[list[Scalar]], v: list[Scalar], order: int) -> list[Scalar] | None:
-    """Coordinates of v in the given spanning set, or None."""
-    return matrix_from_columns(vectors, order).solve(v)
-
-
 # ---------------------------------------------------------------------------
 # integral of the universal Hopf algebra
 
@@ -114,19 +111,15 @@ def pairing_of(f: list[Scalar], g: list[Scalar], omega_hat: Tensor, order: int) 
 def cointegral_L(A: QuasiHopfAlgebra, integral: list[Scalar] | None = None) -> CointegralResult:
     """Two-sided integral of A, which spans the cointegrals of the
     universal Hopf algebra; normalised against the integral if given."""
-    dim, order = A.dim, A.order
-    ident = ExactMatrix.identity(dim, order)
-    left_mats = [A.left_mult[i] - ident.scale(A.counit[i]) for i in range(dim)]
-    right_mats = [A.right_mult[i] - ident.scale(A.counit[i]) for i in range(dim)]
-    left = stack_rows(left_mats).kernel()
-    right = stack_rows(right_mats).kernel()
-    both = stack_rows(left_mats + right_mats).kernel()
+    left = common_eigenvectors(A.left_mult, A.counit)
+    right = common_eigenvectors(A.right_mult, A.counit)
+    both = common_eigenvectors(A.left_mult + A.right_mult, A.counit + A.counit)
     if len(both) == 0:
         return CointegralResult(None, 0, len(left), len(right), False)
     c = both[0]
     normalized = False
     if integral is not None:
-        val = sum((integral[i] * c[i] for i in range(dim)), Scalar.zero(order))
+        val = dot(integral, c)
         if not val.is_zero():
             inv = val.inverse()
             c = [inv * x for x in c]
@@ -159,7 +152,6 @@ def s_hat_pairing_form(A: QuasiHopfAlgebra, maps: CoendMaps, integral: list[Scal
     element and the transposed coproduct; agrees entry by entry with
     :func:`s_t_hat` and serves as its oracle."""
     dim, order = A.dim, A.order
-    delta_hat = maps.delta_hat
     omega = maps.omega_hat
     out = ExactMatrix.zeros(dim, dim, order)
     pair_cache: dict[tuple[int, int], ExactMatrix] = {}
@@ -170,19 +162,6 @@ def s_hat_pairing_form(A: QuasiHopfAlgebra, maps: CoendMaps, integral: list[Scal
             s_r1 = [A.antipode.data[r][r1] for r in range(dim)]
             pair_cache[(r1, r2)] = A.lmult_of(s_r1) * A.right_mult[r2]
         return pair_cache[(r1, r2)]
-
-    def delta_hat_pair(x: list[Scalar], y: list[Scalar]) -> list[Scalar]:
-        flat = zero_vector(dim * dim, order)
-        for i, xi in enumerate(x):
-            if xi.is_zero():
-                continue
-            for j, yj in enumerate(y):
-                if not yj.is_zero():
-                    flat[i * dim + j] = xi * yj
-        return delta_hat.apply(flat)
-
-    def lam_of(v: list[Scalar]) -> Scalar:
-        return sum((integral[i] * v[i] for i in range(dim)), Scalar.zero(order))
 
     for (p, q, r), c_phi in A.phi.nonzero():
         for (p1, p2), cp in A.cop_table[p]:
@@ -197,12 +176,24 @@ def s_hat_pairing_form(A: QuasiHopfAlgebra, maps: CoendMaps, integral: list[Scal
                         z = [z_mat.data[i][w2] for i in range(dim)]
                         for a in range(dim):
                             x = [x_map.data[i][a] for i in range(dim)]
-                            val = coeff * lam_of(delta_hat_pair(x, y))
+                            val = coeff * dot(integral, _delta_hat_pair(maps, x, y))
                             if not val.is_zero():
                                 for i in range(dim):
                                     if not z[i].is_zero():
                                         out.data[i][a] = out.data[i][a] + val * z[i]
     return out
+
+
+def _delta_hat_pair(maps: CoendMaps, x: list[Scalar], y: list[Scalar]) -> list[Scalar]:
+    """The transposed coproduct applied to x (x) y."""
+    dim = len(x)
+    flat = zero_vector(dim * dim, x[0].order)
+    for i, xi in enumerate(x):
+        if not xi.is_zero():
+            for j, yj in enumerate(y):
+                if not yj.is_zero():
+                    flat[i * dim + j] = xi * yj
+    return maps.delta_hat.apply(flat)
 
 
 def conjugation_action(A: QuasiHopfAlgebra) -> list[ExactMatrix]:
@@ -236,20 +227,11 @@ def sl2z_on_center(
     t = ts.leg_map(t, 1, A.rmult_of(A.beta))
     pre = A.two_sided_action(ts.merge_legs(t, ((1, 2), (3,)), A.mult_table))
 
-    delta_hat = maps.delta_hat
-
-    def lam_of(v: list[Scalar]) -> Scalar:
-        return sum((integral[i] * v[i] for i in range(dim)), Scalar.zero(order))
-
     def s_z_vec(z: list[Scalar]) -> list[Scalar]:
         az = A.product(A.alpha, z)
         v = zero_vector(dim, order)
         for (i, j), c in maps.omega_hat.nonzero():
-            flat = zero_vector(dim * dim, order)
-            for k, azk in enumerate(az):
-                if not azk.is_zero():
-                    flat[j * dim + k] = azk
-            val = c * lam_of(delta_hat.apply(flat))
+            val = c * dot(integral, _delta_hat_pair(maps, basis_vector(dim, j, order), az))
             if not val.is_zero():
                 v[i] = v[i] + val
         return pre.apply(v)

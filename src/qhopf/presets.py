@@ -25,7 +25,7 @@ source of truth for ``preset()``; they are fixtures certified by
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 
@@ -306,9 +306,9 @@ def mutate(algebra: QuasiHopfAlgebra, site: tuple, delta: Scalar) -> QuasiHopfAl
     ("alpha", (i,)).
     """
     section, idx = site
-    out = copy.deepcopy(algebra)
-    out.__post_init__()  # drop caches
-    out.name = f"{algebra.name}~mutated"
+    # replace() builds a new instance from the fields alone, so no cached
+    # view of the original is carried over
+    out = copy.deepcopy(replace(algebra, name=f"{algebra.name}~mutated"))
     if section == "mult":
         i, j, k = idx
         out.mult[i][j][k] = out.mult[i][j][k] + delta

@@ -5,6 +5,16 @@ field: multiplication table, counit, coproduct, antipode matrix, the
 coassociator and its inverse, evaluation/coevaluation elements, the
 R-matrix and its inverse, and optional ribbon data.
 
+The dense ``mult`` is the one stored form of the product.  The views
+derived from it and from the other structure constants are
+``functools.cached_property`` values, built on first use: ``mult_table``,
+``left_mult`` and ``right_mult`` (both by ``_mult_matrices``),
+``cop_table``, ``antipode_inv``, the coadjoint and adjoint actions (by
+``two_sided_action``), and the monodromy, Drinfeld element and Drinfeld
+twist (``_monodromy``, ``_drinfeld``, ``_twist``, read through the
+functions ``monodromy``, ``drinfeld_element`` and ``drinfeld_twist``).
+:class:`QuasiHopfAlgebra` says what each view is.
+
 ``validate`` checks every defining identity exhaustively over basis
 tuples and reports the first violating index tuple per axiom.  The
 derived elements (Drinfeld twist, Drinfeld element, monodromy) come with
@@ -14,12 +24,15 @@ their own consistency checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .exactmath import (
     DivisionByZero,
     ExactMatrix,
     Scalar,
     basis_vector,
+    dot,
+    linear_combination,
     vec_eq,
 )
 from . import tensorspace as ts
@@ -31,8 +44,26 @@ class QuasiHopfAlgebra:
     """Structure constants of a quasi-triangular quasi-Hopf algebra.
 
     Basis convention: e_0 is the unit.  ``mult[i][j][k]`` is the
-    coefficient of e_k in e_i e_j.  ``coproduct[i]`` is a 2-leg Tensor.
-    ``antipode`` has the image of e_i in column i.
+    coefficient of e_k in e_i e_j; it is the only stored form of the
+    product.  ``coproduct[i]`` is a 2-leg Tensor.  ``antipode`` has the
+    image of e_i in column i.
+
+    Derived views, each built once on first use and cached:
+
+    * ``mult_table``: the nonzero ``(k, c)`` pairs of ``mult[i][j]``, the
+      form the tensorspace products take;
+    * ``left_mult`` / ``right_mult``: the matrices of x -> e_i x and
+      x -> x e_i, both built from ``mult_table`` by ``_mult_matrices``;
+    * ``cop_table``: the nonzero terms of each ``coproduct[i]``;
+    * ``antipode_inv``: the inverse of ``antipode``;
+    * ``coadjoint_action()`` and ``adjoint_action()``: both through
+      ``two_sided_action``;
+    * the module functions ``monodromy``, ``drinfeld_element`` and
+      ``drinfeld_twist`` read the cached ``_monodromy``, ``_drinfeld``
+      and ``_twist``.
+
+    The caches assume the structure constants are not edited after a view
+    has been read; ``presets.mutate`` returns a fresh, uncached instance.
     """
 
     dim: int
@@ -52,69 +83,94 @@ class QuasiHopfAlgebra:
     name: str = ""
     notes: list[str] = field(default_factory=list)
 
-    # -- lazy caches ------------------------------------------------------
+    # -- derived views ----------------------------------------------------
 
-    def __post_init__(self):
-        self._mult_sparse = None
-        self._cop_sparse = None
-        self._lmats = None
-        self._rmats = None
-        self._antipode_inv = None
-        self._derived: dict = {}
-
-    @property
+    @cached_property
     def mult_table(self) -> ts.MultTable:
-        if self._mult_sparse is None:
-            self._mult_sparse = [
-                [
-                    [(k, c) for k, c in enumerate(self.mult[i][j]) if not c.is_zero()]
-                    for j in range(self.dim)
-                ]
-                for i in range(self.dim)
-            ]
-        return self._mult_sparse
+        return [
+            [[(k, c) for k, c in enumerate(self.mult[i][j]) if not c.is_zero()]
+             for j in range(self.dim)]
+            for i in range(self.dim)
+        ]
 
-    @property
+    @cached_property
     def cop_table(self) -> ts.CopTable:
-        if self._cop_sparse is None:
-            self._cop_sparse = [list(self.coproduct[i].nonzero()) for i in range(self.dim)]
-        return self._cop_sparse
+        return [list(self.coproduct[i].nonzero()) for i in range(self.dim)]
 
-    @property
+    def _mult_matrices(self, table) -> list[ExactMatrix]:
+        # matrix i has column j equal to table[i][j], given as (k, c) pairs
+        mats = []
+        for row in table:
+            m = ExactMatrix.zeros(self.dim, self.dim, self.order)
+            for j, terms in enumerate(row):
+                for k, c in terms:
+                    m.data[k][j] = c
+            mats.append(m)
+        return mats
+
+    @cached_property
     def left_mult(self) -> list[ExactMatrix]:
-        # column j of left_mult[i] is e_i e_j
-        if self._lmats is None:
-            mats = []
-            for i in range(self.dim):
-                m = ExactMatrix.zeros(self.dim, self.dim, self.order)
-                for j in range(self.dim):
-                    for k, c in enumerate(self.mult[i][j]):
-                        if not c.is_zero():
-                            m.data[k][j] = c
-                mats.append(m)
-            self._lmats = mats
-        return self._lmats
+        return self._mult_matrices(self.mult_table)
 
-    @property
+    @cached_property
     def right_mult(self) -> list[ExactMatrix]:
-        # column j of right_mult[i] is e_j e_i
-        if self._rmats is None:
-            mats = []
-            for i in range(self.dim):
-                m = ExactMatrix.zeros(self.dim, self.dim, self.order)
-                for j in range(self.dim):
-                    for k, c in enumerate(self.mult[j][i]):
-                        if not c.is_zero():
-                            m.data[k][j] = c
-                mats.append(m)
-            self._rmats = mats
-        return self._rmats
+        return self._mult_matrices(zip(*self.mult_table))
 
-    @property
+    @cached_property
     def antipode_inv(self) -> ExactMatrix:
-        if self._antipode_inv is None:
-            self._antipode_inv = self.antipode.inverse()
-        return self._antipode_inv
+        return self.antipode.inverse()
+
+    @cached_property
+    def _coadjoint(self) -> list[ExactMatrix]:
+        return [self.two_sided_action(ts.leg_map(d, 1, self.antipode)).transpose()
+                for d in self.coproduct]
+
+    @cached_property
+    def _adjoint(self) -> list[ExactMatrix]:
+        return [self.two_sided_action(ts.leg_map(d, 2, self.antipode))
+                for d in self.coproduct]
+
+    @cached_property
+    def _monodromy(self) -> Tensor:
+        return ts.mul(ts.permute(self.r_matrix, (2, 1)), self.r_matrix, self.mult_table)
+
+    @cached_property
+    def _drinfeld(self) -> tuple:
+        u, u_tilde, u_inv = _drinfeld_u_variants(self)
+        if u_inv is not None:
+            if not vec_eq(self.product(u, u_inv), self.unit()) or not vec_eq(
+                self.product(u_inv, u), self.unit()
+            ):
+                raise ValueError("drinfeld element is not invertible against S^-1(u~)")
+            if self.antipode * self.antipode != self.lmult_of(u) * self.rmult_of(u_inv):
+                raise ValueError("S^2 is not conjugation by the drinfeld element")
+        return u, u_tilde, u_inv
+
+    @cached_property
+    def _twist(self) -> tuple:
+        mt = self.mult_table
+        x4 = ts.mul(
+            ts.embed(self.phi, 4, (2, 3, 4)),
+            ts.coproduct_leg(self.phi_inv, 3, self.cop_table),
+            mt,
+        )
+        t = ts.leg_map(ts.leg_map(x4, 1, self.antipode), 2, self.antipode)
+        alpha_t = Tensor.from_vector(self.alpha, self.order)
+        ins = ts.embed(ts.tensor_product(alpha_t, alpha_t), 4, (3, 4))
+        gamma = ts.merge_legs(ts.mul(ins, t, mt), ((2, 3), (1, 4)), mt)
+
+        c = ts.coproduct_leg(
+            ts.coproduct_leg(element_x_d(self), 1, self.cop_table), 3, self.cop_table)
+        c = ts.permute(c, (2, 1, 3, 4))
+        c = ts.leg_map(ts.leg_map(c, 1, self.antipode), 2, self.antipode)
+        f = ts.merge_legs(
+            ts.mul(ts.embed(gamma, 4, (3, 4)), c, mt), ((1, 3), (2, 4)), mt
+        )
+
+        f_inv = self.invert_element(f)
+        if f_inv is None:
+            raise DivisionByZero("drinfeld twist is not invertible")
+        return f, f_inv, gamma
 
     # -- element helpers ---------------------------------------------------
 
@@ -123,29 +179,17 @@ class QuasiHopfAlgebra:
 
     def lmult_of(self, v: list[Scalar]) -> ExactMatrix:
         """Matrix of x -> v x."""
-        out = ExactMatrix.zeros(self.dim, self.dim, self.order)
-        for i, c in enumerate(v):
-            if not c.is_zero():
-                out.iadd_scaled(self.left_mult[i], c)
-        return out
+        return linear_combination(zip(v, self.left_mult), self.dim, self.order)
 
     def rmult_of(self, v: list[Scalar]) -> ExactMatrix:
         """Matrix of x -> x v."""
-        out = ExactMatrix.zeros(self.dim, self.dim, self.order)
-        for i, c in enumerate(v):
-            if not c.is_zero():
-                out.iadd_scaled(self.right_mult[i], c)
-        return out
+        return linear_combination(zip(v, self.right_mult), self.dim, self.order)
 
     def product(self, u: list[Scalar], v: list[Scalar]) -> list[Scalar]:
         return self.lmult_of(u).apply(v)
 
     def counit_of(self, v: list[Scalar]) -> Scalar:
-        acc = Scalar.zero(self.order)
-        for c, e in zip(v, self.counit):
-            if not c.is_zero():
-                acc = acc + c * e
-        return acc
+        return dot(v, self.counit)
 
     def antipode_of(self, v: list[Scalar]) -> list[Scalar]:
         return self.antipode.apply(v)
@@ -157,54 +201,20 @@ class QuasiHopfAlgebra:
                 out = out + self.coproduct[i].scale(c)
         return out
 
-    def element(self, t: Tensor) -> list[Scalar]:
-        return t.to_vector()
-
-    def as_tensor(self, v: list[Scalar]) -> Tensor:
-        return Tensor.from_vector(v, self.order)
-
-    def action_of(self, v: list[Scalar], action: list[ExactMatrix]) -> ExactMatrix:
-        out = ExactMatrix.zeros(action[0].rows, action[0].cols, self.order)
-        for i, c in enumerate(v):
-            if not c.is_zero():
-                out.iadd_scaled(action[i], c)
-        return out
-
     def two_sided_action(self, t: Tensor) -> ExactMatrix:
         """Matrix of x -> sum t[i, j] e_i x e_j for a 2-leg tensor t."""
-        out = ExactMatrix.zeros(self.dim, self.dim, self.order)
-        for (i, j), c in t.nonzero():
-            out.iadd_scaled(self.left_mult[i] * self.right_mult[j], c)
-        return out
+        return linear_combination(
+            ((c, self.left_mult[i] * self.right_mult[j]) for (i, j), c in t.nonzero()),
+            self.dim, self.order)
 
     def coadjoint_action(self) -> list[ExactMatrix]:
         """Action matrices on A* underlying the universal Hopf algebra:
         (b.f)(x) = f(sum S(b') x b'')."""
-        if "coadjoint" in self._derived:
-            return self._derived["coadjoint"]
-        mats = []
-        for b in range(self.dim):
-            k = ExactMatrix.zeros(self.dim, self.dim, self.order)
-            for (j, j2), c in self.cop_table[b]:
-                sj = [self.antipode.data[r][j] for r in range(self.dim)]
-                k = k + (self.lmult_of(sj) * self.right_mult[j2]).scale(c)
-            mats.append(k.transpose())
-        self._derived["coadjoint"] = mats
-        return mats
+        return self._coadjoint
 
     def adjoint_action(self) -> list[ExactMatrix]:
         """Adjoint action on A: b . x = sum b' x S(b'')."""
-        if "adjoint" in self._derived:
-            return self._derived["adjoint"]
-        mats = []
-        for b in range(self.dim):
-            k = ExactMatrix.zeros(self.dim, self.dim, self.order)
-            for (j, j2), c in self.cop_table[b]:
-                sj2 = [self.antipode.data[r][j2] for r in range(self.dim)]
-                k = k + (self.left_mult[j] * self.rmult_of(sj2)).scale(c)
-            mats.append(k)
-        self._derived["adjoint"] = mats
-        return mats
+        return self._adjoint
 
     def invert_element(self, t: Tensor) -> Tensor | None:
         """Two-sided inverse of t in A^(x k) by exact linear solve."""
@@ -288,16 +298,13 @@ class AxiomReport:
 
 def _tensor_witness(a: Tensor, b: Tensor) -> tuple | None:
     """First multi-index where the two tensors differ, else None."""
-    dim, legs = a.dim, a.legs
-    for flat in range(len(a.coeffs)):
-        if a.coeffs[flat] != b.coeffs[flat]:
-            idx = []
-            f = flat
-            for _ in range(legs):
-                idx.append(f % dim)
-                f //= dim
-            return tuple(reversed(idx))
-    return None
+    return next((a.multi_index(f) for f, (x, y) in enumerate(zip(a.coeffs, b.coeffs))
+                 if x != y), None)
+
+
+def _vector_witness(u: list[Scalar], v: list[Scalar]) -> tuple | None:
+    """First index, as a 1-tuple, where the two vectors differ, else None."""
+    return next(((i,) for i, (x, y) in enumerate(zip(u, v)) if x != y), None)
 
 
 def validate(A: QuasiHopfAlgebra) -> AxiomReport:
@@ -325,9 +332,7 @@ def validate(A: QuasiHopfAlgebra) -> AxiomReport:
     def assoc_checks():
         for i in range(dim):
             for j in range(dim):
-                lij = A.lmult_of(A.product(basis_vector(dim, i, order),
-                                           basis_vector(dim, j, order)))
-                yield (i, j), A.left_mult[i] * A.left_mult[j] == lij
+                yield (i, j), A.left_mult[i] * A.left_mult[j] == A.lmult_of(A.mult[i][j])
     first_fail("associativity", assoc_checks())
 
     # counit is an algebra map
@@ -335,9 +340,7 @@ def validate(A: QuasiHopfAlgebra) -> AxiomReport:
         yield (0,), A.counit[0] == one
         for i in range(dim):
             for j in range(dim):
-                lhs = A.counit_of(A.product(basis_vector(dim, i, order),
-                                            basis_vector(dim, j, order)))
-                yield (i, j), lhs == A.counit[i] * A.counit[j]
+                yield (i, j), A.counit_of(A.mult[i][j]) == A.counit[i] * A.counit[j]
     first_fail("counit_algebra_map", counit_checks())
 
     # coproduct is an algebra map
@@ -345,8 +348,7 @@ def validate(A: QuasiHopfAlgebra) -> AxiomReport:
         yield (0,), A.coproduct[0] == unit2
         for i in range(dim):
             for j in range(dim):
-                prod = A.delta_of(A.product(basis_vector(dim, i, order),
-                                            basis_vector(dim, j, order)))
+                prod = A.delta_of(A.mult[i][j])
                 yield (i, j), prod == ts.mul(A.coproduct[i], A.coproduct[j], mt)
     first_fail("coproduct_algebra_map", cop_checks())
 
@@ -390,8 +392,7 @@ def validate(A: QuasiHopfAlgebra) -> AxiomReport:
         yield (0,), vec_eq(A.antipode_of(A.unit()), A.unit())
         for i in range(dim):
             for j in range(dim):
-                lhs = A.antipode_of(A.product(basis_vector(dim, i, order),
-                                              basis_vector(dim, j, order)))
+                lhs = A.antipode_of(A.mult[i][j])
                 rhs = A.product(
                     A.antipode_of(basis_vector(dim, j, order)),
                     A.antipode_of(basis_vector(dim, i, order)),
@@ -417,12 +418,12 @@ def validate(A: QuasiHopfAlgebra) -> AxiomReport:
     t = ts.leg_map(ts.leg_map(ts.leg_map(ts.leg_map(
         A.phi, 1, A.antipode), 1, ralpha), 2, rbeta), 3, A.antipode)
     got = ts.merge_legs(t, ((1, 2, 3),), mt).to_vector()
-    w = next(((i,) for i in range(dim) if got[i] != A.unit()[i]), None)
+    w = _vector_witness(got, A.unit())
     rep.add("coassociator_antipode_left", w is None, w)
     t = ts.leg_map(ts.leg_map(ts.leg_map(
         A.phi_inv, 1, rbeta), 2, A.antipode), 2, ralpha)
     got = ts.merge_legs(t, ((1, 2, 3),), mt).to_vector()
-    w = next(((i,) for i in range(dim) if got[i] != A.unit()[i]), None)
+    w = _vector_witness(got, A.unit())
     rep.add("coassociator_antipode_right", w is None, w)
 
     # R-matrix axioms
@@ -468,11 +469,7 @@ def validate(A: QuasiHopfAlgebra) -> AxiomReport:
         if A.ribbon_inv is None:
             rep.add("ribbon_invertible", False, (0,))
         else:
-            prod = A.product(v, A.ribbon_inv)
-            w = next((
-                (i,) for i in range(dim)
-                if prod[i] != (Scalar.one(order) if i == 0 else Scalar.zero(order))
-            ), None)
+            w = _vector_witness(A.product(v, A.ribbon_inv), A.unit())
             rep.add("ribbon_invertible", w is None, w)
 
         def central_checks():
@@ -486,13 +483,13 @@ def validate(A: QuasiHopfAlgebra) -> AxiomReport:
         w = _tensor_witness(ts.mul(m, A.delta_of(v), mt), ts.tensor_product(vt, vt))
         rep.add("ribbon_monodromy", w is None, w)
         sv = A.antipode_of(v)
-        w = next(((i,) for i in range(dim) if sv[i] != v[i]), None)
+        w = _vector_witness(sv, v)
         rep.add("ribbon_antipode_fixed", w is None, w)
         if rep["antipode_invertible"].ok:
             u, _, _ = _drinfeld_u_variants(A)
             vv = A.product(v, v)
             usu = A.product(u, A.antipode_of(u))
-            w = next(((i,) for i in range(dim) if vv[i] != usu[i]), None)
+            w = _vector_witness(vv, usu)
             rep.add("ribbon_square", w is None, w)
         rep.add("ribbon_counit", A.counit_of(v) == one, (0,))
 
@@ -505,23 +502,19 @@ def validate(A: QuasiHopfAlgebra) -> AxiomReport:
 
 def monodromy(A: QuasiHopfAlgebra) -> Tensor:
     """The double-braiding element: flip of R times R."""
-    if "monodromy" not in A._derived:
-        A._derived["monodromy"] = ts.mul(
-            ts.permute(A.r_matrix, (2, 1)), A.r_matrix, A.mult_table
-        )
-    return A._derived["monodromy"]
+    return A._monodromy
 
 
-def _ev_coev_core(A: QuasiHopfAlgebra) -> Tensor:
-    # (phi_1, S(phi_2 beta S(phi_3))) as a 2-leg tensor
+def element_x_d(A: QuasiHopfAlgebra) -> Tensor:
+    """2-leg element phi_1 (x) phi_2 beta S(phi_3)."""
     t = ts.leg_map(A.phi, 3, A.antipode)
     t = ts.leg_map(t, 2, A.rmult_of(A.beta))
-    m2 = ts.merge_legs(t, ((1,), (2, 3)), A.mult_table)
-    return ts.leg_map(m2, 2, A.antipode)
+    return ts.merge_legs(t, ((1,), (2, 3)), A.mult_table)
 
 
 def _drinfeld_u_from(A: QuasiHopfAlgebra, r: Tensor) -> list[Scalar]:
-    core = _ev_coev_core(A)
+    # core (phi_1, S(phi_2 beta S(phi_3))) as a 2-leg tensor
+    core = ts.leg_map(element_x_d(A), 2, A.antipode)
     t4 = ts.tensor_product(core, r)
     t4 = ts.leg_map(t4, 4, A.antipode)
     t4 = ts.leg_map(t4, 4, A.rmult_of(A.alpha))
@@ -542,20 +535,7 @@ def drinfeld_element(A: QuasiHopfAlgebra):
     Raises ValueError when the computed inverse fails u u^-1 = 1 or the
     conjugation identity, which signals corrupted input data.
     """
-    if "drinfeld" in A._derived:
-        return A._derived["drinfeld"]
-    u, u_tilde, u_inv = _drinfeld_u_variants(A)
-    if u_inv is not None:
-        if not vec_eq(A.product(u, u_inv), A.unit()) or not vec_eq(
-            A.product(u_inv, u), A.unit()
-        ):
-            raise ValueError("drinfeld element is not invertible against S^-1(u~)")
-        s2 = A.antipode * A.antipode
-        conj = A.lmult_of(u) * A.rmult_of(u_inv)
-        if s2 != conj:
-            raise ValueError("S^2 is not conjugation by the drinfeld element")
-    A._derived["drinfeld"] = (u, u_tilde, u_inv)
-    return u, u_tilde, u_inv
+    return A._drinfeld
 
 
 def drinfeld_twist(A: QuasiHopfAlgebra):
@@ -564,31 +544,4 @@ def drinfeld_twist(A: QuasiHopfAlgebra):
 
     Returns (f, f_inv, gamma); raises DivisionByZero if f is singular.
     """
-    if "twist" in A._derived:
-        return A._derived["twist"]
-    mt = A.mult_table
-    x4 = ts.mul(
-        ts.embed(A.phi, 4, (2, 3, 4)),
-        ts.coproduct_leg(A.phi_inv, 3, A.cop_table),
-        mt,
-    )
-    t = ts.leg_map(ts.leg_map(x4, 1, A.antipode), 2, A.antipode)
-    alpha_t = Tensor.from_vector(A.alpha, A.order)
-    ins = ts.embed(ts.tensor_product(alpha_t, alpha_t), 4, (3, 4))
-    gamma = ts.merge_legs(ts.mul(ins, t, mt), ((2, 3), (1, 4)), mt)
-
-    core = ts.leg_map(A.phi, 3, A.antipode)
-    core = ts.leg_map(core, 2, A.rmult_of(A.beta))
-    m2 = ts.merge_legs(core, ((1,), (2, 3)), mt)
-    c = ts.coproduct_leg(ts.coproduct_leg(m2, 1, A.cop_table), 3, A.cop_table)
-    c = ts.permute(c, (2, 1, 3, 4))
-    c = ts.leg_map(ts.leg_map(c, 1, A.antipode), 2, A.antipode)
-    f = ts.merge_legs(
-        ts.mul(ts.embed(gamma, 4, (3, 4)), c, mt), ((1, 3), (2, 4)), mt
-    )
-
-    f_inv = A.invert_element(f)
-    if f_inv is None:
-        raise DivisionByZero("drinfeld twist is not invertible")
-    A._derived["twist"] = (f, f_inv, gamma)
-    return f, f_inv, gamma
+    return A._twist

@@ -16,10 +16,12 @@ Index conventions, fixed once:
 
 from __future__ import annotations
 
-from .exactmath import ExactMatrix, Scalar
-from .tensorspace import Tensor
+import math
+
+from .exactmath import ExactMatrix, Scalar, linear_combination
+from . import tensorspace as ts
 from .qha import AxiomReport, QuasiHopfAlgebra, drinfeld_element, drinfeld_twist
-from .coend import CoendMaps, coend_maps
+from .coend import CoendMaps, coend_maps, tensor_as_matrix
 
 
 class AModule:
@@ -32,11 +34,7 @@ class AModule:
         self.label = label
 
     def act(self, v: list[Scalar]) -> ExactMatrix:
-        out = ExactMatrix.zeros(self.dim, self.dim, self.alg.order)
-        for i, c in enumerate(v):
-            if not c.is_zero():
-                out.iadd_scaled(self.action[i], c)
-        return out
+        return linear_combination(zip(v, self.action), self.dim, self.alg.order)
 
     def check_representation(self) -> tuple[bool, tuple | None]:
         """rho(e_0) = 1 and rho(e_i) rho(e_j) = sum c[i][j][k] rho(e_k)."""
@@ -45,10 +43,7 @@ class AModule:
             return False, (0,)
         for i in range(A.dim):
             for j in range(A.dim):
-                rhs = ExactMatrix.zeros(self.dim, self.dim, A.order)
-                for k, c in A.mult_table[i][j]:
-                    rhs = rhs + self.action[k].scale(c)
-                if self.action[i] * self.action[j] != rhs:
+                if self.action[i] * self.action[j] != self.act(A.mult[i][j]):
                     return False, (i, j)
         return True, None
 
@@ -74,17 +69,6 @@ class Morphism:
             if self.matrix * self.source.action[i] != self.target.action[i] * self.matrix:
                 return False, (i,)
         return True, None
-
-    def compose(self, other: "Morphism") -> "Morphism":
-        """self after other."""
-        return Morphism(other.source, self.target, self.matrix * other.matrix)
-
-    def tensor(self, other: "Morphism") -> "Morphism":
-        return Morphism(
-            tensor_module(self.source, other.source),
-            tensor_module(self.target, other.target),
-            self.matrix.kron(other.matrix),
-        )
 
     def __repr__(self) -> str:
         return f"Morphism({self.source!r} -> {self.target!r})"
@@ -120,12 +104,7 @@ def tensor_module(U: AModule, V: AModule) -> AModule:
     """Tensor product along the coproduct."""
     A = U.alg
     assert V.alg is A, "modules over different algebras"
-    action = []
-    for i in range(A.dim):
-        m = ExactMatrix.zeros(U.dim * V.dim, U.dim * V.dim, A.order)
-        for (j, k), c in A.cop_table[i]:
-            m.iadd_scaled(U.action[j].kron(V.action[k]), c)
-        action.append(m)
+    action = [_tensor_action((U, V), A.cop_table[i]) for i in range(A.dim)]
     return AModule(A, action, label=f"({U.label}x{V.label})")
 
 
@@ -168,18 +147,26 @@ def pair_flip(dim: int, order: int) -> ExactMatrix:
     return flip_matrix(dim, dim, order)
 
 
-def _three_action(U: AModule, V: AModule, W: AModule, t: Tensor) -> ExactMatrix:
-    out = ExactMatrix.zeros(U.dim * V.dim * W.dim, U.dim * V.dim * W.dim, U.alg.order)
-    for (a, b, c), coeff in t.nonzero():
-        out.iadd_scaled(U.action[a].kron(V.action[b]).kron(W.action[c]), coeff)
-    return out
+def _tensor_action(mods: tuple[AModule, ...], terms) -> ExactMatrix:
+    """Action on mods[0] (x) ... (x) mods[k-1] of the k-leg element given
+    by its nonzero (multi-index, coefficient) terms."""
+
+    def kron_of(idx: tuple[int, ...]) -> ExactMatrix:
+        m = mods[0].action[idx[0]]
+        for M, i in zip(mods[1:], idx[1:]):
+            m = m.kron(M.action[i])
+        return m
+
+    n = math.prod(M.dim for M in mods)
+    return linear_combination(((c, kron_of(idx)) for idx, c in terms), n, mods[0].alg.order)
 
 
-def _two_action(U: AModule, V: AModule, t: Tensor) -> ExactMatrix:
-    out = ExactMatrix.zeros(U.dim * V.dim, U.dim * V.dim, U.alg.order)
-    for (a, b), coeff in t.nonzero():
-        out.iadd_scaled(U.action[a].kron(V.action[b]), coeff)
-    return out
+def _flattened(mats: list[ExactMatrix]) -> ExactMatrix:
+    """The matrix whose row a lists the entries of mats[a] row by row, the
+    index order of ``ExactMatrix.kron``."""
+    m = mats[0]
+    return ExactMatrix(len(mats), m.rows * m.cols, m.order,
+                       [[x for row in mat.data for x in row] for mat in mats])
 
 
 def associator(U: AModule, V: AModule, W: AModule) -> Morphism:
@@ -188,7 +175,7 @@ def associator(U: AModule, V: AModule, W: AModule) -> Morphism:
     return Morphism(
         tensor_module(U, tensor_module(V, W)),
         tensor_module(tensor_module(U, V), W),
-        _three_action(U, V, W, A.phi),
+        _tensor_action((U, V, W), A.phi.nonzero()),
     )
 
 
@@ -197,7 +184,7 @@ def associator_inv(U: AModule, V: AModule, W: AModule) -> Morphism:
     return Morphism(
         tensor_module(tensor_module(U, V), W),
         tensor_module(U, tensor_module(V, W)),
-        _three_action(U, V, W, A.phi_inv),
+        _tensor_action((U, V, W), A.phi_inv.nonzero()),
     )
 
 
@@ -207,7 +194,7 @@ def braiding(U: AModule, V: AModule) -> Morphism:
     return Morphism(
         tensor_module(U, V),
         tensor_module(V, U),
-        flip_matrix(U.dim, V.dim, A.order) * _two_action(U, V, A.r_matrix),
+        flip_matrix(U.dim, V.dim, A.order) * _tensor_action((U, V), A.r_matrix.nonzero()),
     )
 
 
@@ -218,29 +205,21 @@ def double_braiding(U: AModule, V: AModule) -> Morphism:
     return Morphism(
         tensor_module(U, V),
         tensor_module(U, V),
-        _two_action(U, V, monodromy(U.alg)),
+        _tensor_action((U, V), monodromy(U.alg).nonzero()),
     )
 
 
 def evaluation(U: AModule) -> Morphism:
     """U* (x) U -> 1, f (x) u -> f(alpha.u)."""
     A = U.alg
-    rho_alpha = U.act(A.alpha)
-    m = ExactMatrix.zeros(1, U.dim * U.dim, A.order)
-    for f in range(U.dim):
-        for u in range(U.dim):
-            m.data[0][f * U.dim + u] = rho_alpha.data[f][u]
+    m = _flattened([U.act(A.alpha)])
     return Morphism(tensor_module(dual_module(U), U), trivial_module(A), m)
 
 
 def coevaluation(U: AModule) -> Morphism:
     """1 -> U (x) U*, 1 -> sum (beta.u_i) (x) u_i*."""
     A = U.alg
-    rho_beta = U.act(A.beta)
-    m = ExactMatrix.zeros(U.dim * U.dim, 1, A.order)
-    for x in range(U.dim):
-        for i in range(U.dim):
-            m.data[x * U.dim + i][0] = rho_beta.data[x][i]
+    m = _flattened([U.act(A.beta)]).transpose()
     return Morphism(trivial_module(A), tensor_module(U, dual_module(U)), m)
 
 
@@ -271,11 +250,7 @@ def evaluation_right(U: AModule) -> Morphism:
     _require_ribbon(A)
     u, _, _ = drinfeld_element(A)
     w = A.product(A.antipode_of(A.alpha), A.product(A.ribbon_inv, u))
-    rho = U.act(w)
-    m = ExactMatrix.zeros(1, U.dim * U.dim, A.order)
-    for x in range(U.dim):
-        for f in range(U.dim):
-            m.data[0][x * U.dim + f] = rho.data[f][x]
+    m = _flattened([U.act(w).transpose()])
     return Morphism(tensor_module(U, dual_module(U)), trivial_module(A), m)
 
 
@@ -285,11 +260,7 @@ def coevaluation_right(U: AModule) -> Morphism:
     _require_ribbon(A)
     u, _, u_inv = drinfeld_element(A)
     w = A.product(u_inv, A.product(A.ribbon, A.antipode_of(A.beta)))
-    rho = U.act(w)
-    m = ExactMatrix.zeros(U.dim * U.dim, 1, A.order)
-    for f in range(U.dim):
-        for x in range(U.dim):
-            m.data[f * U.dim + x][0] = rho.data[x][f]
+    m = _flattened([U.act(w).transpose()]).transpose()
     return Morphism(trivial_module(A), tensor_module(dual_module(U), U), m)
 
 
@@ -317,25 +288,15 @@ def structure_morphisms(U: AModule, V: AModule, W: AModule) -> dict[str, Morphis
 def iota(M: AModule) -> Morphism:
     """M* (x) M -> L, f (x) m -> (a -> f(a.m))."""
     A = M.alg
-    m = ExactMatrix.zeros(A.dim, M.dim * M.dim, A.order)
-    for a in range(A.dim):
-        rho = M.action[a]
-        for f in range(M.dim):
-            for x in range(M.dim):
-                m.data[a][f * M.dim + x] = rho.data[f][x]
-    return Morphism(tensor_module(dual_module(M), M), coadjoint_module(A), m)
+    return Morphism(tensor_module(dual_module(M), M), coadjoint_module(A),
+                    _flattened(M.action))
 
 
 def j_end(M: AModule) -> Morphism:
     """Adj -> M (x) M*, a -> sum (a.m_i) (x) m_i*."""
     A = M.alg
-    m = ExactMatrix.zeros(M.dim * M.dim, A.dim, A.order)
-    for a in range(A.dim):
-        rho = M.action[a]
-        for x in range(M.dim):
-            for i in range(M.dim):
-                m.data[x * M.dim + i][a] = rho.data[x][i]
-    return Morphism(adjoint_module(A), tensor_module(M, dual_module(M)), m)
+    return Morphism(adjoint_module(A), tensor_module(M, dual_module(M)),
+                    _flattened(M.action).transpose())
 
 
 def dual_of_adjoint_iso(A: QuasiHopfAlgebra) -> Morphism:
@@ -346,10 +307,7 @@ def dual_of_adjoint_iso(A: QuasiHopfAlgebra) -> Morphism:
     which signals corrupted input data.
     """
     f, _, _ = drinfeld_twist(A)
-    e = ExactMatrix.zeros(A.dim, A.dim, A.order)
-    for (j, k), c in f.nonzero():
-        sk = [A.antipode.data[r][k] for r in range(A.dim)]
-        e = e + (A.antipode_inv * A.left_mult[j] * A.rmult_of(sk)).scale(c)
+    e = A.antipode_inv * A.two_sided_action(ts.leg_map(f, 2, A.antipode))
     if e.rank() != A.dim:
         raise ValueError("dual-of-adjoint comparison map is singular")
     return Morphism(
@@ -401,10 +359,7 @@ def dualised_structure(A: QuasiHopfAlgebra, maps: CoendMaps | None = None):
                                            [[c] for c in maps.eta_hat]))
     eps = Morphism(L, one_mod, ExactMatrix(1, A.dim, A.order, [list(maps.eps_hat)]))
     s_l = Morphism(L, L, maps.s_hat_L.transpose())
-    omega_row = ExactMatrix.zeros(1, A.dim * A.dim, A.order)
-    for (i, j), c in maps.omega_hat.nonzero():
-        omega_row.data[0][j * A.dim + i] = c
-    omega = Morphism(LL, one_mod, omega_row)
+    omega = Morphism(LL, one_mod, _flattened([tensor_as_matrix(maps.omega_hat).transpose()]))
     return L, mu, delta, eta, eps, s_l, omega
 
 
@@ -443,8 +398,8 @@ def verify_braided_hopf(A: QuasiHopfAlgebra, maps: CoendMaps | None = None) -> A
     # (L L)(L L) -> L((L L) L) by coherence, then the middle braiding
     ll_mod = tensor_module(L, L)
     al_inv = associator_inv(L, L, L).matrix
-    coh_in = i_l.kron(al) * _three_action(L, L, ll_mod, A.phi_inv)
-    coh_out = _three_action(L, L, ll_mod, A.phi) * i_l.kron(al_inv)
+    coh_in = i_l.kron(al) * _tensor_action((L, L, ll_mod), A.phi_inv.nonzero())
+    coh_out = _tensor_action((L, L, ll_mod), A.phi.nonzero()) * i_l.kron(al_inv)
     mid = i_l.kron(braiding(L, L).matrix).kron(i_l)
     rhs = mu.matrix.kron(mu.matrix) * coh_out * mid * coh_in \
         * delta.matrix.kron(delta.matrix)

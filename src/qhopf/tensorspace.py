@@ -65,11 +65,6 @@ class Tensor:
             raise LegError("to_vector needs a 1-leg tensor")
         return list(self.coeffs)
 
-    def scalar_value(self) -> Scalar:
-        if self.legs != 0:
-            raise LegError("scalar_value needs a 0-leg tensor")
-        return self.coeffs[0]
-
     # -- indexing
 
     def _flat(self, idx: tuple[int, ...]) -> int:
@@ -84,17 +79,18 @@ class Tensor:
     def __setitem__(self, idx: tuple[int, ...], value: Scalar) -> None:
         self.coeffs[self._flat(idx)] = value
 
+    def multi_index(self, flat: int) -> tuple[int, ...]:
+        """The multi-index stored at a flat position; inverse of ``_flat``."""
+        dim, idx = self.dim, []
+        for _ in range(self.legs):
+            idx.append(flat % dim)
+            flat //= dim
+        return tuple(reversed(idx))
+
     def nonzero(self) -> Iterator[tuple[tuple[int, ...], Scalar]]:
-        dim, legs = self.dim, self.legs
         for flat, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            idx = []
-            f = flat
-            for _ in range(legs):
-                idx.append(f % dim)
-                f //= dim
-            yield tuple(reversed(idx)), c
+            if not c.is_zero():
+                yield self.multi_index(flat), c
 
     # -- linear structure
 
@@ -255,17 +251,7 @@ def coproduct_leg(t: Tensor, j: int, cop: CopTable) -> Tensor:
 
 def counit_leg(t: Tensor, j: int, eps: Sequence[Scalar]) -> Tensor:
     """Contract leg j with the counit; the scalar multiplies the rest."""
-    if not 1 <= j <= t.legs:
-        raise LegError(f"leg {j} out of range for {t.legs} legs")
-    out = Tensor.zero(t.dim, t.legs - 1, t.order)
-    for idx, c in t.nonzero():
-        e = eps[idx[j - 1]]
-        if e.is_zero():
-            continue
-        oidx = idx[: j - 1] + idx[j:]
-        fl = out._flat(oidx)
-        out.coeffs[fl] = out.coeffs[fl] + e * c
-    return out
+    return contract_leg(t, j, eps)
 
 
 def permute(t: Tensor, perm: Sequence[int]) -> Tensor:

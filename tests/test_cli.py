@@ -265,3 +265,27 @@ def test_out_writes_file(runner, tmp_path):
     res = runner.invoke(main, ["check", "trivial", "--out", str(target)])
     assert res.exit_code == 0
     assert json.loads(target.read_text())["ok"] is True
+
+
+def test_field_zero_is_header_error(runner, tmp_path):
+    text = preset_text("trivial").replace("field 1", "field 0", 1)
+    with pytest.raises(ParseError, match="field order must be positive") as e:
+        parse_text(text)
+    assert e.value.line == 3
+    path = tmp_path / "field0.alg"
+    path.write_text(text, encoding="utf-8")
+    res = runner.invoke(main, ["check", str(path)])
+    assert res.exit_code == 2
+    for bad in ("0", "-2"):
+        res = runner.invoke(main, ["check", "trivial", "--field-order", bad])
+        assert res.exit_code == 2, bad
+
+
+def test_declared_simple_that_is_not_a_module_exit_one(runner, tmp_path):
+    text = preset_text("double_Z2").replace("simple s00 dim 1:", "simple s00 dim 2:", 1)
+    path = tmp_path / "bad_simple.alg"
+    path.write_text(text, encoding="utf-8")
+    for command in ("fusion", "report"):
+        res = runner.invoke(main, [command, str(path)])
+        assert res.exit_code == 1, command
+        assert "s00: representation property fails at (0,)" in res.stderr

@@ -91,3 +91,21 @@ def test_every_preset_carries_simples(presets):
     for p in presets.values():
         assert len(p.simples.simples) >= 1
         assert p.simples.validate(p.algebra) == []
+
+
+def test_mutate_after_warm_caches():
+    # every derived view of the original is read first, so a mutant that
+    # inherited any of them would still look like the original
+    from qhopf.qha import drinfeld_element, monodromy
+
+    alg = preset("twisted_double_Z2").algebra
+    alg.mult_table, alg.left_mult, alg.coadjoint_action(), drinfeld_element(alg)
+    original_monodromy = monodromy(alg)
+    one = Scalar.rational(1, order=4)
+
+    bad_mult = mutate(alg, ("mult", (1, 2, 3)), one)
+    assert "associativity" in {r.name for r in validate(bad_mult).failures()}
+
+    bad_r = mutate(alg, ("r_matrix", (1, 2)), one)
+    assert monodromy(bad_r) != original_monodromy
+    assert validate(alg).ok
