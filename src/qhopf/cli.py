@@ -401,7 +401,8 @@ def embed_algebra(A: QuasiHopfAlgebra, order: int) -> QuasiHopfAlgebra:
         return [c.embed(order) for c in v]
 
     def et(t: Tensor) -> Tensor:
-        return Tensor(t.dim, t.legs, order, [c.embed(order) for c in t.coeffs])
+        return Tensor.from_entries(t.dim, t.legs, order,
+                                   [(idx, c.embed(order)) for idx, c in t.entries.items()])
 
     def em(m: ExactMatrix) -> ExactMatrix:
         return ExactMatrix(m.rows, m.cols, order,

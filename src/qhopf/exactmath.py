@@ -410,11 +410,11 @@ class ExactMatrix:
     def apply(self, v: Sequence[Scalar]) -> list[Scalar]:
         assert self.cols == len(v)
         out = zero_vector(self.rows, self.order)
-        for i in range(self.rows):
+        support = [(j, x) for j, x in enumerate(v) if not x.is_zero()]
+        for i, row in enumerate(self.data):
             acc = out[i]
-            row = self.data[i]
-            for j, x in enumerate(v):
-                if not x.is_zero() and not row[j].is_zero():
+            for j, x in support:
+                if not row[j].is_zero():
                     acc = acc + row[j] * x
             out[i] = acc
         return out
@@ -461,11 +461,11 @@ class ExactMatrix:
                 continue
             m[r], m[pivot_row] = m[pivot_row], m[r]
             inv = m[r][c].inverse()
-            m[r] = [inv * x for x in m[r]]
+            m[r] = [x if x.is_zero() else inv * x for x in m[r]]
             for i in range(self.rows):
                 if i != r and not m[i][c].is_zero():
                     f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                    m[i] = [a if b.is_zero() else a - f * b for a, b in zip(m[i], m[r])]
             pivots.append(c)
             r += 1
             if r == self.rows:

@@ -10,9 +10,11 @@ derived from it and from the other structure constants are
 ``functools.cached_property`` values, built on first use: ``mult_table``,
 ``left_mult`` and ``right_mult`` (both by ``_mult_matrices``),
 ``cop_table``, ``antipode_inv``, the coadjoint and adjoint actions (by
-``two_sided_action``), and the monodromy, Drinfeld element and Drinfeld
-twist (``_monodromy``, ``_drinfeld``, ``_twist``, read through the
-functions ``monodromy``, ``drinfeld_element`` and ``drinfeld_twist``).
+``two_sided_action``), the element x_d, the unchecked Drinfeld triple,
+and the monodromy, Drinfeld element and Drinfeld twist (``_x_d``,
+``_drinfeld_raw``, ``_monodromy``, ``_drinfeld``, ``_twist``; all but
+``_drinfeld_raw`` are read through the functions ``element_x_d``,
+``monodromy``, ``drinfeld_element`` and ``drinfeld_twist``).
 :class:`QuasiHopfAlgebra` says what each view is.
 
 ``validate`` checks every defining identity exhaustively over basis
@@ -58,9 +60,15 @@ class QuasiHopfAlgebra:
     * ``antipode_inv``: the inverse of ``antipode``;
     * ``coadjoint_action()`` and ``adjoint_action()``: both through
       ``two_sided_action``;
+    * ``_x_d``: phi_1 (x) phi_2 beta S(phi_3), read through the module
+      function ``element_x_d``;
+    * ``_drinfeld_raw``: the triple (u, u~, u^-1) before any consistency
+      check (u^-1 is None without ribbon data); ``validate`` reads it, so
+      a failed identity is reported rather than raised;
     * the module functions ``monodromy``, ``drinfeld_element`` and
       ``drinfeld_twist`` read the cached ``_monodromy``, ``_drinfeld``
-      and ``_twist``.
+      (``_drinfeld_raw`` once its checks pass, else ``ValueError``) and
+      ``_twist``.
 
     The caches assume the structure constants are not edited after a view
     has been read; ``presets.mutate`` returns a fresh, uncached instance.
@@ -135,8 +143,21 @@ class QuasiHopfAlgebra:
         return ts.mul(ts.permute(self.r_matrix, (2, 1)), self.r_matrix, self.mult_table)
 
     @cached_property
+    def _x_d(self) -> Tensor:
+        t = ts.leg_map(self.phi, 3, self.antipode)
+        t = ts.leg_map(t, 2, self.rmult_of(self.beta))
+        return ts.merge_legs(t, ((1,), (2, 3)), self.mult_table)
+
+    @cached_property
+    def _drinfeld_raw(self) -> tuple:
+        u = _drinfeld_u_from(self, self.r_matrix)
+        u_tilde = _drinfeld_u_from(self, self.r_inv)
+        u_inv = self.antipode_inv.apply(u_tilde) if self.ribbon is not None else None
+        return u, u_tilde, u_inv
+
+    @cached_property
     def _drinfeld(self) -> tuple:
-        u, u_tilde, u_inv = _drinfeld_u_variants(self)
+        u, u_tilde, u_inv = self._drinfeld_raw
         if u_inv is not None:
             if not vec_eq(self.product(u, u_inv), self.unit()) or not vec_eq(
                 self.product(u_inv, u), self.unit()
@@ -219,11 +240,10 @@ class QuasiHopfAlgebra:
     def invert_element(self, t: Tensor) -> Tensor | None:
         """Two-sided inverse of t in A^(x k) by exact linear solve."""
         n = t.dim**t.legs
-        cols = []
-        for flat in range(n):
-            e = Tensor.zero(t.dim, t.legs, t.order)
-            e.coeffs[flat] = Scalar.one(t.order)
-            cols.append(ts.mul(t, e, self.mult_table).coeffs)
+        one = Scalar.one(t.order)
+        cols = [ts.mul(t, Tensor.from_entries(t.dim, t.legs, t.order, [(idx, one)]),
+                       self.mult_table).coeffs
+                for idx in ts.multi_indices(t.dim, t.legs)]
         lm = ExactMatrix(
             n, n, self.order, [[cols[j][i] for j in range(n)] for i in range(n)]
         )
@@ -297,9 +317,11 @@ class AxiomReport:
 
 
 def _tensor_witness(a: Tensor, b: Tensor) -> tuple | None:
-    """First multi-index where the two tensors differ, else None."""
-    return next((a.multi_index(f) for f, (x, y) in enumerate(zip(a.coeffs, b.coeffs))
-                 if x != y), None)
+    """First multi-index, in row-major order, where the two tensors differ,
+    else None."""
+    x, y = a.entries, b.entries
+    return min((idx for idx in x.keys() | y.keys() if x.get(idx) != y.get(idx)),
+               default=None)
 
 
 def _vector_witness(u: list[Scalar], v: list[Scalar]) -> tuple | None:
@@ -486,7 +508,7 @@ def validate(A: QuasiHopfAlgebra) -> AxiomReport:
         w = _vector_witness(sv, v)
         rep.add("ribbon_antipode_fixed", w is None, w)
         if rep["antipode_invertible"].ok:
-            u, _, _ = _drinfeld_u_variants(A)
+            u, _, _ = A._drinfeld_raw
             vv = A.product(v, v)
             usu = A.product(u, A.antipode_of(u))
             w = _vector_witness(vv, usu)
@@ -507,9 +529,7 @@ def monodromy(A: QuasiHopfAlgebra) -> Tensor:
 
 def element_x_d(A: QuasiHopfAlgebra) -> Tensor:
     """2-leg element phi_1 (x) phi_2 beta S(phi_3)."""
-    t = ts.leg_map(A.phi, 3, A.antipode)
-    t = ts.leg_map(t, 2, A.rmult_of(A.beta))
-    return ts.merge_legs(t, ((1,), (2, 3)), A.mult_table)
+    return A._x_d
 
 
 def _drinfeld_u_from(A: QuasiHopfAlgebra, r: Tensor) -> list[Scalar]:
@@ -519,13 +539,6 @@ def _drinfeld_u_from(A: QuasiHopfAlgebra, r: Tensor) -> list[Scalar]:
     t4 = ts.leg_map(t4, 4, A.antipode)
     t4 = ts.leg_map(t4, 4, A.rmult_of(A.alpha))
     return ts.merge_legs(t4, ((2, 4, 3, 1),), A.mult_table).to_vector()
-
-
-def _drinfeld_u_variants(A: QuasiHopfAlgebra):
-    u = _drinfeld_u_from(A, A.r_matrix)
-    u_tilde = _drinfeld_u_from(A, A.r_inv)
-    u_inv = A.antipode_inv.apply(u_tilde) if A.ribbon is not None else None
-    return u, u_tilde, u_inv
 
 
 def drinfeld_element(A: QuasiHopfAlgebra):

@@ -1,8 +1,15 @@
-"""Dense elements of A^(tensor k), k <= 4, and their leg operations.
+"""Sparse elements of A^(tensor k), k <= 4, and their leg operations.
 
-A Tensor stores the coefficient of e_{i_1} x ... x e_{i_k} at the flat
-index i_1 * dim^(k-1) + ... + i_k (row-major, matching the Kronecker
-convention of exactmath).  The basis convention is e_0 = unit of A.
+A Tensor stores a dict from multi-index (i_1, ..., i_k) to the nonzero
+coefficient of e_{i_1} x ... x e_{i_k}; it never stores a zero.  The basis
+convention is e_0 = unit of A.  ``nonzero()`` yields the entries in
+row-major order, matching the Kronecker convention of exactmath.  The one
+dense view is ``coeffs``, the row-major list of all dim^k coefficients;
+the constructor takes the same list.
+
+Every leg operation reads only the stored entries and writes its output
+through ``_collect``, which sums the terms landing on one multi-index and
+drops the sums that cancel to zero.
 
 Tensors are value-like: they do not know their algebra.  Operations that
 need the product, coproduct or counit take them as explicit arguments:
@@ -15,97 +22,129 @@ need the product, coproduct or counit take them as explicit arguments:
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from itertools import product
+from typing import Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .exactmath import ExactMatrix, Scalar
 
 MultTable = list[list[list[tuple[int, Scalar]]]]
 CopTable = list[list[tuple[tuple[int, int], Scalar]]]
+Index = tuple[int, ...]
+K = TypeVar("K", bound=Hashable)
 
 
 class LegError(ValueError):
     """Raised for malformed leg indices, permutations or leg mismatches."""
 
 
-class Tensor:
-    __slots__ = ("dim", "legs", "order", "coeffs")
+def _collect(terms: Iterable[tuple[K, Scalar]]) -> dict[K, Scalar]:
+    """Sum the terms per key; keys whose sum is zero are dropped."""
+    acc: dict[K, Scalar] = {}
+    get = acc.get
+    for k, c in terms:
+        old = get(k)
+        acc[k] = c if old is None else old + c
+    return {k: c for k, c in acc.items() if not c.is_zero()}
 
-    def __init__(self, dim: int, legs: int, order: int, coeffs: list[Scalar]):
-        if not 0 <= legs <= 4:
-            raise LegError(f"tensor legs must be between 0 and 4, got {legs}")
+
+def multi_indices(dim: int, legs: int) -> Iterator[Index]:
+    """All multi-indices in row-major order."""
+    return product(range(dim), repeat=legs)
+
+
+class Tensor:
+    __slots__ = ("dim", "legs", "order", "entries")
+
+    def __init__(self, dim: int, legs: int, order: int, coeffs: Sequence[Scalar]):
+        """A tensor from its dense row-major coefficient list."""
         if len(coeffs) != dim**legs:
             raise LegError(
                 f"expected {dim**legs} coefficients for {legs} legs, got {len(coeffs)}"
             )
+        self._init(dim, legs, order, {
+            idx: c for idx, c in zip(multi_indices(dim, legs), coeffs) if not c.is_zero()})
+
+    def _init(self, dim: int, legs: int, order: int, entries: dict[Index, Scalar]) -> None:
+        if not 0 <= legs <= 4:
+            raise LegError(f"tensor legs must be between 0 and 4, got {legs}")
         self.dim = dim
         self.legs = legs
         self.order = order
-        self.coeffs = coeffs
+        self.entries = entries
 
     # -- constructors
 
     @classmethod
+    def _of(cls, dim: int, legs: int, order: int, entries: dict[Index, Scalar]) -> "Tensor":
+        # entries must already be free of zeros
+        t = cls.__new__(cls)
+        t._init(dim, legs, order, entries)
+        return t
+
+    @classmethod
+    def from_entries(cls, dim: int, legs: int, order: int,
+                     entries: Iterable[tuple[Index, Scalar]]) -> "Tensor":
+        """A tensor from (multi-index, coefficient) pairs; repeated indices
+        are summed and zeros are dropped."""
+        return cls._of(dim, legs, order, _collect(entries))
+
+    @classmethod
     def zero(cls, dim: int, legs: int, order: int = 1) -> "Tensor":
-        z = Scalar.zero(order)
-        return cls(dim, legs, order, [z] * dim**legs)
+        return cls._of(dim, legs, order, {})
 
     @classmethod
     def unit(cls, dim: int, legs: int, order: int = 1) -> "Tensor":
         """The unit 1^(x legs); coefficient one at index (0, ..., 0)."""
-        t = cls.zero(dim, legs, order)
-        t.coeffs[0] = Scalar.one(order)
-        return t
+        return cls._of(dim, legs, order, {(0,) * legs: Scalar.one(order)})
 
     @classmethod
     def from_vector(cls, v: Sequence[Scalar], order: int) -> "Tensor":
-        return cls(len(v), 1, order, list(v))
+        return cls(len(v), 1, order, v)
 
     def to_vector(self) -> list[Scalar]:
         if self.legs != 1:
             raise LegError("to_vector needs a 1-leg tensor")
-        return list(self.coeffs)
+        return self.coeffs
 
     # -- indexing
 
-    def _flat(self, idx: tuple[int, ...]) -> int:
-        f = 0
-        for i in idx:
-            f = f * self.dim + i
-        return f
+    @property
+    def coeffs(self) -> list[Scalar]:
+        """Dense row-major coefficient list (a new list each call)."""
+        z, get = Scalar.zero(self.order), self.entries.get
+        return [get(idx, z) for idx in multi_indices(self.dim, self.legs)]
 
-    def __getitem__(self, idx: tuple[int, ...]) -> Scalar:
-        return self.coeffs[self._flat(idx)]
+    def __getitem__(self, idx: Index) -> Scalar:
+        return self.entries.get(idx, Scalar.zero(self.order))
 
-    def __setitem__(self, idx: tuple[int, ...], value: Scalar) -> None:
-        self.coeffs[self._flat(idx)] = value
+    def __setitem__(self, idx: Index, value: Scalar) -> None:
+        if len(idx) != self.legs or not all(0 <= i < self.dim for i in idx):
+            raise IndexError(f"index {idx} out of range for {self.legs} legs/dim {self.dim}")
+        if value.is_zero():
+            self.entries.pop(idx, None)
+        else:
+            self.entries[idx] = value
 
-    def multi_index(self, flat: int) -> tuple[int, ...]:
-        """The multi-index stored at a flat position; inverse of ``_flat``."""
-        dim, idx = self.dim, []
-        for _ in range(self.legs):
-            idx.append(flat % dim)
-            flat //= dim
-        return tuple(reversed(idx))
-
-    def nonzero(self) -> Iterator[tuple[tuple[int, ...], Scalar]]:
-        for flat, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                yield self.multi_index(flat), c
+    def nonzero(self) -> Iterator[tuple[Index, Scalar]]:
+        """The stored entries in row-major order of their indices."""
+        return iter(sorted(self.entries.items()))
 
     # -- linear structure
 
     def __add__(self, other: "Tensor") -> "Tensor":
         self._check_compatible(other)
-        return Tensor(self.dim, self.legs, self.order,
-                      [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._like(_collect(
+            [*self.entries.items(), *other.entries.items()]))
 
     def __sub__(self, other: "Tensor") -> "Tensor":
         self._check_compatible(other)
-        return Tensor(self.dim, self.legs, self.order,
-                      [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._like(_collect(
+            [*self.entries.items(), *((idx, -c) for idx, c in other.entries.items())]))
 
     def scale(self, c: Scalar) -> "Tensor":
-        return Tensor(self.dim, self.legs, self.order, [c * a for a in self.coeffs])
+        if c.is_zero():
+            return self._like({})
+        return self._like({idx: c * a for idx, a in self.entries.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tensor):
@@ -113,14 +152,18 @@ class Tensor:
         return (
             self.dim == other.dim
             and self.legs == other.legs
-            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
+            and self.entries == other.entries
         )
 
     def __hash__(self) -> None:
         raise TypeError("Tensor is unhashable")
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not self.entries
+
+    def _like(self, entries: dict[Index, Scalar], legs: int | None = None) -> "Tensor":
+        # a tensor of this dim and order; entries must be free of zeros
+        return Tensor._of(self.dim, self.legs if legs is None else legs, self.order, entries)
 
     def _check_compatible(self, other: "Tensor") -> None:
         if self.dim != other.dim or self.legs != other.legs:
@@ -134,6 +177,11 @@ class Tensor:
         return f"Tensor(dim={self.dim}, legs={self.legs}, {{{entries}}})"
 
 
+def _check_leg(t: Tensor, j: int) -> None:
+    if not 1 <= j <= t.legs:
+        raise LegError(f"leg {j} out of range for {t.legs} legs")
+
+
 # ---------------------------------------------------------------------------
 # products
 
@@ -144,43 +192,30 @@ def _fold_basis_product(
     # product e_{i_1} e_{i_2} ... expanded through the structure constants
     acc: list[tuple[int, Scalar]] = [(indices[0], Scalar.one(order))]
     for b in indices[1:]:
-        nxt: list[tuple[int, Scalar]] = []
-        for a, c in acc:
-            for k, ck in mult[a][b]:
-                nxt.append((k, c * ck))
-        acc = _collect(nxt)
+        acc = list(_collect((k, c * ck) for a, c in acc for k, ck in mult[a][b]).items())
     return acc
 
 
-def _collect(terms: list[tuple[int, Scalar]]) -> list[tuple[int, Scalar]]:
-    if len(terms) <= 1:
-        return terms
-    seen: dict[int, Scalar] = {}
-    for k, c in terms:
-        seen[k] = seen[k] + c if k in seen else c
-    return [(k, c) for k, c in seen.items() if not c.is_zero()]
+def _expand(c: Scalar, parts: Sequence[Sequence[tuple[int, Scalar]]]
+            ) -> Iterator[tuple[Index, Scalar]]:
+    # c times every combination of one (k, c_k) term per output leg
+    for combo in product(*parts):
+        idx, cc = [], c
+        for k, ck in combo:
+            idx.append(k)
+            cc = cc * ck
+        yield tuple(idx), cc
 
 
 def mul(s: Tensor, t: Tensor, mult: MultTable) -> Tensor:
     """Componentwise product of s and t in the algebra A^(x k)."""
     s._check_compatible(t)
-    out = Tensor.zero(s.dim, s.legs, s.order)
-    if s.legs == 0:
-        out.coeffs[0] = s.coeffs[0] * t.coeffs[0]
-        return out
-    for is_, cs in s.nonzero():
-        for it, ct in t.nonzero():
-            terms: list[tuple[tuple[int, ...], Scalar]] = [((), cs * ct)]
-            for leg in range(s.legs):
-                nxt = []
-                for prefix, c in terms:
-                    for k, ck in mult[is_[leg]][it[leg]]:
-                        nxt.append((prefix + (k,), c * ck))
-                terms = nxt
-            for idx, c in terms:
-                f = out._flat(idx)
-                out.coeffs[f] = out.coeffs[f] + c
-    return out
+    return s._like(_collect(
+        term
+        for is_, cs in s.entries.items()
+        for it, ct in t.entries.items()
+        for term in _expand(cs * ct, [mult[a][b] for a, b in zip(is_, it)])
+    ))
 
 
 def mul_chain(factors: Sequence[Tensor], mult: MultTable) -> Tensor:
@@ -199,19 +234,13 @@ def merge_legs(
     used = sorted(leg for g in groups for leg in g)
     if used != list(range(1, t.legs + 1)):
         raise LegError(f"groups {groups} do not partition legs 1..{t.legs}")
-    out = Tensor.zero(t.dim, len(groups), t.order)
-    for idx, c in t.nonzero():
-        parts: list[list[tuple[int, Scalar]]] = [
+    return t._like(_collect(
+        term
+        for idx, c in t.entries.items()
+        for term in _expand(c, [
             _fold_basis_product([idx[leg - 1] for leg in g], mult, t.order)
-            for g in groups
-        ]
-        terms: list[tuple[tuple[int, ...], Scalar]] = [((), c)]
-        for p in parts:
-            terms = [(pre + (k,), cc * ck) for pre, cc in terms for k, ck in p]
-        for oidx, cc in terms:
-            f = out._flat(oidx)
-            out.coeffs[f] = out.coeffs[f] + cc
-    return out
+            for g in groups])
+    ), len(groups))
 
 
 # ---------------------------------------------------------------------------
@@ -220,33 +249,27 @@ def merge_legs(
 
 def leg_map(t: Tensor, j: int, f: ExactMatrix) -> Tensor:
     """Apply the linear map f (columns = images of basis vectors) to leg j."""
-    if not 1 <= j <= t.legs:
-        raise LegError(f"leg {j} out of range for {t.legs} legs")
+    _check_leg(t, j)
     if f.rows != t.dim or f.cols != t.dim:
         raise LegError(f"leg map must be {t.dim}x{t.dim}")
-    out = Tensor.zero(t.dim, t.legs, t.order)
-    for idx, c in t.nonzero():
-        i = idx[j - 1]
-        for r in range(t.dim):
-            m = f.data[r][i]
-            if not m.is_zero():
-                oidx = idx[: j - 1] + (r,) + idx[j:]
-                fl = out._flat(oidx)
-                out.coeffs[fl] = out.coeffs[fl] + m * c
-    return out
+    # the nonzero entries of the columns of f that leg j uses
+    cols = {i: [(r, m) for r in range(f.rows) if not (m := f.data[r][i]).is_zero()]
+            for i in {idx[j - 1] for idx in t.entries}}
+    return t._like(_collect(
+        (idx[: j - 1] + (r,) + idx[j:], m * c)
+        for idx, c in t.entries.items()
+        for r, m in cols[idx[j - 1]]
+    ))
 
 
 def coproduct_leg(t: Tensor, j: int, cop: CopTable) -> Tensor:
     """Apply the coproduct to leg j, giving legs (j, j+1) in the output."""
-    if not 1 <= j <= t.legs:
-        raise LegError(f"leg {j} out of range for {t.legs} legs")
-    out = Tensor.zero(t.dim, t.legs + 1, t.order)
-    for idx, c in t.nonzero():
-        for (a, b), cc in cop[idx[j - 1]]:
-            oidx = idx[: j - 1] + (a, b) + idx[j:]
-            fl = out._flat(oidx)
-            out.coeffs[fl] = out.coeffs[fl] + c * cc
-    return out
+    _check_leg(t, j)
+    return t._like(_collect(
+        (idx[: j - 1] + ab + idx[j:], c * cc)
+        for idx, c in t.entries.items()
+        for ab, cc in cop[idx[j - 1]]
+    ), t.legs + 1)
 
 
 def counit_leg(t: Tensor, j: int, eps: Sequence[Scalar]) -> Tensor:
@@ -262,11 +285,7 @@ def permute(t: Tensor, perm: Sequence[int]) -> Tensor:
     """
     if sorted(perm) != list(range(1, t.legs + 1)):
         raise LegError(f"{perm} is not a permutation of legs 1..{t.legs}")
-    out = Tensor.zero(t.dim, t.legs, t.order)
-    for idx, c in t.nonzero():
-        oidx = tuple(idx[p - 1] for p in perm)
-        out.coeffs[out._flat(oidx)] = c
-    return out
+    return t._like({tuple(idx[p - 1] for p in perm): c for idx, c in t.entries.items()})
 
 
 def embed(t: Tensor, target_legs: int, positions: Sequence[int]) -> Tensor:
@@ -278,38 +297,30 @@ def embed(t: Tensor, target_legs: int, positions: Sequence[int]) -> Tensor:
         raise LegError(f"positions {positions} must be strictly increasing")
     if positions and (positions[0] < 1 or positions[-1] > target_legs):
         raise LegError(f"positions {positions} out of range 1..{target_legs}")
-    out = Tensor.zero(t.dim, target_legs, t.order)
     pos0 = [p - 1 for p in positions]
-    for idx, c in t.nonzero():
+    out = {}
+    for idx, c in t.entries.items():
         oidx = [0] * target_legs
         for p, i in zip(pos0, idx):
             oidx[p] = i
-        fl = out._flat(tuple(oidx))
-        out.coeffs[fl] = out.coeffs[fl] + c
-    return out
+        out[tuple(oidx)] = c
+    return t._like(out, target_legs)
 
 
 def tensor_product(s: Tensor, t: Tensor) -> Tensor:
     """Concatenate legs: s x t."""
     if s.dim != t.dim:
         raise LegError("tensor_product requires equal dims")
-    out = Tensor.zero(s.dim, s.legs + t.legs, s.order)
-    for i1, c1 in s.nonzero():
-        for i2, c2 in t.nonzero():
-            out.coeffs[out._flat(i1 + i2)] = c1 * c2
-    return out
+    return s._like({i1 + i2: c1 * c2
+                    for i1, c1 in s.entries.items() for i2, c2 in t.entries.items()},
+                   s.legs + t.legs)
 
 
 def contract_leg(t: Tensor, j: int, functional: Sequence[Scalar]) -> Tensor:
     """Contract leg j with an arbitrary functional on A."""
-    if not 1 <= j <= t.legs:
-        raise LegError(f"leg {j} out of range for {t.legs} legs")
-    out = Tensor.zero(t.dim, t.legs - 1, t.order)
-    for idx, c in t.nonzero():
-        w = functional[idx[j - 1]]
-        if w.is_zero():
-            continue
-        oidx = idx[: j - 1] + idx[j:]
-        fl = out._flat(oidx)
-        out.coeffs[fl] = out.coeffs[fl] + w * c
-    return out
+    _check_leg(t, j)
+    return t._like(_collect(
+        (idx[: j - 1] + idx[j:], w * c)
+        for idx, c in t.entries.items()
+        if not (w := functional[idx[j - 1]]).is_zero()
+    ), t.legs - 1)

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from qhopf.exactmath import Scalar
 from qhopf import tensorspace as ts
 from qhopf.tensorspace import LegError, Tensor
+from qhopf.qha import _tensor_witness
 
 
 @pytest.fixture(scope="module")
@@ -183,3 +184,74 @@ def test_tensor_product_concatenates(z2):
     a = basis_tensor(2, 1, (1,))
     b = basis_tensor(2, 2, (0, 1))
     assert ts.tensor_product(a, b) == basis_tensor(2, 3, (1, 0, 1))
+
+
+# ---------------------------------------------------------------------------
+# the sparse storage invariant
+
+
+def _flat(t, idx):
+    # row-major position, computed independently of tensorspace
+    f = 0
+    for i in idx:
+        f = f * t.dim + i
+    return f
+
+
+def _check_invariant(t):
+    entries = list(t.nonzero())
+    flats = [_flat(t, idx) for idx, _ in entries]
+    assert flats == sorted(set(flats))
+    assert not any(c.is_zero() for _, c in entries)
+    assert t.is_zero() == (not entries)
+    dense = t.coeffs
+    assert len(dense) == t.dim**t.legs
+    assert sum(not c.is_zero() for c in dense) == len(entries)
+    assert all(dense[f] == c for f, (_, c) in zip(flats, entries))
+
+
+def _first_dense_difference(a, b):
+    for idx, x, y in zip(ts.multi_indices(a.dim, a.legs), a.coeffs, b.coeffs):
+        if x != y:
+            return idx
+    return None
+
+
+def _sparse_tensor(data, alg, legs):
+    order, dim = alg.order, alg.dim
+    one = Scalar.one(order)
+    values = [Scalar.zero(order), one, -one, Scalar.rational(1, 2, order=order)]
+    if order > 1:
+        values.append(Scalar.zeta(order))
+    pick = st.sampled_from(values)
+    t = Tensor(dim, legs, order, data.draw(st.lists(
+        st.one_of(st.just(Scalar.zero(order)), pick),
+        min_size=dim**legs, max_size=dim**legs)))
+    indices = list(ts.multi_indices(dim, legs))
+    for idx, v in data.draw(st.lists(st.tuples(st.sampled_from(indices), pick), max_size=4)):
+        t[idx] = v
+    return t
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sparse_invariant_under_leg_operations(presets, data):
+    alg = presets[data.draw(st.sampled_from(["group_Z2_trivialR", "twisted_double_Z2"]))].algebra
+    mt = alg.mult_table
+    legs = data.draw(st.integers(1, 2))
+    a = _sparse_tensor(data, alg, legs)
+    b = _sparse_tensor(data, alg, legs)
+    c = Tensor(alg.dim, legs, alg.order, a.coeffs)
+    c[(0,) * legs] = Scalar.zero(alg.order)
+    zero = Tensor.zero(alg.dim, legs, alg.order)
+    ab, ba = ts.mul(a, b, mt), ts.mul(b, a, mt)
+    results = [a, b, c, zero, a - a, a + b, a - b, ab, ba, ab - ba,
+               a.scale(Scalar.zero(alg.order)), a.scale(-Scalar.one(alg.order)) + a,
+               ts.merge_legs(ts.tensor_product(a, b), ((1, 2),) if legs == 1
+                             else ((1, 3), (2, 4)), mt)]
+    for t in results:
+        _check_invariant(t)
+    for s, t in [(a, b), (a, c), (a - a, zero), (ab, ba), (a + b, b + a),
+                 (ab, results[-1]), (ab - ba, zero)]:
+        assert (s == t) == (s.coeffs == t.coeffs)
+        assert _tensor_witness(s, t) == _first_dense_difference(s, t)
