@@ -382,18 +382,6 @@ def parse_text(text: str, source: str = "<string>", field_order: int | None = No
     return alg, simple_set
 
 
-def parse(path, field_order: int | None = None):
-    """Parse a definition file from disk."""
-    import pathlib
-
-    p = pathlib.Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as e:
-        raise ParseError(f"cannot read file: {e}", str(path))
-    return parse_text(text, source=str(path), field_order=field_order)
-
-
 def embed_algebra(A: QuasiHopfAlgebra, order: int) -> QuasiHopfAlgebra:
     """Embed every structure constant into a larger cyclotomic field."""
 
@@ -442,7 +430,7 @@ def _entry_lines(entries) -> list[str]:
 
 def serialize(A: QuasiHopfAlgebra, simples=None, flags: list[str] | None = None,
               comment: str | None = None) -> str:
-    """Canonical text form; parse(serialize(A)) reproduces A exactly."""
+    """Canonical text form; parse_text(serialize(A)) reproduces A exactly."""
     out = []
     if comment:
         out.append(f"# {comment}")

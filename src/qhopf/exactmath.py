@@ -5,8 +5,10 @@ cyclotomic polynomial (m = 1 gives plain rationals).  All arithmetic is
 exact; every product is reduced modulo the cyclotomic polynomial, so
 equality of scalars is literal equality of coefficient vectors.
 
-Matrices are dense with Scalar entries.  Rank, kernel, solve and inverse
-use fraction-free-ish Gaussian elimination (exact pivoting, no floats).
+Matrices are dense with Scalar entries.  Rank, kernel and the batched
+solve ``solve_each`` use exact Gauss-Jordan elimination (no floats);
+``solve`` is ``solve_each`` with one target, and ``inverse`` solves for
+the columns of the identity in one elimination.
 """
 
 from __future__ import annotations
@@ -446,9 +448,12 @@ class ExactMatrix:
 
     # -- elimination
 
-    def _echelon(self) -> tuple[list[list[Scalar]], list[int]]:
-        """Reduced row echelon form of a working copy; returns (rows, pivot cols)."""
-        m = [row[:] for row in self.data]
+    def _echelon(self, targets: Sequence[Sequence[Scalar]] = ()) -> tuple[list[list[Scalar]], list[int]]:
+        """Reduced row echelon form of a working copy of [M | b_1 ... b_k],
+        one column per target; returns (rows, pivot cols).  Pivots are
+        taken only in M's columns, so each target column comes out as it
+        would if it were eliminated alone."""
+        m = [row + [b[i] for b in targets] for i, row in enumerate(self.data)]
         pivots: list[int] = []
         r = 0
         for c in range(self.cols):
@@ -489,38 +494,35 @@ class ExactMatrix:
             basis.append(v)
         return basis
 
+    def solve_each(self, targets: Sequence[Sequence[Scalar]]) -> list[list[Scalar] | None]:
+        """For each target b, one exact solution of M x = b (free variables
+        zero), or None when b is outside the column space; one elimination
+        serves every target."""
+        assert all(len(b) == self.rows for b in targets)
+        m, pivots = self._echelon(targets)
+        rank = len(pivots)
+        out: list[list[Scalar] | None] = []
+        for j in range(self.cols, self.cols + len(targets)):
+            if any(not row[j].is_zero() for row in m[rank:]):
+                out.append(None)
+                continue
+            x = zero_vector(self.cols, self.order)
+            for r, c in enumerate(pivots):
+                x[c] = m[r][j]
+            out.append(x)
+        return out
+
     def solve(self, b: Sequence[Scalar]) -> list[Scalar] | None:
         """One exact solution of M x = b, or None when inconsistent."""
-        assert len(b) == self.rows
-        aug = ExactMatrix(
-            self.rows, self.cols + 1, self.order,
-            [row[:] + [bi] for row, bi in zip(self.data, b)],
-        )
-        m, pivots = aug._echelon()
-        if self.cols in pivots:
-            return None
-        x = zero_vector(self.cols, self.order)
-        for r, c in enumerate(pivots):
-            x[c] = m[r][self.cols]
-        return x
+        return self.solve_each([b])[0]
 
     def inverse(self) -> "ExactMatrix":
         if self.rows != self.cols:
             raise DivisionByZero("inverse of a non-square matrix")
-        aug = ExactMatrix(
-            self.rows, 2 * self.cols, self.order,
-            [
-                row[:] + ExactMatrix.identity(self.rows, self.order).data[i][:]
-                for i, row in enumerate(self.data)
-            ],
-        )
-        m, pivots = aug._echelon()
-        if pivots != list(range(self.cols)):
+        cols = self.solve_each(ExactMatrix.identity(self.rows, self.order).data)
+        if any(x is None for x in cols):
             raise DivisionByZero("matrix is singular")
-        return ExactMatrix(
-            self.rows, self.cols, self.order,
-            [row[self.cols:] for row in m[: self.rows]],
-        )
+        return matrix_from_columns(cols, self.order)
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)

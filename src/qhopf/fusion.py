@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .exactmath import ExactMatrix, Scalar, matrix_from_columns
 from . import tensorspace as ts
@@ -58,10 +59,6 @@ class FusionTable:
     labels: list[str]
     table: list[list[list[int]]]       # table[u][v][w]
 
-    def entry(self, u: str, v: str, w: str) -> int:
-        iu, iv, iw = (self.labels.index(x) for x in (u, v, w))
-        return self.table[iu][iv][iw]
-
 
 def radical_dimension(A: QuasiHopfAlgebra) -> int:
     """Nullity of the regular trace form (char-0 split criterion)."""
@@ -87,15 +84,17 @@ def _trace_functional(V: AModule) -> list[Scalar]:
     return [V.action[i].trace() for i in range(V.alg.dim)]
 
 
-def _assert_central(A: QuasiHopfAlgebra, v: list[Scalar], what: str) -> None:
+def _central_image(A: QuasiHopfAlgebra, t: Tensor, V: AModule, what: str) -> list[Scalar]:
+    """Leg 2 of t contracted with the trace of V, checked to be central."""
+    v = ts.contract_leg(t, 2, _trace_functional(V)).to_vector()
     if A.lmult_of(v) != A.rmult_of(v):
         raise ValueError(f"{what} is not central; input data is inconsistent")
+    return v
 
 
-def chi_central(A: QuasiHopfAlgebra, V: AModule) -> list[Scalar]:
-    """The central element representing the modular S-image of the class
-    function of V; the coefficients of the Verlinde expansion live in the
-    span of these."""
+def _internal_character_tensor(A: QuasiHopfAlgebra) -> Tensor:
+    """The 2-leg element whose leg-2 contraction with the trace of V is
+    :func:`chi_central` of V."""
     mt = A.mult_table
     w = _ribbon_weight(A)
     t = ts.mul(
@@ -105,10 +104,14 @@ def chi_central(A: QuasiHopfAlgebra, V: AModule) -> list[Scalar]:
     t = ts.leg_map(t, 2, A.antipode)
     t = ts.leg_map(t, 2, A.rmult_of(A.alpha))
     t = ts.merge_legs(t, ((1,), (2, 3)), mt)
-    t = ts.leg_map(t, 2, A.lmult_of(w))
-    chi = ts.contract_leg(t, 2, _trace_functional(V)).to_vector()
-    _assert_central(A, chi, "internal character")
-    return chi
+    return ts.leg_map(t, 2, A.lmult_of(w))
+
+
+def chi_central(A: QuasiHopfAlgebra, V: AModule) -> list[Scalar]:
+    """The central element representing the modular S-image of the class
+    function of V; the coefficients of the Verlinde expansion live in the
+    span of these."""
+    return _central_image(A, _internal_character_tensor(A), V, "internal character")
 
 
 def chi_central_hopf(A: QuasiHopfAlgebra, V: AModule) -> list[Scalar]:
@@ -153,9 +156,7 @@ def phi_central(A: QuasiHopfAlgebra, V: AModule, cointegral: list[Scalar]) -> li
     f = ts.merge_legs(g, ((1,), (2, 3)), mt)
 
     f = ts.leg_map(f, 2, A.lmult_of(w))
-    phi_v = ts.contract_leg(f, 2, _trace_functional(V)).to_vector()
-    _assert_central(A, phi_v, "class-function central element")
-    return phi_v
+    return _central_image(A, f, V, "class-function central element")
 
 
 def phi_central_hopf(A: QuasiHopfAlgebra, V: AModule, cointegral: list[Scalar]) -> list[Scalar]:
@@ -180,6 +181,21 @@ def _as_nonneg_int(c: Scalar) -> int:
     return int(f)
 
 
+def _character_coordinates(modules: Iterable[AModule], simples: SimpleSet,
+                            order: int) -> list[list[Scalar] | None]:
+    """The character of each module in the coordinates of the simple
+    characters (None outside their span), from one elimination.  Each
+    module is dropped once its character is read."""
+    cmat = matrix_from_columns(simples.characters, order)
+    return cmat.solve_each([_trace_functional(M) for M in modules])
+
+
+def _as_class(coords: list[Scalar] | None) -> list[int]:
+    if coords is None:
+        raise FusionError("character of the module is outside the simple span")
+    return [_as_nonneg_int(c) for c in coords]
+
+
 def grothendieck_class(M: AModule, simples: SimpleSet) -> list[int]:
     """Composition multiplicities of M, solved from the character system.
 
@@ -187,13 +203,7 @@ def grothendieck_class(M: AModule, simples: SimpleSet) -> list[int]:
     FusionError when the character system has no integral solution,
     which means the simple set is incomplete.
     """
-    A = M.alg
-    cmat = matrix_from_columns(simples.characters, A.order)
-    target = _trace_functional(M)
-    sol = cmat.solve(target)
-    if sol is None:
-        raise FusionError("character of the module is outside the simple span")
-    return [_as_nonneg_int(c) for c in sol]
+    return _as_class(_character_coordinates([M], simples, M.alg.order)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -216,29 +226,31 @@ def verlinde_fusion(
         raise FusionError("declared simples are not a complete set of simple "
                           "modules: " + "; ".join(problems))
     n = len(simples.simples)
-    chis = [chi_central(A, V) for V in simples.simples]
+    t = _internal_character_tensor(A)
+    chis = [_central_image(A, t, V, "internal character") for V in simples.simples]
     cmat = matrix_from_columns(chis, A.order)
     if cmat.rank() != n:
         raise FusionError("internal characters are linearly dependent")
+    pairs = [(iu, iv) for iu in range(n) for iv in range(n)]
+    expansions = cmat.solve_each([A.product(chis[iu], chis[iv]) for iu, iv in pairs])
+    if oracle:
+        classes = _character_coordinates(
+            (tensor_module(simples.simples[iu], simples.simples[iv]) for iu, iv in pairs),
+            simples, A.order)
     table = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for iu in range(n):
-        for iv in range(n):
-            prod = A.product(chis[iu], chis[iv])
-            sol = cmat.solve(prod)
-            if sol is None:
+    # checked pair by pair, so the first failing pair is the one reported
+    for p, (iu, iv) in enumerate(pairs):
+        where = f"({simples.labels[iu]}, {simples.labels[iv]})"
+        if expansions[p] is None:
+            raise FusionError(
+                f"product of internal characters leaves their span at pair {where}")
+        coeffs = [_as_nonneg_int(c) for c in expansions[p]]
+        if oracle:
+            expected = _as_class(classes[p])
+            if coeffs != expected:
                 raise FusionError(
-                    "product of internal characters leaves their span "
-                    f"at pair ({simples.labels[iu]}, {simples.labels[iv]})"
+                    f"Verlinde expansion {coeffs} disagrees with the "
+                    f"character oracle {expected} at pair {where}"
                 )
-            coeffs = [_as_nonneg_int(c) for c in sol]
-            if oracle:
-                tensor = tensor_module(simples.simples[iu], simples.simples[iv])
-                expected = grothendieck_class(tensor, simples)
-                if coeffs != expected:
-                    raise FusionError(
-                        f"Verlinde expansion {coeffs} disagrees with the "
-                        f"character oracle {expected} at pair "
-                        f"({simples.labels[iu]}, {simples.labels[iv]})"
-                    )
-            table[iu][iv] = coeffs
+        table[iu][iv] = coeffs
     return FusionTable(list(simples.labels), table)

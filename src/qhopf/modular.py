@@ -236,19 +236,16 @@ def sl2z_on_center(
                 v[i] = v[i] + val
         return pre.apply(v)
 
-    cmat = matrix_from_columns(center_basis, order)
-    s_cols, t_cols = [], []
-    for z in center_basis:
-        sz = s_z_vec(z)
-        coords = cmat.solve(sz)
-        if coords is None:
+    # one elimination solves every column; S z and T z alternate, so the
+    # first basis vector that fails is reported, with S checked before T
+    coords = matrix_from_columns(center_basis, order).solve_each(
+        [x for z in center_basis for x in (s_z_vec(z), A.product(A.ribbon_inv, z))])
+    s_cols, t_cols = coords[0::2], coords[1::2]
+    for s_col, t_col in zip(s_cols, t_cols):
+        if s_col is None:
             raise ValueError("S does not preserve the centre")
-        s_cols.append(coords)
-        tz = A.product(A.ribbon_inv, z)
-        coords = cmat.solve(tz)
-        if coords is None:
+        if t_col is None:
             raise ValueError("T does not preserve the centre")
-        t_cols.append(coords)
     s_z = matrix_from_columns(s_cols, order)
     t_z = matrix_from_columns(t_cols, order)
 

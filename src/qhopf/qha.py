@@ -35,6 +35,7 @@ from .exactmath import (
     basis_vector,
     dot,
     linear_combination,
+    matrix_from_columns,
     vec_eq,
 )
 from . import tensorspace as ts
@@ -216,11 +217,9 @@ class QuasiHopfAlgebra:
         return self.antipode.apply(v)
 
     def delta_of(self, v: list[Scalar]) -> Tensor:
-        out = Tensor.zero(self.dim, 2, self.order)
-        for i, c in enumerate(v):
-            if not c.is_zero():
-                out = out + self.coproduct[i].scale(c)
-        return out
+        return Tensor.from_entries(self.dim, 2, self.order, (
+            (idx, c * ci) for i, c in enumerate(v) if not c.is_zero()
+            for idx, ci in self.cop_table[i]))
 
     def two_sided_action(self, t: Tensor) -> ExactMatrix:
         """Matrix of x -> sum t[i, j] e_i x e_j for a 2-leg tensor t."""
@@ -239,16 +238,12 @@ class QuasiHopfAlgebra:
 
     def invert_element(self, t: Tensor) -> Tensor | None:
         """Two-sided inverse of t in A^(x k) by exact linear solve."""
-        n = t.dim**t.legs
         one = Scalar.one(t.order)
         cols = [ts.mul(t, Tensor.from_entries(t.dim, t.legs, t.order, [(idx, one)]),
                        self.mult_table).coeffs
                 for idx in ts.multi_indices(t.dim, t.legs)]
-        lm = ExactMatrix(
-            n, n, self.order, [[cols[j][i] for j in range(n)] for i in range(n)]
-        )
         unit = Tensor.unit(t.dim, t.legs, t.order)
-        x = lm.solve(unit.coeffs)
+        x = matrix_from_columns(cols, self.order).solve(unit.coeffs)
         if x is None:
             return None
         inv = Tensor(t.dim, t.legs, t.order, x)

@@ -3,11 +3,15 @@ methods defined on Tensor and ExactMatrix, keyword constructors).  Loading
 its tracer and its input generators here makes a rename fail the test
 suite instead of the benchmark.  The perfbench files are only imported.
 The preset report digests the benchmark checks are checked here too, so a
-change of the report bytes fails the test suite first."""
+change of the report bytes fails the test suite first.  The generated
+D(Z/3), with nine simples, runs the fusion and modular solves at a size no
+preset reaches."""
 
 import hashlib
 import importlib.util
+import json
 import pathlib
+import random
 
 import pytest
 from click.testing import CliRunner
@@ -73,3 +77,25 @@ def test_traced_report_counts_tensor_work_and_uninstalls(tmp_path):
     assert counts["tensorspace.nonzero_calls"] > 0
     assert {n: vars(tensorspace.Tensor)[n] for n in names} == methods
     assert {n: getattr(tensorspace, n) for n in tracer_mod.TENSOR_FUNCS} == funcs
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_generated_double_z3_report(tmp_path, k):
+    alg, simples = INPUTS.double_cyclic(3, k, INPUTS.relabelling(random.Random(k), 9))
+    src = tmp_path / "d_z3.alg"
+    src.write_text(INPUTS.serialize(alg, simples, comment=alg.name), encoding="utf-8")
+    out = tmp_path / "report.json"
+    result = CliRunner().invoke(main, ["report", str(src), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(out.read_bytes())
+    assert doc["factorisability"]["is_factorisable"]
+    assert doc["modular"]["lambda"] == "1/3"
+    labels = [f"s{s}{t}" for s in range(3) for t in range(3)]
+    assert sorted(doc["fusion"]["labels"]) == labels
+    # the fusion ring is the group ring of Z/3 x Z/3: N = 1 iff W = U + V
+    table = {(r["U"], r["V"], r["W"]): r["N"] for r in doc["fusion"]["table"]}
+    assert table == {
+        (u, v, w): int(all((int(a) + int(b) - int(c)) % 3 == 0
+                           for a, b, c in zip(u[1:], v[1:], w[1:])))
+        for u in labels for v in labels for w in labels
+    }

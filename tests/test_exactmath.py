@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qhopf.exactmath import (
     DivisionByZero,
@@ -198,6 +198,64 @@ def test_solve_alignment(m):
     sol = m.solve(b)
     assert sol is not None
     assert m.apply(sol) == b
+
+
+def _rank_with(m, b):
+    """rank [M | b]"""
+    return ExactMatrix(m.rows, m.cols + 1, m.order,
+                       [row + [x] for row, x in zip(m.data, b)]).rank()
+
+
+@st.composite
+def systems(draw):
+    # targets mix right-hand sides M x, which are consistent, with
+    # arbitrary vectors, which may not be
+    m = draw(small_matrices)
+    ints = lambda n: st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    image = ints(m.cols).map(lambda x: m.apply([rat(c) for c in x]))
+    arbitrary = ints(m.rows).map(lambda b: [rat(c) for c in b])
+    return m, draw(st.lists(st.one_of(image, arbitrary), max_size=4))
+
+
+Z4 = Scalar.zeta(4)
+# rank 1 over Q(zeta_4): the second column is z times the first
+Z4_SINGULAR = ExactMatrix(2, 2, 4, [[rat(1, order=4), Z4], [Z4, rat(-1, order=4)]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(systems())
+@example((Z4_SINGULAR, [[rat(1, order=4), rat(0, order=4)], [rat(1, order=4), Z4],
+                        [rat(0, order=4), rat(0, order=4)]]))
+def test_solve_each_matches_rank_criterion(system):
+    # an inconsistent target before a consistent one must not disturb it
+    m, targets = system
+    sols = m.solve_each(targets)
+    assert len(sols) == len(targets)
+    rank = m.rank()
+    for b, x in zip(targets, sols):
+        assert (x is None) == (_rank_with(m, b) > rank)
+        if x is not None:
+            assert m.apply(x) == b
+        assert m.solve(b) == x
+
+
+square_matrices = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                       min_size=n, max_size=n).map(mat))
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices)
+@example(Z4_SINGULAR)
+@example(ExactMatrix(2, 2, 4, [[rat(1, order=4), Z4], [rat(0, order=4), Z4]]))
+def test_inverse_or_singular(m):
+    ident = ExactMatrix.identity(m.rows, m.order)
+    if m.rank() < m.rows:
+        with pytest.raises(DivisionByZero):
+            m.inverse()
+    else:
+        inv = m.inverse()
+        assert m * inv == ident and inv * m == ident
 
 
 def test_kron_indexing():
