@@ -211,9 +211,13 @@ def systems(draw):
     # targets mix right-hand sides M x, which are consistent, with
     # arbitrary vectors, which may not be
     m = draw(small_matrices)
-    ints = lambda n: st.lists(st.integers(-3, 3), min_size=n, max_size=n)
-    image = ints(m.cols).map(lambda x: m.apply([rat(c) for c in x]))
-    arbitrary = ints(m.rows).map(lambda b: [rat(c) for c in b])
+
+    def vectors(n):
+        return st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(
+            lambda v: [rat(c) for c in v])
+
+    image = vectors(m.cols).map(m.apply)
+    arbitrary = vectors(m.rows)
     return m, draw(st.lists(st.one_of(image, arbitrary), max_size=4))
 
 
