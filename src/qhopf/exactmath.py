@@ -1,9 +1,19 @@
 """Exact arithmetic in cyclotomic fields and dense exact linear algebra.
 
 Scalars are elements of Q(zeta_m), stored in the power basis of the m-th
-cyclotomic polynomial (m = 1 gives plain rationals).  All arithmetic is
-exact; every product is reduced modulo the cyclotomic polynomial, so
-equality of scalars is literal equality of coefficient vectors.
+cyclotomic polynomial Phi_m (m = 1 gives plain rationals) as integer
+numerators ``num`` over one positive denominator ``den``.  The form is
+canonical after every operation: ``len(num) == euler_phi(m)``, ``den > 0``,
+``gcd(den, *num) == 1``, and zero is ``(0, ..., 0) / 1``, so equality and
+hashing of scalars are literal comparisons.
+
+A product convolves the numerators and reduces the powers x^k with
+k >= phi by a per-order table of x^k mod Phi_m, built once; Phi_m is monic,
+so the table is integer and no ``Fraction`` is made.  The public
+constructor accepts rational coefficients of any length: it clears their
+denominators, folds x^m = 1 and reduces through the same table.  Only
+``inverse`` (extended Euclid) and the read-only ``coeffs`` view use
+``Fraction``.
 
 Matrices are dense with Scalar entries.  Rank, kernel and the batched
 solve ``solve_each`` use exact Gauss-Jordan elimination (no floats);
@@ -14,6 +24,9 @@ the columns of the identity in one elimination.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from math import gcd, lcm
+from operator import add, sub
 from typing import Iterable, Sequence
 
 
@@ -67,18 +80,54 @@ def euler_phi(m: int) -> int:
     return len(cyclotomic_polynomial(m)) - 1
 
 
-def _reduce_mod_cyclotomic(order: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    phi = euler_phi(order)
+@cache
+def _reduction_table(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row k - phi lists the nonzero (j, c) of x^k mod Phi_m, for
+    phi <= k < max(2 phi - 1, m): every power a product of two reduced
+    numerators, or an input folded by x^m = 1, can reach."""
     mod = cyclotomic_polynomial(order)
-    coeffs = list(coeffs)
-    for i in range(len(coeffs) - 1, phi - 1, -1):
-        c = coeffs[i]
-        if c:
-            for j in range(phi + 1):
-                coeffs[i - phi + j] -= c * mod[j]
-    coeffs = coeffs[:phi]
-    coeffs += [Fraction(0)] * (phi - len(coeffs))
-    return tuple(coeffs)
+    phi = len(mod) - 1
+    row = [-c for c in mod[:phi]]            # x^phi, as Phi_m is monic
+    rows = []
+    for _ in range(phi, max(2 * phi - 1, order)):
+        rows.append(tuple((j, c) for j, c in enumerate(row) if c))
+        top = row[-1]                        # x^(k+1) = x * x^k
+        row = [0] + row[:-1]
+        if top:
+            row = [r - top * c for r, c in zip(row, mod)]
+    return tuple(rows)
+
+
+def _canonical(order: int, phi: int, poly: list[int], den: int) -> "Scalar":
+    """The scalar poly(zeta_m) / den, for phi = euler_phi(m), den > 0 and
+    len(poly) no more than the table reaches: high powers reduced, common
+    factor divided out."""
+    num = poly[:phi]
+    if len(poly) > phi:
+        for c, row in zip(poly[phi:], _reduction_table(order)):
+            if c:
+                for j, t in row:
+                    num[j] += c * t
+    else:
+        num += [0] * (phi - len(num))
+    return _lowest(order, num, den)
+
+
+def _lowest(order: int, num: list[int], den: int) -> "Scalar":
+    """The scalar with numerators num over den > 0, in lowest terms."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+    return _make(order, tuple(num), den)
+
+
+def _make(order: int, num: tuple[int, ...], den: int) -> "Scalar":
+    # the internal constructor: (num, den) is already canonical
+    s = object.__new__(Scalar)
+    s.order, s.num, s.den = order, num, den
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -86,16 +135,20 @@ def _reduce_mod_cyclotomic(order: int, coeffs: list[Fraction]) -> tuple[Fraction
 
 
 class Scalar:
-    """An element of Q(zeta_m), exact and canonically reduced."""
+    """An element of Q(zeta_m), exact and canonically reduced: integer
+    power-basis numerators ``num`` over a positive denominator ``den``."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
-    def __init__(self, order: int, coeffs: Sequence[Fraction], reduce: bool = True):
-        self.order = order
-        if reduce:
-            self.coeffs = _reduce_mod_cyclotomic(order, [Fraction(c) for c in coeffs])
-        else:
-            self.coeffs = tuple(coeffs)
+    def __init__(self, order: int, coeffs: Sequence[Fraction | int]):
+        phi = euler_phi(order)
+        fracs = [Fraction(c) for c in coeffs]
+        den = lcm(*(f.denominator for f in fracs))
+        poly = [0] * min(len(fracs), order)      # folded by x^m = 1
+        for k, f in enumerate(fracs):
+            poly[k % order] += f.numerator * (den // f.denominator)
+        s = _canonical(order, phi, poly, den)
+        self.order, self.num, self.den = order, s.num, s.den
 
     # -- constructors
 
@@ -103,39 +156,41 @@ class Scalar:
     def rational(cls, p, q: int = 1, order: int = 1) -> "Scalar":
         val = Fraction(p, q) if q != 1 else Fraction(p)
         phi = euler_phi(order)
-        return cls(order, (val,) + (Fraction(0),) * (phi - 1), reduce=False)
+        return _make(order, (val.numerator,) + (0,) * (phi - 1), val.denominator)
 
     @classmethod
     def zero(cls, order: int = 1) -> "Scalar":
-        return _CONST_CACHE(order)[0]
+        return _constants(order)[0]
 
     @classmethod
     def one(cls, order: int = 1) -> "Scalar":
-        return _CONST_CACHE(order)[1]
+        return _constants(order)[1]
 
     @classmethod
     def zeta(cls, order: int) -> "Scalar":
         """The primitive root of unity generating Q(zeta_m)."""
-        phi = euler_phi(order)
-        coeffs = [Fraction(0)] * max(phi, 2)
-        coeffs[1] = Fraction(1)
-        return cls(order, coeffs)
+        return cls(order, [0, 1])
 
-    # -- predicates
+    # -- views and predicates
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as ``Fraction``s."""
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
+        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def to_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- field embeddings
 
@@ -148,10 +203,9 @@ class Scalar:
                 f"cannot embed Q(zeta_{self.order}) into Q(zeta_{order})"
             )
         step = order // self.order
-        out = [Fraction(0)] * (euler_phi(self.order) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * step] = c
-        return Scalar(order, out)
+        poly = [0] * (len(self.num) * step)
+        poly[::step] = self.num
+        return _canonical(order, euler_phi(order), poly, self.den)
 
     # -- arithmetic
 
@@ -166,35 +220,44 @@ class Scalar:
             f"incompatible cyclotomic orders {self.order} and {other.order}"
         )
 
-    def __add__(self, other: "Scalar") -> "Scalar":
+    def _combine(self, other: "Scalar", op) -> "Scalar":
+        # a op b for op in (add, sub), over the common denominator
         a, b = self._coerce(other)
-        return Scalar(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)), reduce=False)
+        if a.den == b.den:
+            num, den = list(map(op, a.num, b.num)), a.den
+        else:
+            da, db = a.den, b.den
+            num, den = [op(x * db, y * da) for x, y in zip(a.num, b.num)], da * db
+        return _lowest(a.order, num, den)
+
+    def __add__(self, other: "Scalar") -> "Scalar":
+        return self._combine(other, add)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        a, b = self._coerce(other)
-        return Scalar(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)), reduce=False)
+        return self._combine(other, sub)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(self.order, tuple(-x for x in self.coeffs), reduce=False)
+        return _make(self.order, tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         a, b = self._coerce(other)
-        n = len(a.coeffs)
-        if n == 1:
-            return Scalar(a.order, (a.coeffs[0] * b.coeffs[0],), reduce=False)
-        prod = [Fraction(0)] * (2 * n - 1)
-        for i, x in enumerate(a.coeffs):
+        an, bn, den = a.num, b.num, a.den * b.den
+        if len(an) == 1:
+            return _lowest(a.order, [an[0] * bn[0]], den)
+        prod = [0] * (2 * len(an) - 1)
+        bnz = [(j, y) for j, y in enumerate(bn) if y]
+        for i, x in enumerate(an):
             if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        prod[i + j] += x * y
-        return Scalar(a.order, prod)
+                for j, y in bnz:
+                    prod[i + j] += x * y
+        return _canonical(a.order, len(an), prod, den)
 
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         if self.is_rational():
-            return Scalar(self.order, (1 / self.coeffs[0],) + self.coeffs[1:], reduce=False)
+            n = self.num[0]
+            return _make(self.order, (self.den if n > 0 else -self.den,) + self.num[1:], abs(n))
         # extended Euclid for self (as polynomial) against the cyclotomic modulus
         mod = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
         r0, r1 = mod, list(self.coeffs)
@@ -247,13 +310,11 @@ class Scalar:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Scalar):
             return NotImplemented
-        if self.order == other.order:
-            return self.coeffs == other.coeffs
         a, b = self._coerce(other)
-        return a.coeffs == b.coeffs
+        return a.num == b.num and a.den == b.den
 
     def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.num, self.den))
 
     def __repr__(self) -> str:
         return f"Scalar({self.order}, {self})"
@@ -262,13 +323,11 @@ class Scalar:
         return format_scalar(self)
 
 
-def _CONST_CACHE(order: int, _cache: dict[int, tuple[Scalar, Scalar]] = {}) -> tuple[Scalar, Scalar]:
-    if order not in _cache:
-        phi = euler_phi(order)
-        zero = Scalar(order, (Fraction(0),) * phi, reduce=False)
-        one = Scalar(order, (Fraction(1),) + (Fraction(0),) * (phi - 1), reduce=False)
-        _cache[order] = (zero, one)
-    return _cache[order]
+@cache
+def _constants(order: int) -> tuple[Scalar, Scalar]:
+    """The zero and the one of Q(zeta_m)."""
+    phi = euler_phi(order)
+    return _make(order, (0,) * phi, 1), _make(order, (1,) + (0,) * (phi - 1), 1)
 
 
 def format_scalar(s: Scalar) -> str:
@@ -311,6 +370,11 @@ def vec_eq(u: Sequence[Scalar], v: Sequence[Scalar]) -> bool:
 
 def vec_is_zero(v: Sequence[Scalar]) -> bool:
     return all(x.is_zero() for x in v)
+
+
+def _support(v: Sequence[Scalar]) -> list[tuple[int, Scalar]]:
+    """The (index, entry) pairs of the nonzero entries of v."""
+    return [(j, x) for j, x in enumerate(v) if not x.is_zero()]
 
 
 def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
@@ -393,26 +457,20 @@ class ExactMatrix:
         # zero-skipping matmul; inputs here are typically sparse
         assert self.cols == other.rows, f"shape mismatch {self.cols} vs {other.rows}"
         out = ExactMatrix.zeros(self.rows, other.cols, self.order)
-        odata = out.data
-        bdata = other.data
-        for i in range(self.rows):
-            arow = self.data[i]
-            orow = odata[i]
-            for k in range(self.cols):
-                a = arow[k]
-                if a.is_zero():
-                    continue
-                brow = bdata[k]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if not b.is_zero():
-                        orow[j] = orow[j] + a * b
+        a_support = [_support(row) for row in self.data]
+        # only the rows of other that meet a nonzero of self are read
+        needed = {k for row in a_support for k, _ in row}
+        b_support = {k: _support(other.data[k]) for k in needed}
+        for arow, orow in zip(a_support, out.data):
+            for k, a in arow:
+                for j, b in b_support[k]:
+                    orow[j] = orow[j] + a * b
         return out
 
     def apply(self, v: Sequence[Scalar]) -> list[Scalar]:
         assert self.cols == len(v)
         out = zero_vector(self.rows, self.order)
-        support = [(j, x) for j, x in enumerate(v) if not x.is_zero()]
+        support = _support(v)
         for i, row in enumerate(self.data):
             acc = out[i]
             for j, x in support:
@@ -430,14 +488,13 @@ class ExactMatrix:
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         """Kronecker product; index (i1, i2) flattens to i1 * other.rows + i2."""
         out = ExactMatrix.zeros(self.rows * other.rows, self.cols * other.cols, self.order)
+        b_support = [_support(row) for row in other.data]
         for i1, row1 in enumerate(self.data):
-            for j1, a in enumerate(row1):
-                if a.is_zero():
-                    continue
-                for i2, row2 in enumerate(other.data):
-                    for j2, b in enumerate(row2):
-                        if not b.is_zero():
-                            out.data[i1 * other.rows + i2][j1 * other.cols + j2] = a * b
+            for j1, a in _support(row1):
+                for i2, row2 in enumerate(b_support):
+                    orow = out.data[i1 * other.rows + i2]
+                    for j2, b in row2:
+                        orow[j1 * other.cols + j2] = a * b
         return out
 
     def trace(self) -> Scalar:

@@ -22,7 +22,7 @@ from .exactmath import (
 from . import tensorspace as ts
 from .tensorspace import Tensor
 from .qha import QuasiHopfAlgebra
-from .coend import CoendMaps, coend_maps, q_hat_apply
+from .coend import CoendMaps, coend_maps, copairing, q_hat_apply, tensor_as_matrix
 
 
 @dataclass
@@ -226,20 +226,17 @@ def sl2z_on_center(
     t = ts.leg_map(A.phi_inv, 2, A.antipode)
     t = ts.leg_map(t, 1, A.rmult_of(A.beta))
     pre = A.two_sided_action(ts.merge_legs(t, ((1, 2), (3,)), A.mult_table))
-
-    def s_z_vec(z: list[Scalar]) -> list[Scalar]:
-        az = A.product(A.alpha, z)
-        v = zero_vector(dim, order)
-        for (i, j), c in maps.omega_hat.nonzero():
-            val = c * dot(integral, _delta_hat_pair(maps, basis_vector(dim, j, order), az))
-            if not val.is_zero():
-                v[i] = v[i] + val
-        return pre.apply(v)
+    # S z = pre Omega K (alpha z), where Omega is omega_hat's coefficient
+    # matrix and K[j][b] = <integral, delta_hat(e_j (x) e_b)>
+    paired = maps.delta_hat.transpose().apply(integral)
+    k_mat = ExactMatrix(dim, dim, order, [paired[j * dim:(j + 1) * dim] for j in range(dim)])
+    s_mat = pre * tensor_as_matrix(maps.omega_hat) * k_mat
 
     # one elimination solves every column; S z and T z alternate, so the
     # first basis vector that fails is reported, with S checked before T
     coords = matrix_from_columns(center_basis, order).solve_each(
-        [x for z in center_basis for x in (s_z_vec(z), A.product(A.ribbon_inv, z))])
+        [x for z in center_basis
+         for x in (s_mat.apply(A.product(A.alpha, z)), A.product(A.ribbon_inv, z))])
     s_cols, t_cols = coords[0::2], coords[1::2]
     for s_col, t_col in zip(s_cols, t_cols):
         if s_col is None:
@@ -274,8 +271,6 @@ LAM_NOTE = (
 
 def modular_data(A: QuasiHopfAlgebra, maps: CoendMaps | None = None) -> ModularData:
     """Full modular pipeline; requires a factorisable ribbon input."""
-    from .coend import copairing, tensor_as_matrix
-
     if maps is None:
         maps = coend_maps(A)
     rank = tensor_as_matrix(copairing(A, maps)).rank()

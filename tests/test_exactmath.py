@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -107,6 +108,104 @@ def test_scalar_add_mul_commute(a):
     b = Scalar.zeta(12) + rat(1, 2, order=12)
     assert a + b == b + a
     assert a * b == b * a
+
+
+# ---------------------------------------------------------------------------
+# the integer-numerator representation against a Fraction reference
+
+# Phi_m written out, so the reference does not depend on exactmath
+REF_PHI = {
+    1: [-1, 1],
+    2: [1, 1],
+    3: [1, 1, 1],
+    4: [1, 0, 1],
+    5: [1, 1, 1, 1, 1],
+    8: [1, 0, 0, 0, 1],
+    9: [1, 0, 0, 1, 0, 0, 1],
+    12: [1, 0, -1, 0, 1],
+    16: [1, 0, 0, 0, 0, 0, 0, 0, 1],
+}
+
+
+def ref_reduce(order, poly):
+    """poly(zeta_m) in the power basis: Fraction long division by Phi_m."""
+    mod = REF_PHI[order]
+    phi = len(mod) - 1
+    p = [Fraction(c) for c in poly] + [Fraction(0)] * phi
+    for i in range(len(p) - 1, phi - 1, -1):
+        c = p[i]
+        if c:
+            for j in range(phi + 1):
+                p[i - phi + j] -= c * mod[j]
+    return tuple(p[:phi])
+
+
+def ref_mul(order, p, q):
+    prod = [Fraction(0)] * (len(p) + len(q))
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            prod[i + j] += x * y
+    return ref_reduce(order, prod)
+
+
+def assert_canonical(s, order):
+    phi = len(REF_PHI[order]) - 1
+    assert len(s.num) == phi and all(type(x) is int for x in s.num)
+    assert type(s.den) is int and s.den > 0
+    assert math.gcd(s.den, *s.num) == 1
+
+
+ref_coeffs = st.one_of(st.just(0), st.fractions(min_value=-6, max_value=6, max_denominator=6))
+
+
+@pytest.mark.parametrize("order", sorted(REF_PHI))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_scalar_matches_fraction_reference(order, data):
+    # inputs of any length: the constructor reduces them like any product
+    raw = st.lists(ref_coeffs, max_size=2 * order + 2)
+    pa, pb = data.draw(raw), data.draw(raw)
+    a, b = Scalar(order, pa), Scalar(order, pb)
+    ra, rb = ref_reduce(order, pa), ref_reduce(order, pb)
+    for s, r in [
+        (a, ra), (b, rb),
+        (a * b, ref_mul(order, ra, rb)),
+        (a + b, tuple(x + y for x, y in zip(ra, rb))),
+        (a - b, tuple(x - y for x, y in zip(ra, rb))),
+        (-a, tuple(-x for x in ra)),
+    ]:
+        assert_canonical(s, order)
+        assert s.coeffs == r
+        assert s == Scalar(order, r)
+    if any(ra):
+        inv = a.inverse()
+        assert_canonical(inv, order)
+        assert ref_mul(order, ra, inv.coeffs) == ref_reduce(order, [1])
+    else:
+        with pytest.raises(DivisionByZero):
+            a.inverse()
+    assert (a == b) == (ra == rb)
+    # the same value given unreduced: a plus a multiple of Phi_m
+    q = data.draw(st.lists(ref_coeffs, max_size=order + 1))
+    shifted = [Fraction(0)] * (len(q) + len(REF_PHI[order]) + len(pa))
+    for i, x in enumerate(pa):
+        shifted[i] += x
+    for i, x in enumerate(q):
+        for j, y in enumerate(REF_PHI[order]):
+            shifted[i + j] += x * y
+    same = Scalar(order, shifted)
+    assert_canonical(same, order)
+    assert same == a and hash(same) == hash(a) and str(same) == str(a)
+
+
+def test_unreduced_constructor_input():
+    # zeta_8^8 as a coefficient list of length 9
+    z8_8 = Scalar(8, [0] * 8 + [1])
+    assert z8_8 == Scalar.one(8) and z8_8.num == (1, 0, 0, 0) and z8_8.den == 1
+    # zeta_16^15 = -zeta_16^7, and 2/4 zeta_5^7 = 1/2 zeta_5^2
+    assert Scalar(16, [0] * 15 + [1]) == -(Scalar.zeta(16) ** 7)
+    half_z5_2 = Scalar(5, [0] * 7 + [Fraction(2, 4)])
+    assert (half_z5_2.num, half_z5_2.den) == ((0, 0, 1, 0), 2)
 
 
 # ---------------------------------------------------------------------------
