@@ -98,15 +98,6 @@ def element_x_q(A: QuasiHopfAlgebra) -> Tensor:
     )
 
 
-def tensor_as_matrix(t: Tensor) -> ExactMatrix:
-    """Coefficient matrix of a 2-leg tensor."""
-    dim = t.dim
-    m = ExactMatrix.zeros(dim, dim, t.order)
-    for (i, j), c in t.nonzero():
-        m.data[i][j] = c
-    return m
-
-
 # ---------------------------------------------------------------------------
 # the structure maps
 
@@ -118,8 +109,9 @@ def coend_maps(A: QuasiHopfAlgebra) -> CoendMaps:
     cop = A.cop_table
     f, _, _ = drinfeld_twist(A)
     _, u_tilde, _ = drinfeld_element(A)
+    ident = ts.identity(dim, order)
 
-    # product: the 4-leg core B, then per basis element a the 2-leg value
+    # product: the 4-leg core B; column a is the 2-leg value
     # (S(B_2) x S(B_1)) . f . Delta(a) . (B_3 x B_4)
     psi_t = ts.permute(ts.coproduct_leg(A.phi_inv, 3, cop), (1, 3, 4, 2))
     r_spread = ts.embed(
@@ -130,43 +122,29 @@ def coend_maps(A: QuasiHopfAlgebra) -> CoendMaps:
     b_core = ts.mul(ts.coproduct_leg(A.phi, 3, cop), second, mt)
     b_core = ts.permute(b_core, (2, 1, 3, 4))
     b_core = ts.leg_map(ts.leg_map(b_core, 1, A.antipode), 2, A.antipode)
-    f_embed = ts.embed(f, 4, (3, 4))
 
-    mu_cols = []
-    for a in range(dim):
-        t = ts.mul(ts.embed(A.coproduct[a], 4, (3, 4)), b_core, mt)
-        t = ts.mul(f_embed, t, mt)
-        mu_cols.append(ts.merge_legs(t, ((1, 3), (2, 4)), mt).coeffs)
-    mu_hat = matrix_from_columns(mu_cols, order)
+    # column a feeds Delta(a) through the slot; f is folded into B first
+    base = ts.mul(b_core, ts.embed(f, 4, (1, 2)), mt)
+    slot = ts.coproduct_leg(ident, 2, cop)
+    mu_hat = ts.as_matrix(ts.merge_legs(
+        ts.tensor_product(base, slot), ((1, 6, 3), (2, 7, 4), (5,)), mt), 2)
 
-    # coproduct: S(D_1) b D_2 S(D_3) a D_4
+    # coproduct: column (a, b) is S(D_1) b D_2 S(D_3) a D_4
     d_tensor = element_d(A)
     d_base = ts.leg_map(ts.leg_map(d_tensor, 1, A.antipode), 3, A.antipode)
-    delta_cols = []
-    for a in range(dim):
-        ra = A.right_mult[a]
-        for b in range(dim):
-            t = ts.leg_map(d_base, 1, A.right_mult[b])
-            t = ts.leg_map(t, 3, ra)
-            delta_cols.append(ts.merge_legs(t, ((1, 2, 3, 4),), mt).coeffs)
-    # column index (a, b) -> a*dim + b
-    cols = [delta_cols[a * dim + b] for a in range(dim) for b in range(dim)]
-    delta_hat = matrix_from_columns(cols, order)
+    # legs 5 to 8 are the slots (a, e_a) and (b, e_b)
+    delta_hat = ts.as_matrix(ts.merge_legs(ts.tensor_product(
+        d_base, ts.tensor_product(ident, ident)), ((1, 8, 2, 3, 6, 4), (5,), (7,)), mt), 1)
 
-    eta_hat = [
-        A.counit_of(A.product(A.beta, basis_vector(dim, i, order)))
-        for i in range(dim)
-    ]
+    # eta_hat(e_i) = eps(beta e_i), the counit read through left multiplication by beta
+    eta_hat = A.lmult_of(A.beta).transpose().apply(A.counit)
 
-    # antipode: S(a R_1) u~ R_2
-    r_utilde = A.rmult_of(u_tilde)
-    s_cols = []
-    for a in range(dim):
-        t = ts.leg_map(A.r_matrix, 1, A.left_mult[a])
-        t = ts.leg_map(t, 1, A.antipode)
-        t = ts.leg_map(t, 1, r_utilde)
-        s_cols.append(ts.merge_legs(t, ((1, 2),), mt).coeffs)
-    s_hat = matrix_from_columns(s_cols, order)
+    # antipode: column a is S(a R_1) u~ R_2 = S(R_1) S(a) u~ R_2
+    base = ts.tensor_product(ts.leg_map(A.r_matrix, 1, A.antipode),
+                             Tensor.from_vector(u_tilde, order))
+    slot = ts.leg_map(ident, 2, A.antipode)
+    s_hat = ts.as_matrix(ts.merge_legs(
+        ts.tensor_product(base, slot), ((1, 5, 3, 2), (4,)), mt), 1)
 
     w_tensor = element_w(A)
     t = ts.leg_map(ts.leg_map(w_tensor, 3, A.antipode), 1, A.antipode)
@@ -253,16 +231,11 @@ def q_hat(A: QuasiHopfAlgebra, x_q: Tensor | None = None) -> ExactMatrix:
     """Matrix of the bilinear map (a, b) -> S(X_3) a X_4 (x) S(X_1) b X_2
     on A x A; column index is (a, b) flattened row-major."""
     dim, order = A.dim, A.order
-    mt = A.mult_table
     x = element_x_q(A) if x_q is None else x_q
     base = ts.leg_map(ts.leg_map(x, 3, A.antipode), 1, A.antipode)
-    cols = []
-    for a in range(dim):
-        t_a = ts.leg_map(base, 3, A.right_mult[a])
-        for b in range(dim):
-            t = ts.leg_map(t_a, 1, A.right_mult[b])
-            cols.append(ts.merge_legs(t, ((3, 4), (1, 2)), mt).coeffs)
-    return matrix_from_columns(cols, order)
+    ident = ts.identity(dim, order)
+    t = ts.tensor_product(base, ts.tensor_product(ident, ident))
+    return ts.as_matrix(ts.merge_legs(t, ((3, 6, 4), (1, 8, 2), (5,), (7,)), A.mult_table), 2)
 
 
 def q_hat_apply(A: QuasiHopfAlgebra, x_q: Tensor, a: list[Scalar], b: list[Scalar]) -> Tensor:
@@ -348,10 +321,10 @@ def factorisability(A: QuasiHopfAlgebra, maps: CoendMaps | None = None) -> Facto
     if maps is None:
         maps = coend_maps(A)
     d_hat = copairing(A, maps)
-    rank_d = tensor_as_matrix(d_hat).rank()
+    rank_d = ts.as_matrix(d_hat, 1).rank()
 
     m_bt = bt_monodromy_matrix(A)
-    rank_bt = tensor_as_matrix(m_bt).rank()
+    rank_bt = ts.as_matrix(m_bt, 1).rank()
 
     invs = invariant_functionals(A)
     coinvs = coinvariant_elements(A)

@@ -333,19 +333,20 @@ def _constants(order: int) -> tuple[Scalar, Scalar]:
 def format_scalar(s: Scalar) -> str:
     """Canonical literal form, e.g. ``1/2*z^3 - 1`` (descending powers)."""
     terms = []
-    for power in range(len(s.coeffs) - 1, -1, -1):
-        c = s.coeffs[power]
-        if not c:
+    for power in range(len(s.num) - 1, -1, -1):
+        n = s.num[power]
+        if not n:
             continue
-        if power == 0:
-            body = str(abs(c))
-        else:
+        g = gcd(n, s.den)
+        p, q = abs(n) // g, s.den // g
+        c = str(p) if q == 1 else f"{p}/{q}"
+        if power > 0:
             z = "z" if power == 1 else f"z^{power}"
-            body = z if abs(c) == 1 else f"{abs(c)}*{z}"
+            c = z if p == q == 1 else f"{c}*{z}"
         if not terms:
-            terms.append(body if c > 0 else f"-{body}")
+            terms.append(c if n > 0 else f"-{c}")
         else:
-            terms.append(f"+ {body}" if c > 0 else f"- {body}")
+            terms.append(f"+ {c}" if n > 0 else f"- {c}")
     return " ".join(terms) if terms else "0"
 
 

@@ -7,13 +7,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
-from .exactmath import ExactMatrix, Scalar, matrix_from_columns
+from .exactmath import ExactMatrix, Scalar, dot, matrix_from_columns
 from . import tensorspace as ts
 from .tensorspace import Tensor
 from .qha import QuasiHopfAlgebra, drinfeld_element, monodromy
-from .repcat import AModule, tensor_module
+from .repcat import AModule
 
 
 class FusionError(ValueError):
@@ -61,12 +60,11 @@ class FusionTable:
 
 
 def radical_dimension(A: QuasiHopfAlgebra) -> int:
-    """Nullity of the regular trace form (char-0 split criterion)."""
-    b = ExactMatrix.zeros(A.dim, A.dim, A.order)
-    for i in range(A.dim):
-        for j in range(A.dim):
-            b.data[i][j] = (A.left_mult[i] * A.left_mult[j]).trace()
-    return A.dim - b.rank()
+    """Nullity of the regular trace form (char-0 split criterion), with
+    tr(L_i L_j) = tr(L_{e_i e_j}) = sum_k c_ij^k tr(L_k)."""
+    tr = [m.trace() for m in A.left_mult]
+    rows = [[dot(A.mult[i][j], tr) for j in range(A.dim)] for i in range(A.dim)]
+    return A.dim - ExactMatrix(A.dim, A.dim, A.order, rows).rank()
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +179,11 @@ def _as_nonneg_int(c: Scalar) -> int:
     return int(f)
 
 
-def _character_coordinates(modules: Iterable[AModule], simples: SimpleSet,
+def _character_coordinates(characters: list[list[Scalar]], simples: SimpleSet,
                             order: int) -> list[list[Scalar] | None]:
-    """The character of each module in the coordinates of the simple
-    characters (None outside their span), from one elimination.  Each
-    module is dropped once its character is read."""
-    cmat = matrix_from_columns(simples.characters, order)
-    return cmat.solve_each([_trace_functional(M) for M in modules])
+    """Each character in the coordinates of the simple characters (None
+    outside their span), from one elimination."""
+    return matrix_from_columns(simples.characters, order).solve_each(characters)
 
 
 def _as_class(coords: list[Scalar] | None) -> list[int]:
@@ -203,7 +199,7 @@ def grothendieck_class(M: AModule, simples: SimpleSet) -> list[int]:
     FusionError when the character system has no integral solution,
     which means the simple set is incomplete.
     """
-    return _as_class(_character_coordinates([M], simples, M.alg.order)[0])
+    return _as_class(_character_coordinates([_trace_functional(M)], simples, M.alg.order)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +230,12 @@ def verlinde_fusion(
     pairs = [(iu, iv) for iu in range(n) for iv in range(n)]
     expansions = cmat.solve_each([A.product(chis[iu], chis[iv]) for iu, iv in pairs])
     if oracle:
+        # tr_{U (x) V}(e_i) = sum c tr_U(e_a) tr_V(e_b) over Delta(e_i) = sum c e_a (x) e_b
+        deltas = ts.coproduct_leg(ts.identity(A.dim, A.order), 2, A.cop_table)
+        traces = [_trace_functional(V) for V in simples.simples]
         classes = _character_coordinates(
-            (tensor_module(simples.simples[iu], simples.simples[iv]) for iu, iv in pairs),
-            simples, A.order)
+            [ts.contract_leg(ts.contract_leg(deltas, 3, traces[iv]), 2, traces[iu]).to_vector()
+             for iu, iv in pairs], simples, A.order)
     table = [[[0] * n for _ in range(n)] for _ in range(n)]
     # checked pair by pair, so the first failing pair is the one reported
     for p, (iu, iv) in enumerate(pairs):

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from .exactmath import (
     ExactMatrix,
     Scalar,
-    basis_vector,
     common_eigenvectors,
     dot,
     matrix_from_columns,
@@ -22,7 +21,7 @@ from .exactmath import (
 from . import tensorspace as ts
 from .tensorspace import Tensor
 from .qha import QuasiHopfAlgebra
-from .coend import CoendMaps, coend_maps, copairing, q_hat_apply, tensor_as_matrix
+from .coend import CoendMaps, coend_maps, copairing
 
 
 @dataclass
@@ -138,11 +137,12 @@ def s_t_hat(A: QuasiHopfAlgebra, maps: CoendMaps, integral: list[Scalar]):
     if A.ribbon_inv is None:
         raise ValueError("modular transformations require ribbon data")
     dim, order = A.dim, A.order
-    cols = []
-    for a in range(dim):
-        q = q_hat_apply(A, maps.x_q, basis_vector(dim, a, order), A.alpha)
-        cols.append(ts.contract_leg(q, 1, integral).to_vector())
-    s_hat = matrix_from_columns(cols, order)
+    # column a is the integral on the first leg of q_hat_apply(e_a, alpha);
+    # legs 5, 6 and 7 are alpha and the slot (a, e_a)
+    x = ts.leg_map(ts.leg_map(maps.x_q, 3, A.antipode), 1, A.antipode)
+    slot = ts.tensor_product(Tensor.from_vector(A.alpha, order), ts.identity(dim, order))
+    q = ts.merge_legs(ts.tensor_product(x, slot), ((3, 7, 4), (1, 5, 2), (6,)), A.mult_table)
+    s_hat = ts.as_matrix(ts.contract_leg(q, 1, integral), 1)
     t_hat = A.lmult_of(A.ribbon_inv)
     return s_hat, t_hat
 
@@ -211,8 +211,9 @@ def sl2z_on_center(
     """The modular S and T maps on the centre, in centre coordinates,
     together with the projective constant from (S T)^3 = lam S^2.
 
-    Raises ValueError if either map fails to preserve the centre or if
-    exact proportionality fails; both identities are theorems, so a
+    Raises ValueError if either map fails to preserve the centre (naming
+    the first failing basis vector, S before T) or if exact
+    proportionality fails; both identities are theorems, so a
     failure signals corrupted input or an implementation fault.
     """
     if A.ribbon_inv is None:
@@ -230,7 +231,7 @@ def sl2z_on_center(
     # matrix and K[j][b] = <integral, delta_hat(e_j (x) e_b)>
     paired = maps.delta_hat.transpose().apply(integral)
     k_mat = ExactMatrix(dim, dim, order, [paired[j * dim:(j + 1) * dim] for j in range(dim)])
-    s_mat = pre * tensor_as_matrix(maps.omega_hat) * k_mat
+    s_mat = pre * ts.as_matrix(maps.omega_hat, 1) * k_mat
 
     # one elimination solves every column; S z and T z alternate, so the
     # first basis vector that fails is reported, with S checked before T
@@ -238,11 +239,11 @@ def sl2z_on_center(
         [x for z in center_basis
          for x in (s_mat.apply(A.product(A.alpha, z)), A.product(A.ribbon_inv, z))])
     s_cols, t_cols = coords[0::2], coords[1::2]
-    for s_col, t_col in zip(s_cols, t_cols):
-        if s_col is None:
-            raise ValueError("S does not preserve the centre")
-        if t_col is None:
-            raise ValueError("T does not preserve the centre")
+    for k, (z, s_col, t_col) in enumerate(zip(center_basis, s_cols, t_cols)):
+        for name, col in (("S", s_col), ("T", t_col)):
+            if col is None:
+                raise ValueError(f"{name} does not preserve the centre at centre basis "
+                                 f"vector {k} = [{', '.join(map(str, z))}]")
     s_z = matrix_from_columns(s_cols, order)
     t_z = matrix_from_columns(t_cols, order)
 
@@ -273,7 +274,7 @@ def modular_data(A: QuasiHopfAlgebra, maps: CoendMaps | None = None) -> ModularD
     """Full modular pipeline; requires a factorisable ribbon input."""
     if maps is None:
         maps = coend_maps(A)
-    rank = tensor_as_matrix(copairing(A, maps)).rank()
+    rank = ts.as_matrix(copairing(A, maps), 1).rank()
     if rank != A.dim:
         raise ValueError(
             f"input is not factorisable (copairing rank {rank} < {A.dim}); "

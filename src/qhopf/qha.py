@@ -26,7 +26,7 @@ their own consistency checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .exactmath import (
     DivisionByZero,
@@ -35,7 +35,6 @@ from .exactmath import (
     basis_vector,
     dot,
     linear_combination,
-    matrix_from_columns,
     vec_eq,
 )
 from . import tensorspace as ts
@@ -108,14 +107,8 @@ class QuasiHopfAlgebra:
 
     def _mult_matrices(self, table) -> list[ExactMatrix]:
         # matrix i has column j equal to table[i][j], given as (k, c) pairs
-        mats = []
-        for row in table:
-            m = ExactMatrix.zeros(self.dim, self.dim, self.order)
-            for j, terms in enumerate(row):
-                for k, c in terms:
-                    m.data[k][j] = c
-            mats.append(m)
-        return mats
+        return [ts.as_matrix(Tensor.from_entries(self.dim, 2, self.order, (
+            ((k, j), c) for j, terms in enumerate(row) for k, c in terms)), 1) for row in table]
 
     @cached_property
     def left_mult(self) -> list[ExactMatrix]:
@@ -223,9 +216,8 @@ class QuasiHopfAlgebra:
 
     def two_sided_action(self, t: Tensor) -> ExactMatrix:
         """Matrix of x -> sum t[i, j] e_i x e_j for a 2-leg tensor t."""
-        return linear_combination(
-            ((c, self.left_mult[i] * self.right_mult[j]) for (i, j), c in t.nonzero()),
-            self.dim, self.order)
+        t = ts.tensor_product(t, ts.identity(self.dim, self.order))
+        return ts.as_matrix(ts.merge_legs(t, ((1, 4, 2), (3,)), self.mult_table), 1)
 
     def coadjoint_action(self) -> list[ExactMatrix]:
         """Action matrices on A* underlying the universal Hopf algebra:
@@ -238,12 +230,13 @@ class QuasiHopfAlgebra:
 
     def invert_element(self, t: Tensor) -> Tensor | None:
         """Two-sided inverse of t in A^(x k) by exact linear solve."""
-        one = Scalar.one(t.order)
-        cols = [ts.mul(t, Tensor.from_entries(t.dim, t.legs, t.order, [(idx, one)]),
-                       self.mult_table).coeffs
-                for idx in ts.multi_indices(t.dim, t.legs)]
-        unit = Tensor.unit(t.dim, t.legs, t.order)
-        x = matrix_from_columns(cols, self.order).solve(unit.coeffs)
+        # column a = (a_1, ..., a_k) is t (e_a_1 x ... x e_a_k); slot m
+        # gives legs k + 2m - 1 (a_m) and k + 2m (e_a_m) of the product
+        k, ms = t.legs, range(1, t.legs + 1)
+        prod = reduce(ts.tensor_product, [ts.identity(t.dim, t.order)] * k, t)
+        groups = [(m, k + 2 * m) for m in ms] + [(k + 2 * m - 1,) for m in ms]
+        unit = Tensor.unit(t.dim, k, t.order)
+        x = ts.as_matrix(ts.merge_legs(prod, groups, self.mult_table), k).solve(unit.coeffs)
         if x is None:
             return None
         inv = Tensor(t.dim, t.legs, t.order, x)

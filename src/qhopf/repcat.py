@@ -21,7 +21,7 @@ import math
 from .exactmath import ExactMatrix, Scalar, linear_combination
 from . import tensorspace as ts
 from .qha import AxiomReport, QuasiHopfAlgebra, drinfeld_element, drinfeld_twist
-from .coend import CoendMaps, coend_maps, tensor_as_matrix
+from .coend import CoendMaps, coend_maps
 
 
 class AModule:
@@ -359,7 +359,7 @@ def dualised_structure(A: QuasiHopfAlgebra, maps: CoendMaps | None = None):
                                            [[c] for c in maps.eta_hat]))
     eps = Morphism(L, one_mod, ExactMatrix(1, A.dim, A.order, [list(maps.eps_hat)]))
     s_l = Morphism(L, L, maps.s_hat_L.transpose())
-    omega = Morphism(LL, one_mod, _flattened([tensor_as_matrix(maps.omega_hat).transpose()]))
+    omega = Morphism(LL, one_mod, _flattened([ts.as_matrix(maps.omega_hat, 1).transpose()]))
     return L, mu, delta, eta, eps, s_l, omega
 
 

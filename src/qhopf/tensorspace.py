@@ -1,4 +1,4 @@
-"""Sparse elements of A^(tensor k), k <= 4, and their leg operations.
+"""Sparse elements of A^(tensor k) and their leg operations.
 
 A Tensor stores a dict from multi-index (i_1, ..., i_k) to the nonzero
 coefficient of e_{i_1} x ... x e_{i_k}; it never stores a zero.  The basis
@@ -10,6 +10,16 @@ the constructor takes the same list.
 Every leg operation reads only the stored entries and writes its output
 through ``_collect``, which sums the terms landing on one multi-index and
 drops the sums that cancel to zero.
+
+A linear map given by a fixed element is one contraction.  The slot
+``identity`` = sum_a e_a x e_a carries the input: in the ``merge_legs``
+groups its second leg stands where e_a enters a product and its first leg
+is a group of its own, which keeps ``a``; ``as_matrix`` reads it as the
+column index.  x -> sum t_1 x t_2, for a 2-leg t, has the matrix
+``as_matrix(merge_legs(tensor_product(t, identity(dim, order)),
+((1, 4, 2), (3,)), mult), 1)``.  A slot can be mapped first (e.g.
+``coproduct_leg(identity, 2, cop)`` feeds Delta(e_a)), and slots
+concatenate for maps of several arguments.
 
 Tensors are value-like: they do not know their algebra.  Operations that
 need the product, coproduct or counit take them as explicit arguments:
@@ -47,6 +57,16 @@ def _collect(terms: Iterable[tuple[K, Scalar]]) -> dict[K, Scalar]:
     return {k: c for k, c in acc.items() if not c.is_zero()}
 
 
+def _times(a: Scalar, b: Scalar) -> Scalar:
+    # a * b without the multiplication when a factor is the one of the
+    # same field: slots and group-like structure constants are all ones
+    if b.is_one() and b.order == a.order:
+        return a
+    if a.is_one() and a.order == b.order:
+        return b
+    return a * b
+
+
 def multi_indices(dim: int, legs: int) -> Iterator[Index]:
     """All multi-indices in row-major order."""
     return product(range(dim), repeat=legs)
@@ -65,8 +85,6 @@ class Tensor:
             idx: c for idx, c in zip(multi_indices(dim, legs), coeffs) if not c.is_zero()})
 
     def _init(self, dim: int, legs: int, order: int, entries: dict[Index, Scalar]) -> None:
-        if not 0 <= legs <= 4:
-            raise LegError(f"tensor legs must be between 0 and 4, got {legs}")
         self.dim = dim
         self.legs = legs
         self.order = order
@@ -177,6 +195,31 @@ class Tensor:
         return f"Tensor(dim={self.dim}, legs={self.legs}, {{{entries}}})"
 
 
+def identity(dim: int, order: int = 1) -> Tensor:
+    """The slot sum_a e_a x e_a (see the module docstring)."""
+    one = Scalar.one(order)
+    return Tensor._of(dim, 2, order, {(a, a): one for a in range(dim)})
+
+
+def _row_major(idx: Index, dim: int) -> int:
+    f = 0
+    for i in idx:
+        f = f * dim + i
+    return f
+
+
+def as_matrix(t: Tensor, rows: int) -> ExactMatrix:
+    """The dim^rows x dim^(legs - rows) coefficient matrix of t: the first
+    ``rows`` legs give the row index and the others the column index, both
+    row-major."""
+    if not 0 <= rows <= t.legs:
+        raise LegError(f"cannot split {t.legs} legs after leg {rows}")
+    m = ExactMatrix.zeros(t.dim**rows, t.dim ** (t.legs - rows), t.order)
+    for idx, c in t.entries.items():
+        m.data[_row_major(idx[:rows], t.dim)][_row_major(idx[rows:], t.dim)] = c
+    return m
+
+
 def _check_leg(t: Tensor, j: int) -> None:
     if not 1 <= j <= t.legs:
         raise LegError(f"leg {j} out of range for {t.legs} legs")
@@ -190,9 +233,11 @@ def _fold_basis_product(
     indices: Sequence[int], mult: MultTable, order: int
 ) -> list[tuple[int, Scalar]]:
     # product e_{i_1} e_{i_2} ... expanded through the structure constants
-    acc: list[tuple[int, Scalar]] = [(indices[0], Scalar.one(order))]
-    for b in indices[1:]:
-        acc = list(_collect((k, c * ck) for a, c in acc for k, ck in mult[a][b]).items())
+    if len(indices) == 1:
+        return [(indices[0], Scalar.one(order))]
+    acc = mult[indices[0]][indices[1]]
+    for b in indices[2:]:
+        acc = list(_collect((k, _times(c, ck)) for a, c in acc for k, ck in mult[a][b]).items())
     return acc
 
 
@@ -203,7 +248,7 @@ def _expand(c: Scalar, parts: Sequence[Sequence[tuple[int, Scalar]]]
         idx, cc = [], c
         for k, ck in combo:
             idx.append(k)
-            cc = cc * ck
+            cc = _times(cc, ck)
         yield tuple(idx), cc
 
 
@@ -311,7 +356,7 @@ def tensor_product(s: Tensor, t: Tensor) -> Tensor:
     """Concatenate legs: s x t."""
     if s.dim != t.dim:
         raise LegError("tensor_product requires equal dims")
-    return s._like({i1 + i2: c1 * c2
+    return s._like({i1 + i2: _times(c1, c2)
                     for i1, c1 in s.entries.items() for i2, c2 in t.entries.items()},
                    s.legs + t.legs)
 

@@ -1,3 +1,7 @@
+import re
+
+import pytest
+
 from qhopf.exactmath import (
     ExactMatrix,
     Scalar,
@@ -249,3 +253,24 @@ def test_pairing_value_flip_invariance(presets, all_maps, all_modular):
         k = pairing_of(md.integral, md.integral, maps.omega_hat,
                        presets[name].algebra.order)
         assert k == md.pairing_value
+
+
+def test_sl2z_on_center_names_failing_basis_vector(presets, all_maps, all_modular):
+    # each basis spans a subspace that S or T leaves; the error names the
+    # first basis vector whose image leaves it, S checked before T
+    alg = presets["double_Z2"].algebra
+    maps, integral = all_maps["double_Z2"], all_modular["double_Z2"].integral
+
+    def vec(*xs):
+        return [Scalar.rational(x, order=alg.order) for x in xs]
+
+    cases = [
+        ([alg.unit()], "S", 0, "[1, 0, 0, 0]"),
+        ([vec(1, 1, 1, -1), vec(1, 0, 0, 0)], "S", 1, "[1, 0, 0, 0]"),
+        ([vec(1, 1, 1, 1), vec(1, 0, 0, 0)], "T", 1, "[1, 0, 0, 0]"),
+        ([vec(1, 1, 1, 0), vec(1, -1, -1, -1)], "T", 0, "[1, 1, 1, 0]"),
+    ]
+    for basis, name, k, shown in cases:
+        message = f"{name} does not preserve the centre at centre basis vector {k} = {shown}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sl2z_on_center(alg, maps, integral, basis)

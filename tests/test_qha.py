@@ -8,7 +8,6 @@ from qhopf.qha import (
     validate,
 )
 from qhopf.presets import build_algebra, mutate
-from qhopf.coend import tensor_as_matrix
 
 
 def test_trivial_algebra_all_pass(presets):
@@ -107,7 +106,7 @@ def test_monodromy_trivial_r(presets):
 
 def test_monodromy_full_rank_for_double(presets):
     alg = presets["double_Z2"].algebra
-    assert tensor_as_matrix(monodromy(alg)).rank() == 4
+    assert ts.as_matrix(monodromy(alg), 1).rank() == 4
 
 
 def test_invert_element_roundtrip(presets):

@@ -255,3 +255,58 @@ def test_sparse_invariant_under_leg_operations(presets, data):
                  (ab, results[-1]), (ab - ba, zero)]:
         assert (s == t) == (s.coeffs == t.coeffs)
         assert _tensor_witness(s, t) == _first_dense_difference(s, t)
+
+
+# ---------------------------------------------------------------------------
+# matrices and tensors of more than four legs
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_as_matrix_places_entries_row_major(presets, data):
+    alg = presets[data.draw(st.sampled_from(["group_Z2_trivialR", "twisted_double_Z2"]))].algebra
+    legs = data.draw(st.integers(0, 3))
+    rows = data.draw(st.integers(0, legs))
+    t = _sparse_tensor(data, alg, legs)
+    m = ts.as_matrix(t, rows)
+    assert (m.rows, m.cols) == (alg.dim**rows, alg.dim ** (legs - rows))
+    dense = [[Scalar.zero(alg.order)] * m.cols for _ in range(m.rows)]
+    for idx, c in t.nonzero():
+        dense[_flat(t, idx[:rows])][_flat(t, idx[rows:])] = c
+    assert m.data == dense
+
+
+def test_as_matrix_rejects_bad_split():
+    with pytest.raises(LegError):
+        ts.as_matrix(Tensor.unit(2, 2), 3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_five_to_eight_legs_merge_back(presets, data):
+    alg = presets["twisted_double_Z2"].algebra
+    mt = alg.mult_table
+    legs = data.draw(st.integers(1, 4))
+    extra = data.draw(st.integers(max(1, 5 - legs), 4))
+    a = _sparse_tensor(data, alg, legs)
+    padded = ts.tensor_product(a, Tensor.unit(alg.dim, extra, alg.order))
+    assert padded.legs == legs + extra
+    _check_invariant(padded)
+    # each unit leg is multiplied into one leg of a, on either side
+    groups = [[leg] for leg in range(1, legs + 1)]
+    for j in range(extra):
+        g = groups[j % legs]
+        g.insert(data.draw(st.sampled_from([0, len(g)])), legs + 1 + j)
+    assert ts.merge_legs(padded, groups, mt) == a
+
+
+def test_six_and_eight_legs_merge_to_product(presets):
+    alg = presets["twisted_double_Z2"].algebra
+    mt, cop = alg.mult_table, alg.cop_table
+    for a, b in [(alg.phi, alg.phi_inv),
+                 (ts.coproduct_leg(alg.phi, 3, cop), ts.coproduct_leg(alg.phi_inv, 1, cop))]:
+        both = ts.tensor_product(a, b)
+        assert both.legs == 2 * a.legs
+        pairs = [(leg, a.legs + leg) for leg in range(1, a.legs + 1)]
+        assert ts.merge_legs(both, pairs, mt) == ts.mul(a, b, mt)
+        assert not ts.mul(a, b, mt).is_zero()
