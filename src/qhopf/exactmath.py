@@ -19,13 +19,17 @@ Matrices are dense with Scalar entries.  Rank, kernel and the batched
 solve ``solve_each`` use exact Gauss-Jordan elimination (no floats);
 ``solve`` is ``solve_each`` with one target, and ``inverse`` solves for
 the columns of the identity in one elimination.
+
+``kron_combination`` builds every action matrix, c F_1[i_1] (x) ... (x)
+F_k[i_k] summed over the terms of a k-leg element, from the nonzero
+entries of the factor matrices; ``kron`` is its one-term case.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, sub
 from typing import Iterable, Sequence
 
@@ -378,6 +382,16 @@ def _support(v: Sequence[Scalar]) -> list[tuple[int, Scalar]]:
     return [(j, x) for j, x in enumerate(v) if not x.is_zero()]
 
 
+def times(a: Scalar, b: Scalar) -> Scalar:
+    """a * b, skipping the multiplication by a one of the same field."""
+    # identity matrices, slots and group-like structure constants are ones
+    if b.is_one() and b.order == a.order:
+        return a
+    if a.is_one() and a.order == b.order:
+        return b
+    return a * b
+
+
 def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     """sum_i u[i] v[i], skipping the zeros of u."""
     acc = Scalar.zero(u[0].order)
@@ -488,15 +502,7 @@ class ExactMatrix:
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         """Kronecker product; index (i1, i2) flattens to i1 * other.rows + i2."""
-        out = ExactMatrix.zeros(self.rows * other.rows, self.cols * other.cols, self.order)
-        b_support = [_support(row) for row in other.data]
-        for i1, row1 in enumerate(self.data):
-            for j1, a in _support(row1):
-                for i2, row2 in enumerate(b_support):
-                    orow = out.data[i1 * other.rows + i2]
-                    for j2, b in row2:
-                        orow[j1 * other.cols + j2] = a * b
-        return out
+        return kron_combination([((0, 0), Scalar.one(self.order))], [[self], [other]])
 
     def trace(self) -> Scalar:
         acc = Scalar.zero(self.order)
@@ -604,22 +610,33 @@ def matrix_from_columns(cols: Sequence[Sequence[Scalar]], order: int) -> ExactMa
     )
 
 
-def linear_combination(terms: Iterable[tuple[Scalar, ExactMatrix]], n: int,
-                       order: int) -> ExactMatrix:
-    """The n x n matrix sum c M over the (c, M) terms with c nonzero.
-
-    ``terms`` may be a generator: each M is consumed as it is added, so
-    only one of them need exist at a time.
-    """
-    out = ExactMatrix.zeros(n, n, order)
-    for c, m in terms:
+def kron_combination(terms: Iterable[tuple[Sequence[int], Scalar]],
+                     factors: Sequence[Sequence[ExactMatrix]]) -> ExactMatrix:
+    """sum c F_1[i_1] (x) ... (x) F_k[i_k] over the (multi-index, c) terms,
+    for lists F_m of equally shaped matrices, flattened as in ``kron``.
+    Reads only the nonzero entries of the matrices the terms name, each
+    matrix's entry list built on first use."""
+    shapes = [(f[0].rows, f[0].cols) for f in factors]
+    out = ExactMatrix.zeros(prod(r for r, _ in shapes), prod(c for _, c in shapes),
+                            factors[0][0].order)
+    zero = Scalar.zero(out.order)
+    # per factor: matrix index -> the (row, col, entry) of its nonzeros
+    supports: list[dict[int, list[tuple[int, int, Scalar]]]] = [{} for _ in factors]
+    for idx, c in terms:
         if c.is_zero():
             continue
-        assert m.rows == n and m.cols == n, f"term of shape {m.rows}x{m.cols}, expected {n}x{n}"
-        for orow, mrow in zip(out.data, m.data):
-            for j, b in enumerate(mrow):
-                if not b.is_zero():
-                    orow[j] = orow[j] + c * b
+        part = [(0, 0, c)]
+        for f, (rows, cols), support, i in zip(factors, shapes, supports, idx):
+            nz = support.get(i)
+            if nz is None:
+                nz = support[i] = [(r, j, x) for r, row in enumerate(f[i].data)
+                                   for j, x in enumerate(row) if not x.is_zero()]
+            part = [(r0 * rows + r, c0 * cols + j, times(p, x))
+                    for r0, c0, p in part for r, j, x in nz]
+        for r, j, p in part:
+            # ``zeros`` fills with the shared zero: a cell not yet written is it
+            row = out.data[r]
+            row[j] = p if row[j] is zero else row[j] + p
     return out
 
 

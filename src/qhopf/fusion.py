@@ -31,8 +31,7 @@ class SimpleSet:
     def from_modules(cls, labeled: list[tuple[str, AModule]]) -> "SimpleSet":
         labels = [name for name, _ in labeled]
         mods = [m for _, m in labeled]
-        chars = [[m.action[i].trace() for i in range(m.alg.dim)] for m in mods]
-        return cls(labels, mods, chars)
+        return cls(labels, mods, [_trace_functional(m) for m in mods])
 
     def validate(self, A: QuasiHopfAlgebra) -> list[str]:
         """Completeness checks; returns a list of problems (empty = good)."""

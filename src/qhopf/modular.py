@@ -21,7 +21,9 @@ from .exactmath import (
 from . import tensorspace as ts
 from .tensorspace import Tensor
 from .qha import QuasiHopfAlgebra
-from .coend import CoendMaps, coend_maps, copairing
+# conjugation_action (the action S commutes with) lives in coend, beside
+# coinvariant_elements, which uses it
+from .coend import CoendMaps, coend_maps, conjugation_action, copairing  # noqa: F401
 
 
 @dataclass
@@ -194,12 +196,6 @@ def _delta_hat_pair(maps: CoendMaps, x: list[Scalar], y: list[Scalar]) -> list[S
                 if not yj.is_zero():
                     flat[i * dim + j] = xi * yj
     return maps.delta_hat.apply(flat)
-
-
-def conjugation_action(A: QuasiHopfAlgebra) -> list[ExactMatrix]:
-    """The antipode-twisted conjugation b: x -> sum S(b') x b''; the
-    S-transformation commutes with it."""
-    return [m.transpose() for m in A.coadjoint_action()]
 
 
 def sl2z_on_center(

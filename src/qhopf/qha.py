@@ -17,6 +17,9 @@ and the monodromy, Drinfeld element and Drinfeld twist (``_x_d``,
 ``monodromy``, ``drinfeld_element`` and ``drinfeld_twist``).
 :class:`QuasiHopfAlgebra` says what each view is.
 
+``product`` multiplies two elements through ``mult_table`` and builds no
+matrix; ``lmult_of`` and ``rmult_of`` build one by ``kron_combination``.
+
 ``validate`` checks every defining identity exhaustively over basis
 tuples and reports the first violating index tuple per axiom.  The
 derived elements (Drinfeld twist, Drinfeld element, monodromy) come with
@@ -34,7 +37,7 @@ from .exactmath import (
     Scalar,
     basis_vector,
     dot,
-    linear_combination,
+    kron_combination,
     vec_eq,
 )
 from . import tensorspace as ts
@@ -194,14 +197,16 @@ class QuasiHopfAlgebra:
 
     def lmult_of(self, v: list[Scalar]) -> ExactMatrix:
         """Matrix of x -> v x."""
-        return linear_combination(zip(v, self.left_mult), self.dim, self.order)
+        return kron_combination((((i,), c) for i, c in enumerate(v)), [self.left_mult])
 
     def rmult_of(self, v: list[Scalar]) -> ExactMatrix:
         """Matrix of x -> x v."""
-        return linear_combination(zip(v, self.right_mult), self.dim, self.order)
+        return kron_combination((((i,), c) for i, c in enumerate(v)), [self.right_mult])
 
     def product(self, u: list[Scalar], v: list[Scalar]) -> list[Scalar]:
-        return self.lmult_of(u).apply(v)
+        """u v, expanded through ``mult_table``."""
+        return ts.mul(Tensor.from_vector(u, self.order), Tensor.from_vector(v, self.order),
+                      self.mult_table).to_vector()
 
     def counit_of(self, v: list[Scalar]) -> Scalar:
         return dot(v, self.counit)

@@ -1,6 +1,9 @@
 """Finite-dimensional modules over a quasi-Hopf algebra and the
 categorical structure morphisms as exact matrices.
 
+Every action matrix, of a module or of a k-leg element on a tensor product
+of modules, is one ``exactmath.kron_combination`` of action lists.
+
 Index conventions, fixed once:
 
 * the basis of U (x) V is ordered (u, v) -> u * dim(V) + v, matching
@@ -16,9 +19,7 @@ Index conventions, fixed once:
 
 from __future__ import annotations
 
-import math
-
-from .exactmath import ExactMatrix, Scalar, linear_combination
+from .exactmath import ExactMatrix, Scalar, kron_combination
 from . import tensorspace as ts
 from .qha import AxiomReport, QuasiHopfAlgebra, drinfeld_element, drinfeld_twist
 from .coend import CoendMaps, coend_maps
@@ -34,7 +35,7 @@ class AModule:
         self.label = label
 
     def act(self, v: list[Scalar]) -> ExactMatrix:
-        return linear_combination(zip(v, self.action), self.dim, self.alg.order)
+        return kron_combination((((i,), c) for i, c in enumerate(v)), [self.action])
 
     def check_representation(self) -> tuple[bool, tuple | None]:
         """rho(e_0) = 1 and rho(e_i) rho(e_j) = sum c[i][j][k] rho(e_k)."""
@@ -43,7 +44,8 @@ class AModule:
             return False, (0,)
         for i in range(A.dim):
             for j in range(A.dim):
-                if self.action[i] * self.action[j] != self.act(A.mult[i][j]):
+                terms = (((k,), c) for k, c in A.mult_table[i][j])
+                if self.action[i] * self.action[j] != kron_combination(terms, [self.action]):
                     return False, (i, j)
         return True, None
 
@@ -104,17 +106,15 @@ def tensor_module(U: AModule, V: AModule) -> AModule:
     """Tensor product along the coproduct."""
     A = U.alg
     assert V.alg is A, "modules over different algebras"
-    action = [_tensor_action((U, V), A.cop_table[i]) for i in range(A.dim)]
+    action = [kron_combination(terms, [U.action, V.action]) for terms in A.cop_table]
     return AModule(A, action, label=f"({U.label}x{V.label})")
 
 
 def dual_module(U: AModule) -> AModule:
     """Dual with action through the antipode: (a.f)(u) = f(S(a) u)."""
     A = U.alg
-    action = []
-    for i in range(A.dim):
-        s_ei = [A.antipode.data[r][i] for r in range(A.dim)]
-        action.append(U.act(s_ei).transpose())
+    # column i of the antipode matrix is S(e_i)
+    action = [U.act(s_ei).transpose() for s_ei in A.antipode.transpose().data]
     return AModule(A, action, label=f"{U.label}*")
 
 
@@ -147,20 +147,6 @@ def pair_flip(dim: int, order: int) -> ExactMatrix:
     return flip_matrix(dim, dim, order)
 
 
-def _tensor_action(mods: tuple[AModule, ...], terms) -> ExactMatrix:
-    """Action on mods[0] (x) ... (x) mods[k-1] of the k-leg element given
-    by its nonzero (multi-index, coefficient) terms."""
-
-    def kron_of(idx: tuple[int, ...]) -> ExactMatrix:
-        m = mods[0].action[idx[0]]
-        for M, i in zip(mods[1:], idx[1:]):
-            m = m.kron(M.action[i])
-        return m
-
-    n = math.prod(M.dim for M in mods)
-    return linear_combination(((c, kron_of(idx)) for idx, c in terms), n, mods[0].alg.order)
-
-
 def _flattened(mats: list[ExactMatrix]) -> ExactMatrix:
     """The matrix whose row a lists the entries of mats[a] row by row, the
     index order of ``ExactMatrix.kron``."""
@@ -175,7 +161,7 @@ def associator(U: AModule, V: AModule, W: AModule) -> Morphism:
     return Morphism(
         tensor_module(U, tensor_module(V, W)),
         tensor_module(tensor_module(U, V), W),
-        _tensor_action((U, V, W), A.phi.nonzero()),
+        kron_combination(A.phi.nonzero(), [U.action, V.action, W.action]),
     )
 
 
@@ -184,7 +170,7 @@ def associator_inv(U: AModule, V: AModule, W: AModule) -> Morphism:
     return Morphism(
         tensor_module(tensor_module(U, V), W),
         tensor_module(U, tensor_module(V, W)),
-        _tensor_action((U, V, W), A.phi_inv.nonzero()),
+        kron_combination(A.phi_inv.nonzero(), [U.action, V.action, W.action]),
     )
 
 
@@ -194,7 +180,8 @@ def braiding(U: AModule, V: AModule) -> Morphism:
     return Morphism(
         tensor_module(U, V),
         tensor_module(V, U),
-        flip_matrix(U.dim, V.dim, A.order) * _tensor_action((U, V), A.r_matrix.nonzero()),
+        flip_matrix(U.dim, V.dim, A.order)
+        * kron_combination(A.r_matrix.nonzero(), [U.action, V.action]),
     )
 
 
@@ -205,7 +192,7 @@ def double_braiding(U: AModule, V: AModule) -> Morphism:
     return Morphism(
         tensor_module(U, V),
         tensor_module(U, V),
-        _tensor_action((U, V), monodromy(U.alg).nonzero()),
+        kron_combination(monodromy(U.alg).nonzero(), [U.action, V.action]),
     )
 
 
@@ -398,8 +385,9 @@ def verify_braided_hopf(A: QuasiHopfAlgebra, maps: CoendMaps | None = None) -> A
     # (L L)(L L) -> L((L L) L) by coherence, then the middle braiding
     ll_mod = tensor_module(L, L)
     al_inv = associator_inv(L, L, L).matrix
-    coh_in = i_l.kron(al) * _tensor_action((L, L, ll_mod), A.phi_inv.nonzero())
-    coh_out = _tensor_action((L, L, ll_mod), A.phi.nonzero()) * i_l.kron(al_inv)
+    lll = [L.action, L.action, ll_mod.action]
+    coh_in = i_l.kron(al) * kron_combination(A.phi_inv.nonzero(), lll)
+    coh_out = kron_combination(A.phi.nonzero(), lll) * i_l.kron(al_inv)
     mid = i_l.kron(braiding(L, L).matrix).kron(i_l)
     rhs = mu.matrix.kron(mu.matrix) * coh_out * mid * coh_in \
         * delta.matrix.kron(delta.matrix)

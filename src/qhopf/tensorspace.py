@@ -35,7 +35,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Hashable, Iterable, Iterator, Sequence, TypeVar
 
-from .exactmath import ExactMatrix, Scalar
+from .exactmath import ExactMatrix, Scalar, times
 
 MultTable = list[list[list[tuple[int, Scalar]]]]
 CopTable = list[list[tuple[tuple[int, int], Scalar]]]
@@ -55,16 +55,6 @@ def _collect(terms: Iterable[tuple[K, Scalar]]) -> dict[K, Scalar]:
         old = get(k)
         acc[k] = c if old is None else old + c
     return {k: c for k, c in acc.items() if not c.is_zero()}
-
-
-def _times(a: Scalar, b: Scalar) -> Scalar:
-    # a * b without the multiplication when a factor is the one of the
-    # same field: slots and group-like structure constants are all ones
-    if b.is_one() and b.order == a.order:
-        return a
-    if a.is_one() and a.order == b.order:
-        return b
-    return a * b
 
 
 def multi_indices(dim: int, legs: int) -> Iterator[Index]:
@@ -237,7 +227,7 @@ def _fold_basis_product(
         return [(indices[0], Scalar.one(order))]
     acc = mult[indices[0]][indices[1]]
     for b in indices[2:]:
-        acc = list(_collect((k, _times(c, ck)) for a, c in acc for k, ck in mult[a][b]).items())
+        acc = list(_collect((k, times(c, ck)) for a, c in acc for k, ck in mult[a][b]).items())
     return acc
 
 
@@ -248,7 +238,7 @@ def _expand(c: Scalar, parts: Sequence[Sequence[tuple[int, Scalar]]]
         idx, cc = [], c
         for k, ck in combo:
             idx.append(k)
-            cc = _times(cc, ck)
+            cc = times(cc, ck)
         yield tuple(idx), cc
 
 
@@ -356,7 +346,7 @@ def tensor_product(s: Tensor, t: Tensor) -> Tensor:
     """Concatenate legs: s x t."""
     if s.dim != t.dim:
         raise LegError("tensor_product requires equal dims")
-    return s._like({i1 + i2: _times(c1, c2)
+    return s._like({i1 + i2: times(c1, c2)
                     for i1, c1 in s.entries.items() for i2, c2 in t.entries.items()},
                    s.legs + t.legs)
 

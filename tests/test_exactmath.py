@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from qhopf.exactmath import (
     Scalar,
     basis_vector,
     cyclotomic_polynomial,
+    kron_combination,
     vec_is_zero,
 )
 
@@ -368,3 +370,72 @@ def test_kron_indexing():
     # entry ((i1, i2), (j1, j2)) = a[i1, j1] b[i2, j2]
     assert k.data[0 * 2 + 1][1 * 2 + 0] == rat(2)
     assert k.data[1 * 2 + 0][0 * 2 + 1] == rat(3)
+
+
+# ---------------------------------------------------------------------------
+# sums of Kronecker products
+
+
+def kron_combination_reference(terms, factors):
+    """sum c F_1[i_1] (x) ... (x) F_k[i_k], entry by entry: row (r_1, ..., r_k)
+    and column (j_1, ..., j_k) flatten row-major over the factor shapes."""
+    shapes = [(f[0].rows, f[0].cols) for f in factors]
+    order = factors[0][0].order
+    rows, cols = math.prod(r for r, _ in shapes), math.prod(c for _, c in shapes)
+    out = [[Scalar.zero(order)] * cols for _ in range(rows)]
+    for idx, c in terms:
+        for rs in itertools.product(*(range(r) for r, _ in shapes)):
+            for js in itertools.product(*(range(c) for _, c in shapes)):
+                row = col = 0
+                x = c
+                for (nr, nc), f, i, r, j in zip(shapes, factors, idx, rs, js):
+                    row, col = row * nr + r, col * nc + j
+                    x = x * f[i].data[r][j]
+                out[row][col] = out[row][col] + x
+    return ExactMatrix(rows, cols, order, out)
+
+
+def small_scalars(order):
+    # mostly zeros and ones, so products skip and cancel
+    coeff = st.sampled_from([0, 0, 1, 1, -1, 2])
+    return st.tuples(coeff, coeff).map(
+        lambda ab: Scalar(order, [ab[0], ab[1] if order > 1 else 0]))
+
+
+@st.composite
+def kron_problems(draw):
+    """(terms, factors): 1-3 factor lists of 1-3 equally shaped, possibly
+    rectangular matrices, and up to four terms, which need not name every
+    matrix and may repeat an index with cancelling coefficients."""
+    order = draw(st.sampled_from([1, 4]))
+    entries = small_scalars(order)
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        r, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        factors.append([
+            ExactMatrix(r, c, order, [[draw(entries) for _ in range(c)] for _ in range(r)])
+            for _ in range(draw(st.integers(1, 3)))])
+    index = st.tuples(*(st.integers(0, len(f) - 1) for f in factors))
+    terms = draw(st.lists(st.tuples(index, entries), max_size=4))
+    if terms and draw(st.booleans()):
+        idx, c = terms[0]
+        terms.append((idx, -c))
+    return terms, factors
+
+
+TWO_BY_THREE = ExactMatrix(2, 3, 1, [[rat(1), rat(2), rat(0)], [rat(0), rat(3), rat(4)]])
+THREE_BY_ONE = ExactMatrix(3, 1, 1, [[rat(5)], [rat(0)], [rat(-1)]])
+ONES_3_BY_1 = ExactMatrix(3, 1, 1, [[rat(1)]] * 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kron_problems())
+@example(([], [[TWO_BY_THREE], [THREE_BY_ONE]]))
+@example(([((0, 1), rat(2)), ((0, 1), rat(-2))], [[TWO_BY_THREE], [THREE_BY_ONE, ONES_3_BY_1]]))
+@example(([((0, 0), rat(0)), ((0, 0), rat(3))], [[TWO_BY_THREE], [THREE_BY_ONE]]))
+def test_kron_combination_matches_reference(problem):
+    terms, factors = problem
+    got = kron_combination(terms, factors)
+    assert got == kron_combination_reference(terms, factors)
+    assert (got.rows, got.cols) == (
+        math.prod(f[0].rows for f in factors), math.prod(f[0].cols for f in factors))

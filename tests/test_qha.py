@@ -1,3 +1,6 @@
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from qhopf.exactmath import Scalar, basis_vector, vec_eq
 from qhopf import tensorspace as ts
 from qhopf.tensorspace import Tensor
@@ -7,7 +10,8 @@ from qhopf.qha import (
     monodromy,
     validate,
 )
-from qhopf.presets import build_algebra, mutate
+from qhopf.presets import PRESET_NAMES, build_algebra, mutate
+from qhopf.repcat import regular_module
 
 
 def test_trivial_algebra_all_pass(presets):
@@ -127,3 +131,26 @@ def test_report_as_dict_shape(presets):
     d = validate(presets["trivial"].algebra).as_dict()
     assert d["ok"] is True
     assert all(set(c) == {"name", "ok", "witness"} for c in d["checks"])
+
+
+def element_vectors(alg):
+    """Elements of alg with small integer coefficients, zeta-multiples
+    included when the field is not Q."""
+    coeff = st.integers(-2, 2)
+    entry = st.tuples(coeff, coeff).map(
+        lambda ab: Scalar(alg.order, [ab[0], ab[1] if alg.order > 1 else 0]))
+    return st.lists(entry, min_size=alg.dim, max_size=alg.dim)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_product_routes_agree(presets, name, data):
+    # product expands through mult_table; the matrix routes go through
+    # kron_combination of left_mult, right_mult and the regular action
+    alg = presets[name].algebra
+    u, v = data.draw(element_vectors(alg)), data.draw(element_vectors(alg))
+    uv = alg.product(u, v)
+    assert vec_eq(uv, alg.lmult_of(u).apply(v))
+    assert vec_eq(uv, alg.rmult_of(v).apply(u))
+    assert regular_module(alg).act(v) == alg.lmult_of(v)
