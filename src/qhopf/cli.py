@@ -313,9 +313,8 @@ def parse_text(text: str, source: str = "<string>", field_order: int | None = No
     for (i, j, k), c, _ in sections["coproduct"]:
         coproduct[i][j, k] = coproduct[i][j, k] + c
 
-    antipode = ExactMatrix.zeros(dim, dim, order)
-    for (i, j), c, _ in sections["antipode"]:
-        antipode.data[j][i] = antipode.data[j][i] + c
+    antipode = ExactMatrix.from_entries(
+        dim, dim, order, (((j, i), c) for (i, j), c, _ in sections["antipode"]))
 
     alg = QuasiHopfAlgebra(
         dim=dim,
@@ -393,8 +392,8 @@ def embed_algebra(A: QuasiHopfAlgebra, order: int) -> QuasiHopfAlgebra:
                                    [(idx, c.embed(order)) for idx, c in t.entries.items()])
 
     def em(m: ExactMatrix) -> ExactMatrix:
-        return ExactMatrix(m.rows, m.cols, order,
-                           [[c.embed(order) for c in row] for row in m.data])
+        return ExactMatrix.from_entries(m.rows, m.cols, order,
+                                        ((ij, c.embed(order)) for ij, c in m.nonzero()))
 
     return QuasiHopfAlgebra(
         dim=A.dim,
@@ -452,8 +451,7 @@ def serialize(A: QuasiHopfAlgebra, simples=None, flags: list[str] | None = None,
     emit("counit", [((i,), A.counit[i]) for i in range(A.dim)])
     emit("coproduct", [((i,) + idx, c)
                        for i in range(A.dim) for idx, c in A.coproduct[i].nonzero()])
-    emit("antipode", [((i, j), A.antipode.data[j][i])
-                      for i in range(A.dim) for j in range(A.dim)])
+    emit("antipode", [((j, i), c) for (i, j), c in A.antipode.nonzero()])
     emit("phi", list(A.phi.nonzero()))
     emit("phi_inv", list(A.phi_inv.nonzero()))
     emit("alpha", [((i,), A.alpha[i]) for i in range(A.dim)])
@@ -483,8 +481,7 @@ def _simples_items(simples):
     if hasattr(simples, "simples"):
         items = []
         for label, mod in zip(simples.labels, simples.simples):
-            mats = [[[mod.action[a].data[r][c] for c in range(mod.dim)]
-                     for r in range(mod.dim)] for a in range(mod.alg.dim)]
+            mats = [mod.action[a].dense for a in range(mod.alg.dim)]
             items.append((label, mod.dim, mats))
         return items
     return simples
@@ -523,7 +520,7 @@ def vector_json(v) -> list[str]:
 
 
 def matrix_json(m: ExactMatrix) -> list[list[str]]:
-    return [[format_scalar(c) for c in row] for row in m.data]
+    return [[format_scalar(c) for c in row] for row in m.dense]
 
 
 def tensor_json(t: Tensor) -> dict:

@@ -1,4 +1,4 @@
-"""Exact arithmetic in cyclotomic fields and dense exact linear algebra.
+"""Exact arithmetic in cyclotomic fields and sparse exact linear algebra.
 
 Scalars are elements of Q(zeta_m), stored in the power basis of the m-th
 cyclotomic polynomial Phi_m (m = 1 gives plain rationals) as integer
@@ -15,13 +15,18 @@ denominators, folds x^m = 1 and reduces through the same table.  Only
 ``inverse`` (extended Euclid) and the read-only ``coeffs`` view use
 ``Fraction``.
 
-Matrices are dense with Scalar entries.  Rank, kernel and the batched
-solve ``solve_each`` use exact Gauss-Jordan elimination (no floats);
-``solve`` is ``solve_each`` with one target, and ``inverse`` solves for
-the columns of the identity in one elimination.
+A matrix stores row i as ``data[i]``, a dict from column index to the
+nonzero entry there; it never stores a zero, just as a ``tensorspace.Tensor``
+never does.  The constructor takes dense rows, ``from_entries`` takes
+((row, col), entry) pairs, and ``dense`` is the one dense view.  Every
+operation reads only the stored entries and sums through ``collect``,
+which drops the sums that cancel to zero.  Rank, kernel and
+the batched solve ``solve_each`` use exact Gauss-Jordan elimination on
+sparse rows (no floats); ``solve`` is ``solve_each`` with one target, and
+``inverse`` solves for the columns of the identity in one elimination.
 
 ``kron_combination`` builds every action matrix, c F_1[i_1] (x) ... (x)
-F_k[i_k] summed over the terms of a k-leg element, from the nonzero
+F_k[i_k] summed over the terms of a k-leg element, from the stored
 entries of the factor matrices; ``kron`` is its one-term case.
 """
 
@@ -31,7 +36,9 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, lcm, prod
 from operator import add, sub
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence, TypeVar
+
+K = TypeVar("K", bound=Hashable)
 
 
 class IncompatibleOrders(ValueError):
@@ -355,7 +362,7 @@ def format_scalar(s: Scalar) -> str:
 
 
 # ---------------------------------------------------------------------------
-# vectors (plain lists of Scalar) and dense matrices
+# vectors (plain lists of Scalar) and sparse matrices
 
 
 def zero_vector(n: int, order: int = 1) -> list[Scalar]:
@@ -377,9 +384,14 @@ def vec_is_zero(v: Sequence[Scalar]) -> bool:
     return all(x.is_zero() for x in v)
 
 
-def _support(v: Sequence[Scalar]) -> list[tuple[int, Scalar]]:
-    """The (index, entry) pairs of the nonzero entries of v."""
-    return [(j, x) for j, x in enumerate(v) if not x.is_zero()]
+def collect(terms: Iterable[tuple[K, Scalar]]) -> dict[K, Scalar]:
+    """Sum the terms per key; keys whose sum is zero are dropped."""
+    acc: dict[K, Scalar] = {}
+    get = acc.get
+    for k, c in terms:
+        old = get(k)
+        acc[k] = c if old is None else old + c
+    return {k: c for k, c in acc.items() if not c.is_zero()}
 
 
 def times(a: Scalar, b: Scalar) -> Scalar:
@@ -401,140 +413,160 @@ def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     return acc
 
 
+Row = dict[int, Scalar]
+
+
+def _columns(cols: Sequence[Sequence[Scalar]], rows: list[Row], start: int = 0) -> list[Row]:
+    """Write the nonzero entries of the dense columns into the rows, column
+    j at index start + j; returns the rows."""
+    for j, col in enumerate(cols, start):
+        for i, x in enumerate(col):
+            if not x.is_zero():
+                rows[i][j] = x
+    return rows
+
+
 class ExactMatrix:
-    """Dense matrix of Scalars with exact Gaussian elimination."""
+    """Sparse matrix of Scalars with exact Gaussian elimination: row i is
+    ``data[i]``, a dict from column index to nonzero entry."""
 
     __slots__ = ("rows", "cols", "order", "data")
 
-    def __init__(self, rows: int, cols: int, order: int, data: list[list[Scalar]]):
-        self.rows = rows
-        self.cols = cols
-        self.order = order
-        self.data = data
+    def __init__(self, rows: int, cols: int, order: int, data: Sequence[Sequence[Scalar]]):
+        """A matrix from its dense rows."""
+        self.rows, self.cols, self.order = rows, cols, order
+        self.data = [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in data]
+
+    # -- constructors
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, order: int, data: list[Row]) -> "ExactMatrix":
+        # the rows must already be free of zeros
+        m = object.__new__(cls)
+        m.rows, m.cols, m.order, m.data = rows, cols, order, data
+        return m
+
+    @classmethod
+    def from_entries(cls, rows: int, cols: int, order: int,
+                     entries: Iterable[tuple[tuple[int, int], Scalar]]) -> "ExactMatrix":
+        """A matrix from ((row, col), entry) pairs; repeated positions are
+        summed and zeros are dropped."""
+        data: list[Row] = [{} for _ in range(rows)]
+        for (i, j), x in collect(entries).items():
+            data[i][j] = x
+        return cls._of(rows, cols, order, data)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, order: int = 1) -> "ExactMatrix":
-        z = Scalar.zero(order)
-        return cls(rows, cols, order, [[z] * cols for _ in range(rows)])
+        return cls._of(rows, cols, order, [{} for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int, order: int = 1) -> "ExactMatrix":
-        m = cls.zeros(n, n, order)
         one = Scalar.one(order)
-        for i in range(n):
-            m.data[i][i] = one
-        return m
+        return cls._of(n, n, order, [{i: one} for i in range(n)])
+
+    # -- indexing
+
+    @property
+    def dense(self) -> list[list[Scalar]]:
+        """The dense rows (new lists each call)."""
+        z = Scalar.zero(self.order)
+        return [[row.get(j, z) for j in range(self.cols)] for row in self.data]
 
     def __getitem__(self, ij: tuple[int, int]) -> Scalar:
-        return self.data[ij[0]][ij[1]]
+        return self.data[ij[0]].get(ij[1], Scalar.zero(self.order))
 
     def __setitem__(self, ij: tuple[int, int], value: Scalar) -> None:
-        self.data[ij[0]][ij[1]] = value
+        i, j = ij
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"index {ij} out of range for {self.rows}x{self.cols}")
+        if value.is_zero():
+            self.data[i].pop(j, None)
+        else:
+            self.data[i][j] = value
+
+    def nonzero(self) -> Iterator[tuple[tuple[int, int], Scalar]]:
+        """The stored entries ((row, col), entry) in row-major order."""
+        for i, row in enumerate(self.data):
+            for j in sorted(row):
+                yield (i, j), row[j]
+
+    # -- linear structure
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and all(
-                a == b for ra, rb in zip(self.data, other.data) for a, b in zip(ra, rb)
-            )
-        )
+        return self.rows == other.rows and self.cols == other.cols and self.data == other.data
 
     def __hash__(self) -> None:  # mutable
         raise TypeError("ExactMatrix is unhashable")
 
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.data for x in row)
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        assert self.rows == other.rows and self.cols == other.cols
-        return ExactMatrix(
-            self.rows, self.cols, self.order,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-        )
-
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         assert self.rows == other.rows and self.cols == other.cols
-        return ExactMatrix(
-            self.rows, self.cols, self.order,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-        )
+        return ExactMatrix._of(self.rows, self.cols, self.order, [
+            collect([*a.items(), *((j, -x) for j, x in b.items())])
+            for a, b in zip(self.data, other.data)])
 
     def scale(self, c: Scalar) -> "ExactMatrix":
-        return ExactMatrix(
-            self.rows, self.cols, self.order,
-            [[c * a for a in row] for row in self.data],
-        )
+        if c.is_zero():
+            return ExactMatrix.zeros(self.rows, self.cols, self.order)
+        return ExactMatrix._of(self.rows, self.cols, self.order,
+                               [{j: c * x for j, x in row.items()} for row in self.data])
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        # zero-skipping matmul; inputs here are typically sparse
         assert self.cols == other.rows, f"shape mismatch {self.cols} vs {other.rows}"
-        out = ExactMatrix.zeros(self.rows, other.cols, self.order)
-        a_support = [_support(row) for row in self.data]
-        # only the rows of other that meet a nonzero of self are read
-        needed = {k for row in a_support for k, _ in row}
-        b_support = {k: _support(other.data[k]) for k in needed}
-        for arow, orow in zip(a_support, out.data):
-            for k, a in arow:
-                for j, b in b_support[k]:
-                    orow[j] = orow[j] + a * b
-        return out
+        b = other.data
+        return ExactMatrix._of(self.rows, other.cols, self.order, [
+            collect((j, times(x, y)) for k, x in row.items() for j, y in b[k].items())
+            for row in self.data])
 
     def apply(self, v: Sequence[Scalar]) -> list[Scalar]:
         assert self.cols == len(v)
-        out = zero_vector(self.rows, self.order)
-        support = _support(v)
-        for i, row in enumerate(self.data):
-            acc = out[i]
-            for j, x in support:
-                if not row[j].is_zero():
-                    acc = acc + row[j] * x
-            out[i] = acc
-        return out
+        zero = Scalar.zero(self.order)
+        return [sum((x * v[j] for j, x in row.items() if not v[j].is_zero()), zero)
+                for row in self.data]
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.cols, self.rows, self.order,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
+        data: list[Row] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.data):
+            for j, x in row.items():
+                data[j][i] = x
+        return ExactMatrix._of(self.cols, self.rows, self.order, data)
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         """Kronecker product; index (i1, i2) flattens to i1 * other.rows + i2."""
         return kron_combination([((0, 0), Scalar.one(self.order))], [[self], [other]])
 
     def trace(self) -> Scalar:
-        acc = Scalar.zero(self.order)
-        for i in range(min(self.rows, self.cols)):
-            acc = acc + self.data[i][i]
-        return acc
+        return sum((row[i] for i, row in enumerate(self.data) if i in row),
+                   Scalar.zero(self.order))
 
     # -- elimination
 
-    def _echelon(self, targets: Sequence[Sequence[Scalar]] = ()) -> tuple[list[list[Scalar]], list[int]]:
+    def _echelon(self, targets: Sequence[Sequence[Scalar]] = ()) -> tuple[list[Row], list[int]]:
         """Reduced row echelon form of a working copy of [M | b_1 ... b_k],
         one column per target; returns (rows, pivot cols).  Pivots are
         taken only in M's columns, so each target column comes out as it
         would if it were eliminated alone."""
-        m = [row + [b[i] for b in targets] for i, row in enumerate(self.data)]
+        m = _columns(targets, [dict(row) for row in self.data], self.cols)
         pivots: list[int] = []
         r = 0
         for c in range(self.cols):
-            pivot_row = None
-            for i in range(r, self.rows):
-                if not m[i][c].is_zero():
-                    pivot_row = i
-                    break
+            pivot_row = next((i for i in range(r, self.rows) if c in m[i]), None)
             if pivot_row is None:
                 continue
             m[r], m[pivot_row] = m[pivot_row], m[r]
             inv = m[r][c].inverse()
-            m[r] = [x if x.is_zero() else inv * x for x in m[r]]
-            for i in range(self.rows):
-                if i != r and not m[i][c].is_zero():
-                    f = m[i][c]
-                    m[i] = [a if b.is_zero() else a - f * b for a, b in zip(m[i], m[r])]
+            prow = m[r] = {j: inv * x for j, x in m[r].items()}
+            for i, row in enumerate(m):
+                if i != r and (f := row.get(c)) is not None:
+                    for j, x in prow.items():
+                        y = row.get(j)
+                        y = -(f * x) if y is None else y - f * x
+                        if y.is_zero():
+                            del row[j]
+                        else:
+                            row[j] = y
             pivots.append(c)
             r += 1
             if r == self.rows:
@@ -549,12 +581,11 @@ class ExactMatrix:
         m, pivots = self._echelon()
         free = [c for c in range(self.cols) if c not in pivots]
         basis = []
-        one = Scalar.one(self.order)
         for f in free:
-            v = zero_vector(self.cols, self.order)
-            v[f] = one
+            v = basis_vector(self.cols, f, self.order)
             for r, c in enumerate(pivots):
-                v[c] = -m[r][f]
+                if f in m[r]:
+                    v[c] = -m[r][f]
             basis.append(v)
         return basis
 
@@ -567,12 +598,13 @@ class ExactMatrix:
         rank = len(pivots)
         out: list[list[Scalar] | None] = []
         for j in range(self.cols, self.cols + len(targets)):
-            if any(not row[j].is_zero() for row in m[rank:]):
+            if any(j in row for row in m[rank:]):
                 out.append(None)
                 continue
             x = zero_vector(self.cols, self.order)
             for r, c in enumerate(pivots):
-                x[c] = m[r][j]
+                if j in m[r]:
+                    x[c] = m[r][j]
             out.append(x)
         return out
 
@@ -583,61 +615,55 @@ class ExactMatrix:
     def inverse(self) -> "ExactMatrix":
         if self.rows != self.cols:
             raise DivisionByZero("inverse of a non-square matrix")
-        cols = self.solve_each(ExactMatrix.identity(self.rows, self.order).data)
+        cols = self.solve_each([basis_vector(self.rows, i, self.order) for i in range(self.rows)])
         if any(x is None for x in cols):
             raise DivisionByZero("matrix is singular")
         return matrix_from_columns(cols, self.order)
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
+        body = "; ".join(" ".join(str(x) for x in row) for row in self.dense)
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
 
 
 def stack_rows(mats: Sequence[ExactMatrix]) -> ExactMatrix:
     cols = mats[0].cols
-    data = []
-    for m in mats:
-        assert m.cols == cols
-        data.extend(row[:] for row in m.data)
-    return ExactMatrix(len(data), cols, mats[0].order, data)
+    assert all(m.cols == cols for m in mats)
+    data = [dict(row) for m in mats for row in m.data]
+    return ExactMatrix._of(len(data), cols, mats[0].order, data)
 
 
 def matrix_from_columns(cols: Sequence[Sequence[Scalar]], order: int) -> ExactMatrix:
     n = len(cols[0])
-    return ExactMatrix(
-        n, len(cols), order,
-        [[cols[j][i] for j in range(len(cols))] for i in range(n)],
-    )
+    return ExactMatrix._of(n, len(cols), order, _columns(cols, [{} for _ in range(n)]))
 
 
 def kron_combination(terms: Iterable[tuple[Sequence[int], Scalar]],
                      factors: Sequence[Sequence[ExactMatrix]]) -> ExactMatrix:
     """sum c F_1[i_1] (x) ... (x) F_k[i_k] over the (multi-index, c) terms,
     for lists F_m of equally shaped matrices, flattened as in ``kron``.
-    Reads only the nonzero entries of the matrices the terms name, each
+    Reads only the stored entries of the matrices the terms name, each
     matrix's entry list built on first use."""
     shapes = [(f[0].rows, f[0].cols) for f in factors]
-    out = ExactMatrix.zeros(prod(r for r, _ in shapes), prod(c for _, c in shapes),
-                            factors[0][0].order)
-    zero = Scalar.zero(out.order)
-    # per factor: matrix index -> the (row, col, entry) of its nonzeros
+    # per factor: matrix index -> the (row, col, entry) of its stored entries
     supports: list[dict[int, list[tuple[int, int, Scalar]]]] = [{} for _ in factors]
-    for idx, c in terms:
-        if c.is_zero():
-            continue
-        part = [(0, 0, c)]
-        for f, (rows, cols), support, i in zip(factors, shapes, supports, idx):
-            nz = support.get(i)
-            if nz is None:
-                nz = support[i] = [(r, j, x) for r, row in enumerate(f[i].data)
-                                   for j, x in enumerate(row) if not x.is_zero()]
-            part = [(r0 * rows + r, c0 * cols + j, times(p, x))
-                    for r0, c0, p in part for r, j, x in nz]
-        for r, j, p in part:
-            # ``zeros`` fills with the shared zero: a cell not yet written is it
-            row = out.data[r]
-            row[j] = p if row[j] is zero else row[j] + p
-    return out
+
+    def parts():
+        for idx, c in terms:
+            if c.is_zero():
+                continue
+            part = [(0, 0, c)]
+            for f, (rows, cols), support, i in zip(factors, shapes, supports, idx):
+                nz = support.get(i)
+                if nz is None:
+                    nz = support[i] = [(r, j, x) for r, row in enumerate(f[i].data)
+                                       for j, x in row.items()]
+                part = [(r0 * rows + r, c0 * cols + j, times(p, x))
+                        for r0, c0, p in part for r, j, x in nz]
+            for r, j, p in part:
+                yield (r, j), p
+
+    return ExactMatrix.from_entries(prod(r for r, _ in shapes), prod(c for _, c in shapes),
+                                    factors[0][0].order, parts())
 
 
 def common_eigenvectors(mats: Sequence[ExactMatrix], values: Sequence[Scalar]) -> list[list[Scalar]]:

@@ -85,11 +85,11 @@ def integral_L(A: QuasiHopfAlgebra, maps: CoendMaps) -> IntegralResult:
     for a in range(dim):
         for j in range(dim):
             # sum_k mu[(j,k), a] lam_k = alpha_j lam_a
-            row = [mu.data[j * dim + k][a] for k in range(dim)]
+            row = [mu[j * dim + k, a] for k in range(dim)]
             row[a] = row[a] - A.alpha[j]
             rows.append(row)
             # sum_k mu[(k,j), a] lam_k = alpha_j lam_a
-            row = [mu.data[k * dim + j][a] for k in range(dim)]
+            row = [mu[k * dim + j, a] for k in range(dim)]
             row[a] = row[a] - A.alpha[j]
             rows.append(row)
     system = ExactMatrix(len(rows), dim, order, rows)
@@ -161,7 +161,7 @@ def s_hat_pairing_form(A: QuasiHopfAlgebra, maps: CoendMaps, integral: list[Scal
     def sandwich(r1: int, r2: int) -> ExactMatrix:
         # x -> S(e_r1) x e_r2
         if (r1, r2) not in pair_cache:
-            s_r1 = [A.antipode.data[r][r1] for r in range(dim)]
+            s_r1 = [A.antipode[r, r1] for r in range(dim)]
             pair_cache[(r1, r2)] = A.lmult_of(s_r1) * A.right_mult[r2]
         return pair_cache[(r1, r2)]
 
@@ -173,16 +173,16 @@ def s_hat_pairing_form(A: QuasiHopfAlgebra, maps: CoendMaps, integral: list[Scal
                     x_map = sandwich(r1, r2)
                     for (w1, w2), cw in omega.nonzero():
                         coeff = c_phi * cp * cq * cr * cw
-                        y = [y_mid.data[i][w1] for i in range(dim)]
+                        y = [y_mid[i, w1] for i in range(dim)]
                         z_mat = sandwich(p1, p2)
-                        z = [z_mat.data[i][w2] for i in range(dim)]
+                        z = [z_mat[i, w2] for i in range(dim)]
                         for a in range(dim):
-                            x = [x_map.data[i][a] for i in range(dim)]
+                            x = [x_map[i, a] for i in range(dim)]
                             val = coeff * dot(integral, _delta_hat_pair(maps, x, y))
                             if not val.is_zero():
                                 for i in range(dim):
                                     if not z[i].is_zero():
-                                        out.data[i][a] = out.data[i][a] + val * z[i]
+                                        out[i, a] = out[i, a] + val * z[i]
     return out
 
 
@@ -217,7 +217,6 @@ def sl2z_on_center(
     dim, order = A.dim, A.order
     if center_basis is None:
         center_basis = center(A)
-    n = len(center_basis)
 
     # prefix map x -> sum psi_1 beta S(psi_2) x psi_3
     t = ts.leg_map(A.phi_inv, 2, A.antipode)
@@ -246,14 +245,7 @@ def sl2z_on_center(
     st = s_z * t_z
     lhs = st * st * st
     rhs = s_z * s_z
-    lam = None
-    for i in range(n):
-        for j in range(n):
-            if not rhs.data[i][j].is_zero():
-                lam = lhs.data[i][j] / rhs.data[i][j]
-                break
-        if lam is not None:
-            break
+    lam = next((lhs[ij] / c for ij, c in rhs.nonzero()), None)
     if lam is None or lhs != rhs.scale(lam):
         raise ValueError("(S T)^3 is not proportional to S^2")
     return s_z, t_z, lam

@@ -317,7 +317,7 @@ def mutate(algebra: QuasiHopfAlgebra, site: tuple, delta: Scalar) -> QuasiHopfAl
         out.coproduct[i][j, k] = out.coproduct[i][j, k] + delta
     elif section == "antipode":
         i, j = idx
-        out.antipode.data[i][j] = out.antipode.data[i][j] + delta
+        out.antipode[i, j] = out.antipode[i, j] + delta
     elif section in _TENSOR_SITES:
         t = getattr(out, section)
         t[idx] = t[idx] + delta

@@ -97,7 +97,7 @@ def module_from_action(A: QuasiHopfAlgebra, mats: list[list[list[Scalar]]],
     dim = len(mats[0])
     return AModule(
         A,
-        [ExactMatrix(dim, dim, A.order, [row[:] for row in m]) for m in mats],
+        [ExactMatrix(dim, dim, A.order, m) for m in mats],
         label=label,
     )
 
@@ -114,7 +114,7 @@ def dual_module(U: AModule) -> AModule:
     """Dual with action through the antipode: (a.f)(u) = f(S(a) u)."""
     A = U.alg
     # column i of the antipode matrix is S(e_i)
-    action = [U.act(s_ei).transpose() for s_ei in A.antipode.transpose().data]
+    action = [U.act(s_ei).transpose() for s_ei in A.antipode.transpose().dense]
     return AModule(A, action, label=f"{U.label}*")
 
 
@@ -134,12 +134,9 @@ def adjoint_module(A: QuasiHopfAlgebra) -> AModule:
 
 
 def flip_matrix(m: int, n: int, order: int) -> ExactMatrix:
-    out = ExactMatrix.zeros(m * n, m * n, order)
     one = Scalar.one(order)
-    for u in range(m):
-        for v in range(n):
-            out.data[v * m + u][u * n + v] = one
-    return out
+    return ExactMatrix.from_entries(m * n, m * n, order, (
+        ((v * m + u, u * n + v), one) for u in range(m) for v in range(n)))
 
 
 def pair_flip(dim: int, order: int) -> ExactMatrix:
@@ -151,8 +148,8 @@ def _flattened(mats: list[ExactMatrix]) -> ExactMatrix:
     """The matrix whose row a lists the entries of mats[a] row by row, the
     index order of ``ExactMatrix.kron``."""
     m = mats[0]
-    return ExactMatrix(len(mats), m.rows * m.cols, m.order,
-                       [[x for row in mat.data for x in row] for mat in mats])
+    return ExactMatrix.from_entries(len(mats), m.rows * m.cols, m.order, (
+        ((a, r * m.cols + c), x) for a, mat in enumerate(mats) for (r, c), x in mat.nonzero()))
 
 
 def associator(U: AModule, V: AModule, W: AModule) -> Morphism:
@@ -395,7 +392,7 @@ def verify_braided_hopf(A: QuasiHopfAlgebra, maps: CoendMaps | None = None) -> A
     rep.add("unit_counit_compat",
             delta.matrix * eta.matrix == eta.matrix.kron(eta.matrix)
             and eps.matrix * mu.matrix == eps.matrix.kron(eps.matrix)
-            and (eps.matrix * eta.matrix).data[0][0].is_one())
+            and (eps.matrix * eta.matrix)[0, 0].is_one())
 
     eta_eps = eta.matrix * eps.matrix
     rep.add("antipode_left", mu.matrix * s_l.matrix.kron(i_l) * delta.matrix == eta_eps)

@@ -8,8 +8,9 @@ dense view is ``coeffs``, the row-major list of all dim^k coefficients;
 the constructor takes the same list.
 
 Every leg operation reads only the stored entries and writes its output
-through ``_collect``, which sums the terms landing on one multi-index and
-drops the sums that cancel to zero.
+through ``exactmath.collect``, which sums the terms landing on one
+multi-index and drops the sums that cancel to zero; ``ExactMatrix`` rows
+are kept the same way.
 
 A linear map given by a fixed element is one contraction.  The slot
 ``identity`` = sum_a e_a x e_a carries the input: in the ``merge_legs``
@@ -33,28 +34,17 @@ need the product, coproduct or counit take them as explicit arguments:
 from __future__ import annotations
 
 from itertools import product
-from typing import Hashable, Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence
 
-from .exactmath import ExactMatrix, Scalar, times
+from .exactmath import ExactMatrix, Scalar, collect, times
 
 MultTable = list[list[list[tuple[int, Scalar]]]]
 CopTable = list[list[tuple[tuple[int, int], Scalar]]]
 Index = tuple[int, ...]
-K = TypeVar("K", bound=Hashable)
 
 
 class LegError(ValueError):
     """Raised for malformed leg indices, permutations or leg mismatches."""
-
-
-def _collect(terms: Iterable[tuple[K, Scalar]]) -> dict[K, Scalar]:
-    """Sum the terms per key; keys whose sum is zero are dropped."""
-    acc: dict[K, Scalar] = {}
-    get = acc.get
-    for k, c in terms:
-        old = get(k)
-        acc[k] = c if old is None else old + c
-    return {k: c for k, c in acc.items() if not c.is_zero()}
 
 
 def multi_indices(dim: int, legs: int) -> Iterator[Index]:
@@ -94,7 +84,7 @@ class Tensor:
                      entries: Iterable[tuple[Index, Scalar]]) -> "Tensor":
         """A tensor from (multi-index, coefficient) pairs; repeated indices
         are summed and zeros are dropped."""
-        return cls._of(dim, legs, order, _collect(entries))
+        return cls._of(dim, legs, order, collect(entries))
 
     @classmethod
     def zero(cls, dim: int, legs: int, order: int = 1) -> "Tensor":
@@ -141,12 +131,12 @@ class Tensor:
 
     def __add__(self, other: "Tensor") -> "Tensor":
         self._check_compatible(other)
-        return self._like(_collect(
+        return self._like(collect(
             [*self.entries.items(), *other.entries.items()]))
 
     def __sub__(self, other: "Tensor") -> "Tensor":
         self._check_compatible(other)
-        return self._like(_collect(
+        return self._like(collect(
             [*self.entries.items(), *((idx, -c) for idx, c in other.entries.items())]))
 
     def scale(self, c: Scalar) -> "Tensor":
@@ -204,10 +194,10 @@ def as_matrix(t: Tensor, rows: int) -> ExactMatrix:
     row-major."""
     if not 0 <= rows <= t.legs:
         raise LegError(f"cannot split {t.legs} legs after leg {rows}")
-    m = ExactMatrix.zeros(t.dim**rows, t.dim ** (t.legs - rows), t.order)
-    for idx, c in t.entries.items():
-        m.data[_row_major(idx[:rows], t.dim)][_row_major(idx[rows:], t.dim)] = c
-    return m
+    return ExactMatrix.from_entries(
+        t.dim**rows, t.dim ** (t.legs - rows), t.order,
+        (((_row_major(idx[:rows], t.dim), _row_major(idx[rows:], t.dim)), c)
+         for idx, c in t.entries.items()))
 
 
 def _check_leg(t: Tensor, j: int) -> None:
@@ -227,7 +217,7 @@ def _fold_basis_product(
         return [(indices[0], Scalar.one(order))]
     acc = mult[indices[0]][indices[1]]
     for b in indices[2:]:
-        acc = list(_collect((k, times(c, ck)) for a, c in acc for k, ck in mult[a][b]).items())
+        acc = list(collect((k, times(c, ck)) for a, c in acc for k, ck in mult[a][b]).items())
     return acc
 
 
@@ -245,7 +235,7 @@ def _expand(c: Scalar, parts: Sequence[Sequence[tuple[int, Scalar]]]
 def mul(s: Tensor, t: Tensor, mult: MultTable) -> Tensor:
     """Componentwise product of s and t in the algebra A^(x k)."""
     s._check_compatible(t)
-    return s._like(_collect(
+    return s._like(collect(
         term
         for is_, cs in s.entries.items()
         for it, ct in t.entries.items()
@@ -269,7 +259,7 @@ def merge_legs(
     used = sorted(leg for g in groups for leg in g)
     if used != list(range(1, t.legs + 1)):
         raise LegError(f"groups {groups} do not partition legs 1..{t.legs}")
-    return t._like(_collect(
+    return t._like(collect(
         term
         for idx, c in t.entries.items()
         for term in _expand(c, [
@@ -287,20 +277,21 @@ def leg_map(t: Tensor, j: int, f: ExactMatrix) -> Tensor:
     _check_leg(t, j)
     if f.rows != t.dim or f.cols != t.dim:
         raise LegError(f"leg map must be {t.dim}x{t.dim}")
-    # the nonzero entries of the columns of f that leg j uses
-    cols = {i: [(r, m) for r in range(f.rows) if not (m := f.data[r][i]).is_zero()]
-            for i in {idx[j - 1] for idx in t.entries}}
-    return t._like(_collect(
+    # column i of f as the (row, entry) pairs of its nonzeros
+    cols: dict[int, list[tuple[int, Scalar]]] = {}
+    for (r, i), m in f.nonzero():
+        cols.setdefault(i, []).append((r, m))
+    return t._like(collect(
         (idx[: j - 1] + (r,) + idx[j:], m * c)
         for idx, c in t.entries.items()
-        for r, m in cols[idx[j - 1]]
+        for r, m in cols.get(idx[j - 1], ())
     ))
 
 
 def coproduct_leg(t: Tensor, j: int, cop: CopTable) -> Tensor:
     """Apply the coproduct to leg j, giving legs (j, j+1) in the output."""
     _check_leg(t, j)
-    return t._like(_collect(
+    return t._like(collect(
         (idx[: j - 1] + ab + idx[j:], c * cc)
         for idx, c in t.entries.items()
         for ab, cc in cop[idx[j - 1]]
@@ -354,7 +345,7 @@ def tensor_product(s: Tensor, t: Tensor) -> Tensor:
 def contract_leg(t: Tensor, j: int, functional: Sequence[Scalar]) -> Tensor:
     """Contract leg j with an arbitrary functional on A."""
     _check_leg(t, j)
-    return t._like(_collect(
+    return t._like(collect(
         (idx[: j - 1] + idx[j:], w * c)
         for idx, c in t.entries.items()
         if not (w := functional[idx[j - 1]]).is_zero()

@@ -236,8 +236,8 @@ def test_criterion_7_sl2z_relations(presets, all_maps, all_modular):
         scalar = None
         for i in range(alg.dim):
             for j in range(alg.dim):
-                if not ss.data[i][j].is_zero():
-                    scalar = lhs.data[i][j] / ss.data[i][j]
+                if not ss[i, j].is_zero():
+                    scalar = lhs[i, j] / ss[i, j]
                     break
             if scalar is not None:
                 break
@@ -253,7 +253,7 @@ def test_criterion_7_sl2z_relations(presets, all_maps, all_modular):
             for mat in (md.s_z, md.t_z):
                 image = zero_vector(alg.dim, alg.order)
                 for j in range(len(md.center_basis)):
-                    cj = mat.data[j][col]
+                    cj = mat[j, col]
                     if not cj.is_zero():
                         for i in range(alg.dim):
                             image[i] = image[i] + md.center_basis[j][i] * cj

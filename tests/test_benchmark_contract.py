@@ -5,7 +5,8 @@ suite instead of the benchmark.  The perfbench files are only imported.
 The preset report digests the benchmark checks are checked here too, so a
 change of the report bytes fails the test suite first.  The generated
 D(Z/3), with nine simples, runs the fusion and modular solves at a size no
-preset reaches."""
+preset reaches, and its universal Hopf algebra is checked as a Hopf algebra
+in the module category."""
 
 import hashlib
 import importlib.util
@@ -16,7 +17,8 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from qhopf.cli import main
+from qhopf.cli import main, parse_text
+from qhopf.repcat import verify_braided_hopf
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -99,3 +101,13 @@ def test_generated_double_z3_report(tmp_path, k):
                            for a, b, c in zip(u[1:], v[1:], w[1:])))
         for u in labels for v in labels for w in labels
     }
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_generated_double_z3_is_braided_hopf(k):
+    alg, simples = INPUTS.double_cyclic(3, k, INPUTS.relabelling(random.Random(k), 9))
+    # parsing solves for the inverse ribbon element, which the twist check needs
+    alg, _ = parse_text(INPUTS.serialize(alg, simples))
+    rep = verify_braided_hopf(alg)
+    assert rep.ok, rep.failures()
+    assert len(rep.results) == 19

@@ -20,9 +20,9 @@ def test_trivial_algebra_maps(presets, all_maps):
     alg = presets["trivial"].algebra
     maps = all_maps["trivial"]
     one = Scalar.one(1)
-    assert maps.mu_hat.data == [[one], [one]][:1] or maps.mu_hat.rows == 1
-    assert maps.mu_hat.data[0][0] == one          # mu(1) = 1 x 1
-    assert maps.s_hat_L.data[0][0] == one         # S = id
+    assert maps.mu_hat.dense == [[one], [one]][:1] or maps.mu_hat.rows == 1
+    assert maps.mu_hat[0, 0] == one          # mu(1) = 1 x 1
+    assert maps.s_hat_L[0, 0] == one         # S = id
     assert maps.eps_hat == [one]
     assert maps.eta_hat == list(alg.counit)
 
@@ -47,7 +47,7 @@ def test_hopf_delta_hat_is_opposite_product(presets, all_maps):
     delta_hat = all_maps["double_Z2"].delta_hat
     for a in range(alg.dim):
         for b in range(alg.dim):
-            col = [delta_hat.data[i][a * alg.dim + b] for i in range(alg.dim)]
+            col = [delta_hat[i, a * alg.dim + b] for i in range(alg.dim)]
             ba = alg.product(basis_vector(alg.dim, b, alg.order),
                              basis_vector(alg.dim, a, alg.order))
             assert vec_eq(col, ba)

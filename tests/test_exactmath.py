@@ -13,8 +13,10 @@ from qhopf.exactmath import (
     basis_vector,
     cyclotomic_polynomial,
     kron_combination,
+    stack_rows,
     vec_is_zero,
 )
+from qhopf.tensorspace import Tensor, as_matrix
 
 
 def rat(p, q=1, order=1):
@@ -304,7 +306,7 @@ def test_solve_alignment(m):
 def _rank_with(m, b):
     """rank [M | b]"""
     return ExactMatrix(m.rows, m.cols + 1, m.order,
-                       [row + [x] for row, x in zip(m.data, b)]).rank()
+                       [row + [x] for row, x in zip(m.dense, b)]).rank()
 
 
 @st.composite
@@ -368,8 +370,8 @@ def test_kron_indexing():
     b = mat([[0, 1], [1, 0]])
     k = a.kron(b)
     # entry ((i1, i2), (j1, j2)) = a[i1, j1] b[i2, j2]
-    assert k.data[0 * 2 + 1][1 * 2 + 0] == rat(2)
-    assert k.data[1 * 2 + 0][0 * 2 + 1] == rat(3)
+    assert k[0 * 2 + 1, 1 * 2 + 0] == rat(2)
+    assert k[1 * 2 + 0, 0 * 2 + 1] == rat(3)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +392,7 @@ def kron_combination_reference(terms, factors):
                 x = c
                 for (nr, nc), f, i, r, j in zip(shapes, factors, idx, rs, js):
                     row, col = row * nr + r, col * nc + j
-                    x = x * f[i].data[r][j]
+                    x = x * f[i][r, j]
                 out[row][col] = out[row][col] + x
     return ExactMatrix(rows, cols, order, out)
 
@@ -439,3 +441,63 @@ def test_kron_combination_matches_reference(problem):
     assert got == kron_combination_reference(terms, factors)
     assert (got.rows, got.cols) == (
         math.prod(f[0].rows for f in factors), math.prod(f[0].cols for f in factors))
+
+
+# ---------------------------------------------------------------------------
+# the sparse invariant
+
+
+def _is_sparse(m):
+    """No row stores a zero and every stored column is in range."""
+    return len(m.data) == m.rows and all(
+        0 <= j < m.cols and not x.is_zero() for row in m.data for j, x in row.items())
+
+
+@st.composite
+def matrix_triples(draw):
+    """(a, b, a2): a and a2 of one shape, b composable with them; the
+    entries are mostly zeros and ones, so sums cancel."""
+    order = draw(st.sampled_from([1, 4]))
+    entries = small_scalars(order)
+    r, k, c = (draw(st.integers(1, 3)) for _ in range(3))
+
+    def matrix(rows, cols):
+        return ExactMatrix(rows, cols, order,
+                           [[draw(entries) for _ in range(cols)] for _ in range(rows)])
+
+    return matrix(r, k), matrix(k, c), matrix(r, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix_triples(), kron_problems())
+@example((TWO_BY_THREE, THREE_BY_ONE, TWO_BY_THREE.scale(rat(-1))),
+         ([((0, 1), rat(2)), ((0, 1), rat(-2))], [[TWO_BY_THREE], [THREE_BY_ONE, ONES_3_BY_1]]))
+def test_sparse_invariant_under_matrix_operations(triple, problem):
+    a, b, a2 = triple
+    order = a.order
+    zero, one = Scalar.zero(order), Scalar.one(order)
+    # duplicated columns against rows of opposite sign: every product cancels
+    cancelled = (a.kron(ExactMatrix(1, 2, order, [[one, one]]))
+                 * b.kron(ExactMatrix(2, 1, order, [[one], [-one]])))
+    square = a * a.transpose()
+    t = Tensor.from_entries(square.rows, 2, order, square.nonzero())
+    splits = [as_matrix(t, rows) for rows in (0, 1, 2)]
+    terms, factors = problem
+    combined = kron_combination(terms, factors)
+    # zero the first stored entry, then a corner that may already be zero
+    written = a.kron(b)
+    dense = written.dense
+    for i, j in [next(written.nonzero(), ((0, 0), zero))[0],
+                 (written.rows - 1, written.cols - 1)]:
+        written[i, j] = zero
+        dense[i][j] = zero
+    results = [a, b, cancelled, a - a, a - a2, a.scale(zero), a.scale(-one), a.transpose(),
+               a.kron(b), stack_rows([a, a2]), *splits, combined, written]
+    assert all(_is_sparse(m) for m in results)
+    for s, t in [(cancelled, ExactMatrix.zeros(a.rows, b.cols, order)),
+                 (a - a, ExactMatrix.zeros(a.rows, a.cols, order)),
+                 (a.scale(zero), a - a), (a, a2), (a - a2, (a2 - a).scale(-one)),
+                 (a.transpose().transpose(), a), (splits[1], square),
+                 (combined, kron_combination_reference(terms, factors)),
+                 (written, ExactMatrix(written.rows, written.cols, order, dense))]:
+        assert (s == t) == (s.dense == t.dense)

@@ -104,8 +104,8 @@ def test_grothendieck_class_of_direct_sum(presets):
     blocks = []
     for a in range(alg.dim):
         m = ExactMatrix.zeros(2, 2, alg.order)
-        m.data[0][0] = s0.action[a].data[0][0]
-        m.data[1][1] = s1.action[a].data[0][0]
+        m[0, 0] = s0.action[a][0, 0]
+        m[1, 1] = s1.action[a][0, 0]
         blocks.append(m)
     direct_sum = AModule(alg, blocks, label="s0+s1")
     assert grothendieck_class(direct_sum, p.simples) == [1, 1, 0, 0]

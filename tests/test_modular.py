@@ -150,7 +150,7 @@ def test_s_hat_restricted_to_invariants(presets, all_maps, all_modular):
         md = all_modular[name]
         for f in invariant_functionals(alg):
             lhs = [
-                sum((f[i] * md.s_hat.data[i][a] for i in range(alg.dim)),
+                sum((f[i] * md.s_hat[i, a] for i in range(alg.dim)),
                     Scalar.zero(alg.order))
                 for a in range(alg.dim)
             ]
@@ -207,8 +207,8 @@ def test_k_corrected_modular_relations(presets, all_maps, all_modular):
         scalar = None
         for i in range(alg.dim):
             for j in range(alg.dim):
-                if not ss.data[i][j].is_zero():
-                    scalar = lhs.data[i][j] / ss.data[i][j]
+                if not ss[i, j].is_zero():
+                    scalar = lhs[i, j] / ss[i, j]
                     break
             if scalar is not None:
                 break

@@ -13,7 +13,7 @@ from qhopf.coend import factorisability
 
 
 def _fmt_matrix(m):
-    return [[format_scalar(c) for c in row] for row in m.data]
+    return [[format_scalar(c) for c in row] for row in m.dense]
 
 
 def test_double_modular_data_frozen(all_modular):
@@ -156,7 +156,7 @@ def test_field_embedding_preserves_everything(presets):
     labeled = []
     for label, mod in zip(p.simples.labels, p.simples.simples):
         mats = [
-            [[mod.action[a].data[r][c].embed(8) for c in range(mod.dim)]
+            [[mod.action[a][r, c].embed(8) for c in range(mod.dim)]
              for r in range(mod.dim)]
             for a in range(p.algebra.dim)
         ]

@@ -60,7 +60,7 @@ def test_strict_morphism_rejects_non_intertwiner(presets):
     alg = presets["double_Z2"].algebra
     reg = regular_module(alg)
     bad = ExactMatrix.zeros(4, 4, alg.order)
-    bad.data[0][1] = Scalar.one(alg.order)
+    bad[0, 1] = Scalar.one(alg.order)
     with pytest.raises(ValueError):
         Morphism(reg, reg, bad, strict=True)
 
@@ -194,7 +194,7 @@ def test_iota_on_trivial_module_is_counit(presets):
     for p in presets.values():
         alg = p.algebra
         m = iota(trivial_module(alg)).matrix
-        assert [m.data[a][0] for a in range(alg.dim)] == list(alg.counit)
+        assert [m[a, 0] for a in range(alg.dim)] == list(alg.counit)
 
 
 def test_iota_on_regular_module_fixes_functionals(presets):
@@ -202,7 +202,7 @@ def test_iota_on_regular_module_fixes_functionals(presets):
     alg = presets["double_Z2"].algebra
     m = iota(regular_module(alg)).matrix
     for f in range(alg.dim):
-        col = [m.data[a][f * alg.dim + 0] for a in range(alg.dim)]
+        col = [m[a, f * alg.dim + 0] for a in range(alg.dim)]
         expected = [
             Scalar.one(alg.order) if a == f else Scalar.zero(alg.order)
             for a in range(alg.dim)

@@ -273,7 +273,7 @@ def test_as_matrix_places_entries_row_major(presets, data):
     dense = [[Scalar.zero(alg.order)] * m.cols for _ in range(m.rows)]
     for idx, c in t.nonzero():
         dense[_flat(t, idx[:rows])][_flat(t, idx[rows:])] = c
-    assert m.data == dense
+    assert m.dense == dense
 
 
 def test_as_matrix_rejects_bad_split():
