@@ -204,7 +204,7 @@ def parse_text(text: str, source: str = "<string>", field_order: int | None = No
     dim: int | None = None
     order: int | None = None
     flags: list[str] = []
-    sections: dict[str, list[tuple[tuple[int, ...], Scalar, int]]] = {}
+    sections: dict[str, list[tuple[tuple[int, ...], Scalar]]] = {}
     simples: list[dict] = []
     current: str | None = None
     current_simple: dict | None = None
@@ -236,8 +236,7 @@ def parse_text(text: str, source: str = "<string>", field_order: int | None = No
                 if len(parts) != 4 or parts[2] != "dim" or not parts[3].isdigit():
                     err(f"malformed simple header {line!r} "
                         "(expected 'simple NAME dim D:')", line_no)
-                current_simple = {"label": parts[1], "dim": int(parts[3]),
-                                  "entries": [], "line": line_no}
+                current_simple = {"label": parts[1], "dim": int(parts[3]), "entries": []}
                 simples.append(current_simple)
                 current = "simple"
                 continue
@@ -273,11 +272,10 @@ def parse_text(text: str, source: str = "<string>", field_order: int | None = No
                     err(f"index {idx} out of range for simple of dim {d}", line_no)
                 current_simple["entries"].append((idx, value))
             else:
-                bound = dim
-                for pos, i in enumerate(idx):
-                    if not 0 <= i < bound:
-                        err(f"index {i} out of range 0..{bound - 1}", line_no)
-                sections[current].append((idx, value, line_no))
+                for i in idx:
+                    if not 0 <= i < dim:
+                        err(f"index {i} out of range 0..{dim - 1}", line_no)
+                sections[current].append((idx, value))
             continue
         err(f"cannot parse line {line!r}", line_no)
 
@@ -293,7 +291,7 @@ def parse_text(text: str, source: str = "<string>", field_order: int | None = No
 
     def vector_of(name: str) -> list[Scalar]:
         v = [zero] * dim
-        for (i,), c, _ in sections.get(name, []):
+        for (i,), c in sections.get(name, []):
             v[i] = v[i] + c
         return v
 
@@ -301,20 +299,20 @@ def parse_text(text: str, source: str = "<string>", field_order: int | None = No
         if name not in sections:
             return None
         t = Tensor.zero(dim, legs, order)
-        for idx, c, _ in sections[name]:
+        for idx, c in sections[name]:
             t[idx] = t[idx] + c
         return t
 
     mult = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for (i, j, k), c, _ in sections["mult"]:
+    for (i, j, k), c in sections["mult"]:
         mult[i][j][k] = mult[i][j][k] + c
 
     coproduct = [Tensor.zero(dim, 2, order) for _ in range(dim)]
-    for (i, j, k), c, _ in sections["coproduct"]:
+    for (i, j, k), c in sections["coproduct"]:
         coproduct[i][j, k] = coproduct[i][j, k] + c
 
     antipode = ExactMatrix.from_entries(
-        dim, dim, order, (((j, i), c) for (i, j), c, _ in sections["antipode"]))
+        dim, dim, order, (((j, i), c) for (i, j), c in sections["antipode"]))
 
     alg = QuasiHopfAlgebra(
         dim=dim,

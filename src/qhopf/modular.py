@@ -37,8 +37,6 @@ class IntegralResult:
 class CointegralResult:
     element: list[Scalar] | None
     dim_two_sided: int
-    dim_left: int
-    dim_right: int
     normalized: bool                   # scaled so the integral pairs to 1
 
 
@@ -112,11 +110,9 @@ def pairing_of(f: list[Scalar], g: list[Scalar], omega_hat: Tensor, order: int) 
 def cointegral_L(A: QuasiHopfAlgebra, integral: list[Scalar] | None = None) -> CointegralResult:
     """Two-sided integral of A, which spans the cointegrals of the
     universal Hopf algebra; normalised against the integral if given."""
-    left = common_eigenvectors(A.left_mult, A.counit)
-    right = common_eigenvectors(A.right_mult, A.counit)
     both = common_eigenvectors(A.left_mult + A.right_mult, A.counit + A.counit)
     if len(both) == 0:
-        return CointegralResult(None, 0, len(left), len(right), False)
+        return CointegralResult(None, 0, False)
     c = both[0]
     normalized = False
     if integral is not None:
@@ -125,7 +121,7 @@ def cointegral_L(A: QuasiHopfAlgebra, integral: list[Scalar] | None = None) -> C
             inv = val.inverse()
             c = [inv * x for x in c]
             normalized = True
-    return CointegralResult(c, len(both), len(left), len(right), normalized)
+    return CointegralResult(c, len(both), normalized)
 
 
 # ---------------------------------------------------------------------------

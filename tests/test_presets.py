@@ -4,8 +4,9 @@ from qhopf.exactmath import Scalar
 from qhopf.tensorspace import Tensor
 from qhopf.qha import validate
 from qhopf.coend import factorisability
-from qhopf.presets import PRESET_NAMES, build_algebra, mutate, preset
-from qhopf.cli import algebras_equal
+from qhopf.fusion import radical_dimension
+from qhopf.presets import PRESET_NAMES, mutate, preset, preset_path
+from qhopf.cli import serialize
 
 
 def test_preset_names_resolve():
@@ -28,10 +29,32 @@ def test_all_presets_validate(presets):
         assert rep.ok, (p.name, rep.failures())
 
 
-def test_files_match_builders(presets):
+def test_declared_flags_hold(presets, all_maps):
+    # each flag on a file's flags line is checked by its own derivation
     for name, p in presets.items():
-        built, _ = build_algebra(name)
-        assert algebras_equal(p.algebra, built), name
+        alg = p.algebra
+        one = alg.unit()
+        fact = factorisability(alg, all_maps[name])
+        assert p.factorisable == fact.is_factorisable, name
+        assert p.semisimple == (radical_dimension(alg) == 0), name
+        trivial_phi = Tensor.unit(alg.dim, 3, alg.order)
+        assert p.hopf == (alg.phi == alg.phi_inv == trivial_phi
+                          and alg.alpha == one and alg.beta == one), name
+
+
+def test_files_are_canonical(presets):
+    # the shipped text is exactly what the serialiser writes for the
+    # parsed algebra, its simples, its declared flags and its header
+    for name, p in presets.items():
+        text = preset_path(name).read_text(encoding="utf-8")
+        header = []
+        for line in text.splitlines():
+            if not line.startswith("#"):
+                break
+            header.append(line)
+        comment = "\n".join(header).removeprefix("# ")
+        flags = [f for f in ("factorisable", "semisimple", "hopf") if getattr(p, f)]
+        assert serialize(p.algebra, p.simples, flags=flags, comment=comment) == text, name
 
 
 def test_double_factorisable_flag(presets, all_maps):

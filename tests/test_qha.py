@@ -10,7 +10,7 @@ from qhopf.qha import (
     monodromy,
     validate,
 )
-from qhopf.presets import PRESET_NAMES, build_algebra, mutate
+from qhopf.presets import PRESET_NAMES, mutate, preset
 from qhopf.repcat import regular_module
 
 
@@ -121,7 +121,7 @@ def test_invert_element_roundtrip(presets):
 
 
 def test_validate_reports_singular_antipode():
-    alg, _ = build_algebra("group_Z2_trivialR")
+    alg = preset("group_Z2_trivialR").algebra
     bad = mutate(alg, ("antipode", (1, 1)), Scalar.rational(-1))
     rep = validate(bad)
     assert not rep["antipode_invertible"].ok

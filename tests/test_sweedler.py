@@ -1,0 +1,133 @@
+"""Sweedler's four-dimensional Hopf algebra H4 over Q: the first input
+that is neither commutative nor semisimple.
+
+Basis (e0, e1, e2, e3) = (1, g, x, gx) with g^2 = 1, x^2 = 0, xg = -gx;
+g is group-like, Delta(x) = x (x) 1 + g (x) x, S(x) = -gx.  R is the
+triangular R-matrix
+    1/2 (1(x)1 + 1(x)g + g(x)1 - g(x)g)
+      + 1/2 (x(x)x - x(x)gx + gx(x)x + gx(x)gx),
+and the other sign patterns on the x-terms fail a hexagon.  Only
+basis-free facts are asserted.
+"""
+
+import json
+
+import pytest
+from click.testing import CliRunner
+
+from qhopf.cli import main, parse_text
+from qhopf.coend import factorisability
+from qhopf.fusion import radical_dimension
+from qhopf.modular import center, cointegral_L
+from qhopf.qha import validate
+from qhopf.repcat import verify_braided_hopf
+
+H4 = """\
+# Sweedler's H4 over Q in the basis (1, g, x, gx)
+dim 4
+field 1
+
+mult:
+0 0 0 = 1
+0 1 1 = 1
+0 2 2 = 1
+0 3 3 = 1
+1 0 1 = 1
+1 1 0 = 1
+1 2 3 = 1
+1 3 2 = 1
+2 0 2 = 1
+2 1 3 = -1
+3 0 3 = 1
+3 1 2 = -1
+
+counit:
+0 = 1
+1 = 1
+
+coproduct:
+0 0 0 = 1
+1 1 1 = 1
+2 2 0 = 1
+2 1 2 = 1
+3 3 1 = 1
+3 0 3 = 1
+
+antipode:
+0 0 = 1
+1 1 = 1
+2 3 = -1
+3 2 = 1
+
+phi:
+0 0 0 = 1
+
+alpha:
+0 = 1
+
+beta:
+0 = 1
+
+R:
+0 0 = 1/2
+0 1 = 1/2
+1 0 = 1/2
+1 1 = -1/2
+2 2 = 1/2
+2 3 = -1/2
+3 2 = 1/2
+3 3 = 1/2
+
+ribbon:
+0 = 1
+"""
+
+
+@pytest.fixture(scope="module")
+def h4():
+    alg, simples = parse_text(H4, source="H4")
+    assert simples is None
+    return alg
+
+
+def test_h4_passes_check(h4):
+    rep = validate(h4)
+    assert rep.ok, rep.failures()
+
+
+def test_h4_sign_slip_fails_hexagon():
+    alg, _ = parse_text(H4.replace("2 3 = -1/2\n", "2 3 = 1/2\n"), source="H4~")
+    failing = {r.name for r in validate(alg).failures()}
+    assert "hexagon_coproduct_left" in failing
+
+
+def test_h4_report_skips_modular_and_fusion(tmp_path):
+    src = tmp_path / "h4.alg"
+    src.write_text(H4, encoding="utf-8")
+    res = CliRunner().invoke(main, ["report", str(src)])
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.output)
+    assert doc["modular"] is None and doc["fusion"] is None
+    assert doc["modular_skipped"] == "requires a factorisable ribbon algebra"
+    assert doc["fusion_skipped"] == "no simple modules declared"
+
+
+def test_h4_braided_hopf(h4):
+    rep = verify_braided_hopf(h4)
+    assert rep.ok, rep.failures()
+    assert len(rep.results) == 19
+
+
+def test_h4_not_factorisable(h4):
+    fact = factorisability(h4)
+    assert (fact.rank_D, fact.rank_BT) == (1, 1)
+    assert (fact.invariants_dim, fact.coinvariants_dim) == (2, 1)
+    assert not fact.is_factorisable
+    assert fact.tests_agree
+
+
+def test_h4_not_semisimple_not_unimodular(h4):
+    assert radical_dimension(h4) == 2
+    assert len(center(h4)) == 1
+    # the left and right integrals of H4 differ, so no two-sided one exists
+    assert cointegral_L(h4).dim_two_sided == 0
