@@ -68,22 +68,17 @@ def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-_CYCLOTOMIC_CACHE: dict[int, list[int]] = {}
-
-
+@cache
 def cyclotomic_polynomial(m: int) -> list[int]:
     """Coefficients (ascending) of the m-th cyclotomic polynomial."""
     if m < 1:
         raise ValueError(f"cyclotomic order must be positive, got {m}")
-    if m in _CYCLOTOMIC_CACHE:
-        return _CYCLOTOMIC_CACHE[m]
     # (x^m - 1) / prod of Phi_d over proper divisors d
     poly = [0] * (m + 1)
     poly[0], poly[m] = -1, 1
     for d in range(1, m):
         if m % d == 0:
             poly = _poly_divide_exact(poly, cyclotomic_polynomial(d))
-    _CYCLOTOMIC_CACHE[m] = poly
     return poly
 
 
@@ -378,10 +373,6 @@ def basis_vector(n: int, i: int, order: int = 1) -> list[Scalar]:
 
 def vec_eq(u: Sequence[Scalar], v: Sequence[Scalar]) -> bool:
     return len(u) == len(v) and all(x == y for x, y in zip(u, v))
-
-
-def vec_is_zero(v: Sequence[Scalar]) -> bool:
-    return all(x.is_zero() for x in v)
 
 
 def collect(terms: Iterable[tuple[K, Scalar]]) -> dict[K, Scalar]:

@@ -1,0 +1,432 @@
+"""The definition-file format: parsing and canonical serialisation.
+
+This module is the engine's one input boundary; the command line,
+``presets`` and the tests read and write algebras only through it.
+
+File format (``.alg``): a header followed by sparse sections.  Lines are
+``#``-commented; omitted entries are zero; basis element 0 is the unit.
+
+    dim 4
+    field 4                    # cyclotomic order m, 1 = rationals
+    flags factorisable semisimple
+
+    mult:                      # i j k = coefficient of e_k in e_i e_j
+    0 0 0 = 1
+    ...
+    counit:                    # i = eps(e_i)
+    coproduct:                 # i j k = coefficient of e_j x e_k in Delta(e_i)
+    antipode:                  # i j = coefficient of e_j in S(e_i)
+    phi:                       # i j k = coefficient of e_i x e_j x e_k
+    phi_inv:                   # optional; solved for when omitted
+    alpha:
+    beta:
+    R:                         # i j = coefficient of e_i x e_j
+    R_inv:                     # optional; solved for when omitted
+    ribbon:                    # optional
+    simple NAME dim D:         # a r c = action of e_a, matrix entry (r, c)
+
+Scalar literals are sums of products of rationals ``p/q`` and powers of
+the cyclotomic generator ``z``, e.g. ``1/2*z^3 - 1``.  ``parse_text`` can
+embed the algebra into a larger cyclotomic field: each literal is parsed
+in the declared field and embedded as it is read.
+
+``serialize`` writes the canonical form, and ``parse_text`` reads it back
+exactly; ``algebras_equal`` compares two algebras by that text.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from .exactmath import ExactMatrix, Scalar, format_scalar
+from .tensorspace import Tensor
+from .qha import QuasiHopfAlgebra
+
+
+SCHEMA_VERSION = 1       # version of the file format and JSON payloads
+
+
+class ParseError(Exception):
+    def __init__(self, msg: str, source: str = "<string>", line: int | None = None,
+                 col: int | None = None):
+        self.msg = msg
+        self.source = source
+        self.line = line
+        self.col = col
+        where = source
+        if line is not None:
+            where += f":{line}"
+            if col is not None:
+                where += f":{col}"
+        super().__init__(f"{where}: {msg}")
+
+
+# ---------------------------------------------------------------------------
+# scalar literals
+
+
+def _tokenize_scalar(text: str) -> list[tuple[str, object, int]]:
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "+-*/^()":
+            tokens.append((ch, ch, i))
+            i += 1
+        elif ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(("int", int(text[i:j]), i))
+            i = j
+        elif ch == "z":
+            tokens.append(("z", "z", i))
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {ch!r} in scalar literal", col=i)
+    tokens.append(("end", None, len(text)))
+    return tokens
+
+
+class _ScalarParser:
+    def __init__(self, text: str, order: int):
+        self.tokens = _tokenize_scalar(text)
+        self.pos = 0
+        self.order = order
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self, kind: str | None = None):
+        tok = self.tokens[self.pos]
+        if kind is not None and tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[0]!r}", col=tok[2])
+        self.pos += 1
+        return tok
+
+    def parse(self) -> Scalar:
+        value = self.expr()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ParseError(f"trailing {tok[0]!r} in scalar literal", col=tok[2])
+        return value
+
+    def expr(self) -> Scalar:
+        sign = 1
+        tok = self.peek()
+        if tok[0] in "+-":
+            self.take()
+            sign = -1 if tok[0] == "-" else 1
+        acc = self.term()
+        if sign < 0:
+            acc = -acc
+        while self.peek()[0] in "+-":
+            op = self.take()[0]
+            t = self.term()
+            acc = acc + t if op == "+" else acc - t
+        return acc
+
+    def term(self) -> Scalar:
+        acc = self.factor()
+        while self.peek()[0] == "*":
+            self.take()
+            acc = acc * self.factor()
+        return acc
+
+    def factor(self) -> Scalar:
+        tok = self.peek()
+        if tok[0] == "-":
+            self.take()
+            return -self.factor()
+        if tok[0] == "(":
+            self.take()
+            v = self.expr()
+            self.take(")")
+            return v
+        if tok[0] == "int":
+            self.take()
+            num = tok[1]
+            if self.peek()[0] == "/":
+                self.take()
+                den = self.take("int")[1]
+                if den == 0:
+                    raise ParseError("zero denominator", col=tok[2])
+                return Scalar.rational(Fraction(num, den), order=self.order)
+            return Scalar.rational(num, order=self.order)
+        if tok[0] == "z":
+            self.take()
+            power = 1
+            if self.peek()[0] == "^":
+                self.take()
+                power = self.take("int")[1]
+            return Scalar.zeta(self.order) ** power
+        raise ParseError(f"unexpected {tok[0]!r} in scalar literal", col=tok[2])
+
+
+def parse_scalar(text: str, order: int) -> Scalar:
+    """Parse a scalar literal in Q(zeta_order); canonical and exact."""
+    return _ScalarParser(text, order).parse()
+
+
+# ---------------------------------------------------------------------------
+# algebra files
+
+_SECTION_ARITY = {
+    "mult": 3,
+    "counit": 1,
+    "coproduct": 3,
+    "antipode": 2,
+    "phi": 3,
+    "phi_inv": 3,
+    "alpha": 1,
+    "beta": 1,
+    "R": 2,
+    "R_inv": 2,
+    "ribbon": 1,
+}
+_MANDATORY = ("mult", "counit", "coproduct", "antipode", "phi", "alpha", "beta", "R")
+
+
+def parse_text(text: str, source: str = "<string>", field_order: int | None = None):
+    """Parse a definition file into an algebra and its optional simple
+    modules.  ``field_order`` embeds everything into a larger cyclotomic
+    field (must be a multiple of the declared order)."""
+    from .repcat import module_from_action
+    from .fusion import SimpleSet
+
+    dim: int | None = None
+    declared: int | None = None     # the file's field; order is the target field
+    order: int | None = None
+    flags: list[str] = []
+    sections: dict[str, list[tuple[tuple[int, ...], Scalar]]] = {}
+    simples: list[dict] = []
+    current: str | None = None
+    current_simple: dict | None = None
+
+    def err(msg, line_no, col=None):
+        raise ParseError(msg, source, line_no, col)
+
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        head = line.split()
+        if dim is None or order is None:
+            if head[0] == "dim" and len(head) == 2 and head[1].isdigit():
+                dim = int(head[1])
+                continue
+            if head[0] == "field" and len(head) == 2 and head[1].isdigit():
+                declared = int(head[1])
+                if declared == 0:
+                    err("field order must be positive, got 0", line_no)
+                order = declared if field_order is None else field_order
+                if order < 1 or order % declared != 0:
+                    err(f"field order {field_order} is not a positive multiple "
+                        f"of declared {declared}", line_no)
+                continue
+        if head[0] == "flags":
+            flags = head[1:]
+            continue
+        if line.endswith(":"):
+            name = line[:-1].strip()
+            parts = name.split()
+            is_simple = bool(parts) and parts[0] == "simple"
+            if is_simple and (len(parts) != 4 or parts[2] != "dim" or not parts[3].isdigit()):
+                err(f"malformed simple header {line!r} "
+                    "(expected 'simple NAME dim D:')", line_no)
+            if not is_simple and name not in _SECTION_ARITY:
+                err(f"unknown section {name!r}", line_no)
+            if dim is None or order is None:
+                err("sections must come after the 'dim' and 'field' header", line_no)
+            if is_simple:
+                current_simple = {"label": parts[1], "dim": int(parts[3]), "entries": []}
+                simples.append(current_simple)
+                current = "simple"
+            else:
+                current = name
+                sections.setdefault(name, [])
+                current_simple = None
+            continue
+        if "=" in line:
+            if current is None:
+                err("entry before any section header", line_no)
+            lhs, rhs = line.split("=", 1)
+            idx_parts = lhs.split()
+            arity = 3 if current == "simple" else _SECTION_ARITY[current]
+            if len(idx_parts) != arity:
+                err(f"expected {arity} indices in section {current!r}, "
+                    f"got {len(idx_parts)}", line_no)
+            try:
+                idx = tuple(int(p) for p in idx_parts)
+            except ValueError:
+                err(f"non-integer index in {lhs.strip()!r}", line_no)
+            try:
+                value = parse_scalar(rhs.strip(), declared).embed(order)
+            except ParseError as e:
+                err(f"bad scalar literal {rhs.strip()!r}: {e.msg}", line_no, e.col)
+            if current == "simple":
+                d = current_simple["dim"]
+                a, r, c = idx
+                if not (0 <= a < dim and 0 <= r < d and 0 <= c < d):
+                    err(f"index {idx} out of range for simple of dim {d}", line_no)
+                current_simple["entries"].append((idx, value))
+            else:
+                for i in idx:
+                    if not 0 <= i < dim:
+                        err(f"index {i} out of range 0..{dim - 1}", line_no)
+                sections[current].append((idx, value))
+            continue
+        err(f"cannot parse line {line!r}", line_no)
+
+    if dim is None:
+        raise ParseError("missing 'dim' header", source)
+    if order is None:
+        raise ParseError("missing 'field' header", source)
+    for name in _MANDATORY:
+        if not sections.get(name):
+            raise ParseError(f"missing or empty mandatory section {name!r}", source)
+
+    zero = Scalar.zero(order)
+
+    def vector_of(name: str) -> list[Scalar]:
+        v = [zero] * dim
+        for (i,), c in sections.get(name, []):
+            v[i] = v[i] + c
+        return v
+
+    def tensor_of(name: str, legs: int) -> Tensor | None:
+        if name not in sections:
+            return None
+        t = Tensor.zero(dim, legs, order)
+        for idx, c in sections[name]:
+            t[idx] = t[idx] + c
+        return t
+
+    mult = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j, k), c in sections["mult"]:
+        mult[i][j][k] = mult[i][j][k] + c
+
+    coproduct = [Tensor.zero(dim, 2, order) for _ in range(dim)]
+    for (i, j, k), c in sections["coproduct"]:
+        coproduct[i][j, k] = coproduct[i][j, k] + c
+
+    antipode = ExactMatrix.from_entries(
+        dim, dim, order, (((j, i), c) for (i, j), c in sections["antipode"]))
+
+    alg = QuasiHopfAlgebra(
+        dim=dim,
+        order=order,
+        mult=mult,
+        counit=vector_of("counit"),
+        coproduct=coproduct,
+        antipode=antipode,
+        phi=tensor_of("phi", 3),
+        phi_inv=tensor_of("phi_inv", 3) or Tensor.zero(dim, 3, order),
+        alpha=vector_of("alpha"),
+        beta=vector_of("beta"),
+        r_matrix=tensor_of("R", 2),
+        r_inv=tensor_of("R_inv", 2) or Tensor.zero(dim, 2, order),
+        ribbon=vector_of("ribbon") if "ribbon" in sections else None,
+        ribbon_inv=None,
+        name=source,
+    )
+
+    # solve for the inverses that were not given; a failed solve leaves a
+    # zero placeholder so that validate() reports the problem
+    if "phi_inv" not in sections:
+        inv = alg.invert_element(alg.phi)
+        alg.phi_inv = inv if inv is not None else Tensor.zero(dim, 3, order)
+        alg.notes.append("phi_inv solved from phi" if inv is not None
+                         else "phi is not invertible")
+    if "R_inv" not in sections:
+        inv = alg.invert_element(alg.r_matrix)
+        alg.r_inv = inv if inv is not None else Tensor.zero(dim, 2, order)
+        alg.notes.append("R_inv solved from R" if inv is not None
+                         else "R is not invertible")
+    if alg.ribbon is not None:
+        inv = alg.invert_element(Tensor.from_vector(alg.ribbon, order))
+        if inv is not None:
+            alg.ribbon_inv = inv.to_vector()
+            alg.notes.append("ribbon_inv solved from ribbon")
+        else:
+            alg.ribbon_inv = [zero] * dim
+            alg.notes.append("ribbon is not invertible")
+    alg.notes.extend(f"flag {f}" for f in flags)
+    if order != declared:
+        alg.notes.append(f"embedded into cyclotomic order {order}")
+
+    simple_set = None
+    if simples:
+        labeled = []
+        for s in simples:
+            d = s["dim"]
+            mats = [[[zero] * d for _ in range(d)] for _ in range(dim)]
+            for (a, r, c), val in s["entries"]:
+                mats[a][r][c] = mats[a][r][c] + val
+            labeled.append((s["label"], module_from_action(alg, mats, s["label"])))
+        simple_set = SimpleSet.from_modules(labeled)
+
+    return alg, simple_set
+
+
+# ---------------------------------------------------------------------------
+# serialisation
+
+
+def serialize(A: QuasiHopfAlgebra, simples=None, flags: list[str] | None = None,
+              comment: str | None = None) -> str:
+    """Canonical text form; parse_text(serialize(A)) reproduces A exactly."""
+    out = []
+    if comment:
+        out.append(f"# {comment}")
+    out.append(f"dim {A.dim}")
+    out.append(f"field {A.order}")
+    if flags:
+        out.append("flags " + " ".join(sorted(flags)))
+    out.append("")
+
+    def emit(name, entries, always=False):
+        # a section that must be present (ribbon, simples) is kept even when
+        # all its entries are zero, so that parsing restores it
+        lines = [" ".join(str(i) for i in idx) + " = " + format_scalar(c)
+                 for idx, c in sorted(entries, key=lambda e: e[0]) if not c.is_zero()]
+        if lines or always:
+            out.append(name + ":")
+            out.extend(lines)
+            out.append("")
+
+    emit("mult", [((i, j, k), A.mult[i][j][k])
+                  for i in range(A.dim) for j in range(A.dim) for k in range(A.dim)])
+    emit("counit", [((i,), A.counit[i]) for i in range(A.dim)])
+    emit("coproduct", [((i,) + idx, c)
+                       for i in range(A.dim) for idx, c in A.coproduct[i].nonzero()])
+    emit("antipode", [((j, i), c) for (i, j), c in A.antipode.nonzero()])
+    emit("phi", list(A.phi.nonzero()))
+    emit("phi_inv", list(A.phi_inv.nonzero()))
+    emit("alpha", [((i,), A.alpha[i]) for i in range(A.dim)])
+    emit("beta", [((i,), A.beta[i]) for i in range(A.dim)])
+    emit("R", list(A.r_matrix.nonzero()))
+    emit("R_inv", list(A.r_inv.nonzero()))
+    if A.ribbon is not None:
+        emit("ribbon", [((i,), A.ribbon[i]) for i in range(A.dim)], always=True)
+    for label, d, mats in _simples_items(simples or ()):
+        emit(f"simple {label} dim {d}", [((a, r, c), mats[a][r][c]) for a in range(A.dim)
+                                         for r in range(d) for c in range(d)], always=True)
+    return "\n".join(out).rstrip() + "\n"
+
+
+def _simples_items(simples):
+    # accepts a SimpleSet or raw (label, dim, mats) triples
+    if hasattr(simples, "simples"):
+        return [(label, mod.dim, [mod.action[a].dense for a in range(mod.alg.dim)])
+                for label, mod in zip(simples.labels, simples.simples)]
+    return simples
+
+
+def algebras_equal(a: QuasiHopfAlgebra, b: QuasiHopfAlgebra) -> bool:
+    """Equality of all structure data the file format holds (everything
+    but the name, the notes and the solved ``ribbon_inv``), compared by
+    canonical text: ``serialize`` writes each such algebra one way."""
+    return serialize(a) == serialize(b)

@@ -20,8 +20,9 @@ The ``.alg`` files under ``data/`` are the presets' only source.  They
 are fixtures certified by ``qha.validate`` and by the digests of their
 ``report`` bytes, not ground truth.  Each file's ``flags`` line declares
 which of ``factorisable``, ``semisimple`` and ``hopf`` hold;
-``preset()`` reads them from there, and the test suite checks each one
-against the engine.
+``preset()`` parses a file with ``fileformat.parse_text`` and reads the
+flags from there, and the test suite checks each one against the engine.
+``mutate`` perturbs one structure constant, for the mutation harness.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 
 from .exactmath import Scalar
+from .fileformat import parse_text
 from .qha import QuasiHopfAlgebra
 
 PRESET_NAMES = ("trivial", "group_Z2_trivialR", "double_Z2", "twisted_double_Z2")
@@ -54,8 +56,6 @@ def preset_path(name: str):
 
 def preset(name: str) -> Preset:
     """Load a preset from its shipped definition file."""
-    from .cli import parse_text
-
     text = preset_path(name).read_text(encoding="utf-8")
     alg, simples = parse_text(text, source=f"preset:{name}")
     if simples is None:
@@ -69,36 +69,30 @@ def preset(name: str) -> Preset:
 # mutation harness
 
 
-_TENSOR_SITES = {"phi", "phi_inv", "r_matrix", "r_inv"}
-_VECTOR_SITES = {"counit", "alpha", "beta", "ribbon", "ribbon_inv"}
+# the structure constants a mutation may touch
+_SITES = ("mult", "counit", "coproduct", "antipode", "phi", "phi_inv", "alpha", "beta",
+          "r_matrix", "r_inv", "ribbon", "ribbon_inv")
 
 
 def mutate(algebra: QuasiHopfAlgebra, site: tuple, delta: Scalar) -> QuasiHopfAlgebra:
     """Perturb a single structure-constant entry; no validation is run.
 
-    ``site`` is (section, indices): e.g. ("mult", (i, j, k)),
-    ("r_matrix", (i, j)), ("coproduct", (i, j, k)), ("antipode", (i, j)),
-    ("alpha", (i,)).
+    ``site`` is (field, indices): e.g. ("mult", (i, j, k)),
+    ("r_matrix", (i, j)), ("coproduct", (i, j, k)), ("alpha", (i,)).
+    Each list level of the field takes one index, and a ``Tensor`` or
+    ``ExactMatrix`` takes the remaining ones as one key, so
+    ("antipode", (i, j)) is the matrix entry (i, j).
     """
     section, idx = site
+    if section not in _SITES:
+        raise KeyError(f"unknown mutation site {section!r}")
     # replace() builds a new instance from the fields alone, so no cached
     # view of the original is carried over
     out = copy.deepcopy(replace(algebra, name=f"{algebra.name}~mutated"))
-    if section == "mult":
-        i, j, k = idx
-        out.mult[i][j][k] = out.mult[i][j][k] + delta
-    elif section == "coproduct":
-        i, j, k = idx
-        out.coproduct[i][j, k] = out.coproduct[i][j, k] + delta
-    elif section == "antipode":
-        i, j = idx
-        out.antipode[i, j] = out.antipode[i, j] + delta
-    elif section in _TENSOR_SITES:
-        t = getattr(out, section)
-        t[idx] = t[idx] + delta
-    elif section in _VECTOR_SITES:
-        v = getattr(out, section)
-        v[idx[0]] = v[idx[0]] + delta
-    else:
-        raise KeyError(f"unknown mutation site {section!r}")
+    entries, key = getattr(out, section), tuple(idx)
+    while isinstance(entries, list) and len(key) > 1:
+        entries, key = entries[key[0]], key[1:]
+    if isinstance(entries, list):
+        key = key[0]
+    entries[key] = entries[key] + delta
     return out

@@ -270,6 +270,12 @@ class AxiomReport:
     def add(self, name: str, ok: bool, witness: tuple | None = None):
         self.results.append(CheckResult(name, ok, None if ok else witness))
 
+    def compare(self, name: str, *pairs) -> None:
+        """Record the identity lhs == rhs for each (lhs, rhs) pair; a failure
+        is located at the first difference of the first unequal pair."""
+        bad = next(((a, b) for a, b in pairs if a != b), None)
+        self.add(name, bad is None, None if bad is None else first_difference(*bad))
+
     @property
     def ok(self) -> bool:
         return all(r.ok for r in self.results)
@@ -309,17 +315,21 @@ class AxiomReport:
 # validation
 
 
-def _tensor_witness(a: Tensor, b: Tensor) -> tuple | None:
-    """First multi-index, in row-major order, where the two tensors differ,
-    else None."""
-    x, y = a.entries, b.entries
-    return min((idx for idx in x.keys() | y.keys() if x.get(idx) != y.get(idx)),
-               default=None)
+def first_difference(a, b) -> tuple | None:
+    """First index, in row-major order, where two Tensors, two ExactMatrix
+    of one shape or two vectors of one length differ, else None: a
+    multi-index, a (row, col) pair or a 1-tuple."""
+    x, y = _stored(a), _stored(b)
+    return min((k for k in x.keys() | y.keys() if x.get(k) != y.get(k)), default=None)
 
 
-def _vector_witness(u: list[Scalar], v: list[Scalar]) -> tuple | None:
-    """First index, as a 1-tuple, where the two vectors differ, else None."""
-    return next(((i,) for i, (x, y) in enumerate(zip(u, v)) if x != y), None)
+def _stored(x) -> dict:
+    # the nonzero entries, keyed by index tuple
+    if isinstance(x, Tensor):
+        return x.entries
+    if isinstance(x, ExactMatrix):
+        return dict(x.nonzero())
+    return {(i,): c for i, c in enumerate(x) if not c.is_zero()}
 
 
 def validate(A: QuasiHopfAlgebra) -> AxiomReport:
@@ -386,8 +396,7 @@ def validate(A: QuasiHopfAlgebra) -> AxiomReport:
             yield (i,), lhs == rhs
     first_fail("quasi_coassociativity", qcoass_checks())
 
-    w = _tensor_witness(ts.counit_leg(A.phi, 2, A.counit), unit2)
-    rep.add("coassociator_counital", w is None, w)
+    rep.compare("coassociator_counital", (ts.counit_leg(A.phi, 2, A.counit), unit2))
 
     lhs3 = ts.mul(ts.coproduct_leg(A.phi, 1, A.cop_table),
                   ts.coproduct_leg(A.phi, 3, A.cop_table), mt)
@@ -395,12 +404,9 @@ def validate(A: QuasiHopfAlgebra) -> AxiomReport:
         [ts.embed(A.phi, 4, (1, 2, 3)),
          ts.coproduct_leg(A.phi, 2, A.cop_table),
          ts.embed(A.phi, 4, (2, 3, 4))], mt)
-    w = _tensor_witness(lhs3, rhs3)
-    rep.add("three_cocycle", w is None, w)
-
-    w = _tensor_witness(ts.mul(A.phi, A.phi_inv, mt), unit3) or _tensor_witness(
-        ts.mul(A.phi_inv, A.phi, mt), unit3)
-    rep.add("coassociator_invertible", w is None, w)
+    rep.compare("three_cocycle", (lhs3, rhs3))
+    rep.compare("coassociator_invertible", (ts.mul(A.phi, A.phi_inv, mt), unit3),
+                (ts.mul(A.phi_inv, A.phi, mt), unit3))
 
     # antipode is an algebra anti-homomorphism
     def antihom_checks():
@@ -433,13 +439,11 @@ def validate(A: QuasiHopfAlgebra) -> AxiomReport:
     t = ts.leg_map(ts.leg_map(ts.leg_map(ts.leg_map(
         A.phi, 1, A.antipode), 1, ralpha), 2, rbeta), 3, A.antipode)
     got = ts.merge_legs(t, ((1, 2, 3),), mt).to_vector()
-    w = _vector_witness(got, A.unit())
-    rep.add("coassociator_antipode_left", w is None, w)
+    rep.compare("coassociator_antipode_left", (got, A.unit()))
     t = ts.leg_map(ts.leg_map(ts.leg_map(
         A.phi_inv, 1, rbeta), 2, A.antipode), 2, ralpha)
     got = ts.merge_legs(t, ((1, 2, 3),), mt).to_vector()
-    w = _vector_witness(got, A.unit())
-    rep.add("coassociator_antipode_right", w is None, w)
+    rep.compare("coassociator_antipode_right", (got, A.unit()))
 
     # R-matrix axioms
     def rdelta_checks():
@@ -455,8 +459,8 @@ def validate(A: QuasiHopfAlgebra) -> AxiomReport:
          ts.permute(A.phi, (1, 3, 2)),
          ts.embed(A.r_matrix, 3, (2, 3)),
          A.phi_inv], mt)
-    w = _tensor_witness(ts.coproduct_leg(A.r_matrix, 1, A.cop_table), hex1_rhs)
-    rep.add("hexagon_coproduct_left", w is None, w)
+    rep.compare("hexagon_coproduct_left",
+                (ts.coproduct_leg(A.r_matrix, 1, A.cop_table), hex1_rhs))
 
     hex2_rhs = ts.mul_chain(
         [ts.permute(A.phi, (3, 1, 2)),
@@ -464,16 +468,12 @@ def validate(A: QuasiHopfAlgebra) -> AxiomReport:
          ts.permute(A.phi_inv, (2, 1, 3)),
          ts.embed(A.r_matrix, 3, (1, 2)),
          A.phi], mt)
-    w = _tensor_witness(ts.coproduct_leg(A.r_matrix, 2, A.cop_table), hex2_rhs)
-    rep.add("hexagon_coproduct_right", w is None, w)
-
-    w = _tensor_witness(ts.counit_leg(A.r_matrix, 1, A.counit), unit1) or \
-        _tensor_witness(ts.counit_leg(A.r_matrix, 2, A.counit), unit1)
-    rep.add("r_matrix_counit", w is None, w)
-
-    w = _tensor_witness(ts.mul(A.r_matrix, A.r_inv, mt), unit2) or \
-        _tensor_witness(ts.mul(A.r_inv, A.r_matrix, mt), unit2)
-    rep.add("r_matrix_invertible", w is None, w)
+    rep.compare("hexagon_coproduct_right",
+                (ts.coproduct_leg(A.r_matrix, 2, A.cop_table), hex2_rhs))
+    rep.compare("r_matrix_counit", (ts.counit_leg(A.r_matrix, 1, A.counit), unit1),
+                (ts.counit_leg(A.r_matrix, 2, A.counit), unit1))
+    rep.compare("r_matrix_invertible", (ts.mul(A.r_matrix, A.r_inv, mt), unit2),
+                (ts.mul(A.r_inv, A.r_matrix, mt), unit2))
 
     rank = A.antipode.rank()
     rep.add("antipode_invertible", rank == dim, (rank,))
@@ -484,8 +484,7 @@ def validate(A: QuasiHopfAlgebra) -> AxiomReport:
         if A.ribbon_inv is None:
             rep.add("ribbon_invertible", False, (0,))
         else:
-            w = _vector_witness(A.product(v, A.ribbon_inv), A.unit())
-            rep.add("ribbon_invertible", w is None, w)
+            rep.compare("ribbon_invertible", (A.product(v, A.ribbon_inv), A.unit()))
 
         def central_checks():
             for i in range(dim):
@@ -495,17 +494,12 @@ def validate(A: QuasiHopfAlgebra) -> AxiomReport:
 
         m = monodromy(A)
         vt = Tensor.from_vector(v, order)
-        w = _tensor_witness(ts.mul(m, A.delta_of(v), mt), ts.tensor_product(vt, vt))
-        rep.add("ribbon_monodromy", w is None, w)
-        sv = A.antipode_of(v)
-        w = _vector_witness(sv, v)
-        rep.add("ribbon_antipode_fixed", w is None, w)
+        rep.compare("ribbon_monodromy",
+                    (ts.mul(m, A.delta_of(v), mt), ts.tensor_product(vt, vt)))
+        rep.compare("ribbon_antipode_fixed", (A.antipode_of(v), v))
         if rep["antipode_invertible"].ok:
             u, _, _ = A._drinfeld_raw
-            vv = A.product(v, v)
-            usu = A.product(u, A.antipode_of(u))
-            w = _vector_witness(vv, usu)
-            rep.add("ribbon_square", w is None, w)
+            rep.compare("ribbon_square", (A.product(v, v), A.product(u, A.antipode_of(u))))
         rep.add("ribbon_counit", A.counit_of(v) == one, (0,))
 
     return rep

@@ -77,6 +77,16 @@ def test_roundtrip_all_presets(presets):
         assert serialize(alg2, simples2) == text, name
 
 
+def test_zero_ribbon_is_not_no_ribbon(presets):
+    from dataclasses import replace
+
+    alg = presets["double_Z2"].algebra
+    zero_ribbon = replace(alg, ribbon=[Scalar.zero(alg.order)] * alg.dim)
+    assert not algebras_equal(zero_ribbon, replace(alg, ribbon=None))
+    back, _ = parse_text(serialize(zero_ribbon))
+    assert back.ribbon is not None and algebras_equal(back, zero_ribbon)
+
+
 def test_parse_reports_missing_section():
     with pytest.raises(ParseError, match="mult"):
         parse_text("dim 1\nfield 1\n\ncounit:\n0 = 1\n")
@@ -255,9 +265,42 @@ def test_report_on_nonfactorisable_skips_modular(runner):
 def test_field_order_embedding(runner):
     res = runner.invoke(main, ["check", "double_Z2", "--field-order", "4"])
     assert res.exit_code == 0
-    # 6 is not a multiple of the declared order 4
+    # 6 is not a multiple of the declared order 4; the error names the
+    # line of the 'field' header
     res = runner.invoke(main, ["check", "twisted_double_Z2", "--field-order", "6"])
     assert res.exit_code == 2
+    text = preset_text("twisted_double_Z2")
+    header = next(n for n, line in enumerate(text.splitlines(), start=1)
+                  if line.startswith("field "))
+    assert f"preset:twisted_double_Z2:{header}: field order 6" in res.stderr
+    with pytest.raises(ParseError, match="not a positive multiple of declared 4") as e:
+        parse_text(text, field_order=6)
+    assert e.value.line == header
+
+
+def test_import_layering():
+    # the command line loads the heavy stages only when a command needs
+    # them, which keeps its start-up short; the presets do not need it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qhopf
+
+    env = dict(os.environ, PYTHONPATH=str(Path(qhopf.__file__).parents[1]))
+    checks = [
+        "import sys, qhopf.cli\n"
+        "heavy = {f'qhopf.{m}' for m in ('coend', 'modular', 'fusion', 'repcat')}\n"
+        "assert not heavy & set(sys.modules), sorted(heavy & set(sys.modules))",
+        "import sys, qhopf.presets\n"
+        "qhopf.presets.preset('trivial')\n"
+        "assert 'qhopf.cli' not in sys.modules",
+    ]
+    for code in checks:
+        res = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
 
 
 def test_out_writes_file(runner, tmp_path):
@@ -279,6 +322,17 @@ def test_field_zero_is_header_error(runner, tmp_path):
     for bad in ("0", "-2"):
         res = runner.invoke(main, ["check", "trivial", "--field-order", bad])
         assert res.exit_code == 2, bad
+
+
+def test_simple_before_header_is_parse_error(runner, tmp_path):
+    text = "simple a dim 1:\n0 0 0 = 1\n" + preset_text("trivial")
+    with pytest.raises(ParseError, match="must come after the 'dim' and 'field'") as e:
+        parse_text(text)
+    assert e.value.line == 1
+    path = tmp_path / "early_simple.alg"
+    path.write_text(text, encoding="utf-8")
+    res = runner.invoke(main, ["check", str(path)])
+    assert res.exit_code == 2
 
 
 def test_declared_simple_that_is_not_a_module_exit_one(runner, tmp_path):

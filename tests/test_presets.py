@@ -6,7 +6,7 @@ from qhopf.qha import validate
 from qhopf.coend import factorisability
 from qhopf.fusion import radical_dimension
 from qhopf.presets import PRESET_NAMES, mutate, preset, preset_path
-from qhopf.cli import serialize
+from qhopf.fileformat import algebras_equal, serialize
 
 
 def test_preset_names_resolve():
@@ -106,8 +106,28 @@ def test_mutate_does_not_touch_original(presets):
 
 
 def test_mutate_unknown_site(presets):
-    with pytest.raises(KeyError):
-        mutate(presets["trivial"].algebra, ("nonsense", (0,)), Scalar.rational(1))
+    for section in ("nonsense", "name", "dim"):
+        with pytest.raises(KeyError):
+            mutate(presets["trivial"].algebra, (section, (0,)), Scalar.rational(1))
+
+
+# every structure constant the file format holds, with its number of indices
+SERIALISED_SITES = [("mult", 3), ("counit", 1), ("coproduct", 3), ("antipode", 2),
+                    ("phi", 3), ("phi_inv", 3), ("alpha", 1), ("beta", 1),
+                    ("r_matrix", 2), ("r_inv", 2), ("ribbon", 1)]
+
+
+@pytest.mark.parametrize("section, arity", SERIALISED_SITES)
+def test_mutate_reaches_every_serialised_site(presets, section, arity):
+    alg = presets["twisted_double_Z2"].algebra
+    site = (section, (1, 2, 3)[:arity])
+    d = Scalar.rational(1, 2, order=4) * Scalar.zeta(4)
+    once = mutate(alg, site, d)
+    assert not algebras_equal(once, alg)
+    assert algebras_equal(mutate(once, site, -d), alg)
+    if section == "antipode":
+        # matrix indices: entry (1, 2) is the coefficient of e_1 in S(e_2)
+        assert once.antipode[1, 2] == alg.antipode[1, 2] + d
 
 
 def test_every_preset_carries_simples(presets):

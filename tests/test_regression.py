@@ -140,28 +140,20 @@ def test_cli_on_hand_authored_file(tmp_path):
 def test_field_embedding_preserves_everything(presets):
     # run the full pipeline over a strictly larger cyclotomic field and
     # compare against the native computation
-    from qhopf.cli import embed_algebra
     from qhopf.coend import coend_maps
-    from qhopf.fusion import SimpleSet, verlinde_fusion
+    from qhopf.fusion import verlinde_fusion
     from qhopf.modular import modular_data
-    from qhopf.repcat import module_from_action
+    from qhopf.presets import preset_path
 
     p = presets["twisted_double_Z2"]
-    big = embed_algebra(p.algebra, 8)
+    text = preset_path("twisted_double_Z2").read_text(encoding="utf-8")
+    big, big_simples = parse_text(text, field_order=8)
     assert validate(big).ok
     md_small = modular_data(p.algebra, coend_maps(p.algebra))
     md_big = modular_data(big, coend_maps(big))
     assert format_scalar(md_big.lam) == format_scalar(md_small.lam)
     assert md_big.pairing_value == md_small.pairing_value.embed(8)
-    labeled = []
-    for label, mod in zip(p.simples.labels, p.simples.simples):
-        mats = [
-            [[mod.action[a][r, c].embed(8) for c in range(mod.dim)]
-             for r in range(mod.dim)]
-            for a in range(p.algebra.dim)
-        ]
-        labeled.append((label, module_from_action(big, mats, label)))
-    table_big = verlinde_fusion(big, SimpleSet.from_modules(labeled))
+    table_big = verlinde_fusion(big, big_simples)
     table_small = verlinde_fusion(p.algebra, p.simples)
     assert table_big.table == table_small.table
 

@@ -296,6 +296,21 @@ def test_verify_braided_hopf_fails_on_mutant(presets):
     assert not rep.ok
 
 
+def test_verify_braided_hopf_locates_matrix_failures(presets, all_maps):
+    import copy
+    from dataclasses import replace
+
+    maps = all_maps["twisted_double_Z2"]
+    mu_hat = copy.deepcopy(maps.mu_hat)
+    mu_hat[5, 1] = mu_hat[5, 1] + Scalar.one(4)
+    rep = verify_braided_hopf(presets["twisted_double_Z2"].algebra,
+                              replace(maps, mu_hat=mu_hat))
+    witness = rep["associativity"].witness
+    assert not rep["associativity"].ok
+    assert isinstance(witness, tuple) and len(witness) == 2
+    assert all(r.witness is not None for r in rep.failures())
+
+
 def test_coadjoint_of_trivial_algebra_is_trivial(presets):
     alg = presets["trivial"].algebra
     L = coadjoint_module(alg)

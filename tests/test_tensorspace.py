@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from qhopf.exactmath import Scalar
 from qhopf import tensorspace as ts
 from qhopf.tensorspace import LegError, Tensor
-from qhopf.qha import _tensor_witness
+from qhopf.qha import first_difference
 
 
 @pytest.fixture(scope="module")
@@ -254,7 +254,7 @@ def test_sparse_invariant_under_leg_operations(presets, data):
     for s, t in [(a, b), (a, c), (a - a, zero), (ab, ba), (a + b, b + a),
                  (ab, results[-1]), (ab - ba, zero)]:
         assert (s == t) == (s.coeffs == t.coeffs)
-        assert _tensor_witness(s, t) == _first_dense_difference(s, t)
+        assert first_difference(s, t) == _first_dense_difference(s, t)
 
 
 # ---------------------------------------------------------------------------
