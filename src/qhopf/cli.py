@@ -369,6 +369,9 @@ def fusion(path, output, out, field_order, oracle):
     if simples is None:
         raise ParseError("fusion requires a 'simple' section", source)
     _validated(A)
+    from .coend import coend_maps, require_factorisable
+
+    require_factorisable(A, coend_maps(A))
     table, payload = _fusion_payload(A, simples, oracle)
     _emit({"algebra": source, **payload}, output, out,
           f"fusion table of {source}", csv_text=_fusion_csv(table))

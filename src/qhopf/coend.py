@@ -7,13 +7,16 @@ self-pairing as a 2-leg tensor.  The factorisability machinery computes
 the associated copairing, the Bulacu-Torrecillas style monodromy matrix
 and the restricted invariant-pairing map, which must agree on every
 input.
+
+Each map and each Hopf-case short form (``hopf_reduced_maps``) is one
+slot contraction (see ``tensorspace``), with no loop over basis indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactmath import ExactMatrix, Scalar, basis_vector, common_eigenvectors, matrix_from_columns
+from .exactmath import ExactMatrix, Scalar, common_eigenvectors, matrix_from_columns
 from . import tensorspace as ts
 from .tensorspace import Tensor
 from .qha import QuasiHopfAlgebra, drinfeld_element, drinfeld_twist, element_x_d, monodromy
@@ -170,41 +173,33 @@ def hopf_reduced_maps(A: QuasiHopfAlgebra) -> CoendMaps:
     oracle against :func:`coend_maps` on genuinely Hopf inputs."""
     dim, order = A.dim, A.order
     mt = A.mult_table
-    cop = A.cop_table
+    ident = ts.identity(dim, order)
 
-    r_spread = ts.embed(
-        ts.permute(ts.coproduct_leg(A.r_matrix, 2, cop), (2, 3, 1)), 4, (1, 2, 4)
-    )
-    mu_cols = []
-    for a in range(dim):
-        t = ts.mul(ts.embed(A.coproduct[a], 4, (2, 3)), r_spread, mt)
-        t = ts.leg_map(t, 1, A.antipode)
-        mu_cols.append(ts.merge_legs(t, ((1, 2), (3, 4)), mt).coeffs)
-    mu_hat = matrix_from_columns(mu_cols, order)
+    # product: column a is S(R_1) a' R_2 (x) a'' R_3, where
+    # R_1 x R_2 x R_3 = R_2' x R_2'' x R_1 is (id x Delta)(R) with its legs turned
+    r_spread = ts.permute(ts.coproduct_leg(A.r_matrix, 2, A.cop_table), (2, 3, 1))
+    base = ts.leg_map(r_spread, 1, A.antipode)
+    # legs 4, 5 and 6 are the slot (a, a', a'')
+    slot = ts.coproduct_leg(ident, 2, A.cop_table)
+    mu_hat = ts.as_matrix(ts.merge_legs(
+        ts.tensor_product(base, slot), ((1, 5, 2), (6, 3), (4,)), mt), 2)
 
-    delta_cols = []
-    for a in range(dim):
-        for b in range(dim):
-            delta_cols.append(A.product(basis_vector(dim, b, order),
-                                        basis_vector(dim, a, order)))
-    delta_hat = matrix_from_columns(delta_cols, order)
+    # coproduct: column (a, b) is b a
+    delta_hat = ts.as_matrix(ts.merge_legs(
+        ts.tensor_product(ident, ident), ((4, 2), (1,), (3,)), mt), 1)
 
-    # u = S(R_2) R_1 and its inverse
-    u = ts.merge_legs(
-        ts.leg_map(ts.permute(A.r_matrix, (2, 1)), 1, A.antipode), ((1, 2),), mt
-    ).to_vector()
-    u_inv_t = A.invert_element(Tensor.from_vector(u, order))
-    if u_inv_t is None:
+    # the inverse of u = S(R_2) R_1
+    u_inv = A.invert_element(ts.merge_legs(
+        ts.leg_map(ts.permute(A.r_matrix, (2, 1)), 1, A.antipode), ((1, 2),), mt))
+    if u_inv is None:
         raise ValueError("drinfeld element of the Hopf reduction is singular")
-    lu_inv = A.lmult_of(u_inv_t.to_vector())
 
-    s_cols = []
-    for a in range(dim):
-        t = ts.leg_map(A.r_matrix, 1, A.left_mult[a])
-        t = ts.leg_map(t, 1, lu_inv)
-        t = ts.leg_map(t, 1, A.antipode)
-        s_cols.append(ts.merge_legs(t, ((1, 2),), mt).coeffs)
-    s_hat = matrix_from_columns(s_cols, order)
+    # antipode: column a is S(u^-1 a R_1) R_2 = S(R_1) S(a) S(u^-1) R_2
+    base = ts.tensor_product(ts.leg_map(A.r_matrix, 1, A.antipode),
+                             ts.leg_map(u_inv, 1, A.antipode))
+    slot = ts.leg_map(ident, 2, A.antipode)
+    s_hat = ts.as_matrix(ts.merge_legs(
+        ts.tensor_product(base, slot), ((1, 5, 3, 2), (4,)), mt), 1)
 
     m = monodromy(A)
     omega_hat = ts.leg_map(ts.permute(m, (2, 1)), 1, A.antipode)
@@ -260,6 +255,15 @@ def copairing(A: QuasiHopfAlgebra, maps: CoendMaps) -> Tensor:
     t = ts.leg_map(ts.leg_map(t, 1, A.antipode), 3, A.antipode)
     t = ts.mul(ts.embed(maps.omega_hat, 4, (2, 4)), t, mt)
     return ts.merge_legs(t, ((1, 2), (3, 4)), mt)
+
+
+def require_factorisable(A: QuasiHopfAlgebra, maps: CoendMaps) -> None:
+    """Raise ValueError unless the copairing has full rank: the modular
+    action and the Verlinde fusion are defined only in that case."""
+    rank = ts.as_matrix(copairing(A, maps), 1).rank()
+    if rank != A.dim:
+        raise ValueError(f"input is not factorisable (copairing rank {rank} < {A.dim}); "
+                         "the modular action and Verlinde fusion need it")
 
 
 def bt_monodromy_matrix(A: QuasiHopfAlgebra) -> Tensor:

@@ -1,5 +1,9 @@
 """Centre, integrals/cointegrals and the projective SL(2,Z) action.
 
+S_Z and T_Z are the restrictions to the centre of S_hat and T_hat on A;
+``s_hat_pairing_form`` derives S_hat a second way, as its oracle.  No map
+is built by a loop over basis indices.
+
 No square roots are ever taken: the pairing value of the integral is
 carried along and all modular relations are asserted in their exactly
 scaled forms (see the invariants exercised in the test suite).
@@ -16,14 +20,13 @@ from .exactmath import (
     dot,
     matrix_from_columns,
     stack_rows,
-    zero_vector,
 )
 from . import tensorspace as ts
 from .tensorspace import Tensor
 from .qha import QuasiHopfAlgebra
 # conjugation_action (the action S commutes with) lives in coend, beside
 # coinvariant_elements, which uses it
-from .coend import CoendMaps, coend_maps, conjugation_action, copairing  # noqa: F401
+from .coend import CoendMaps, coend_maps, conjugation_action, require_factorisable  # noqa: F401
 
 
 @dataclass
@@ -71,27 +74,21 @@ def center(A: QuasiHopfAlgebra) -> list[list[Scalar]]:
 def integral_L(A: QuasiHopfAlgebra, maps: CoendMaps) -> IntegralResult:
     """Solve the two-sided invariance conditions for a functional on A.
 
-    The conditions say that contracting either output leg of the
-    transposed product against the functional collapses to the
-    evaluation element times the functional.  The solution space is
-    1-dimensional exactly in the factorisable case; the dimension is
-    reported either way.
+    Contracting either output leg of the transposed product against the
+    functional gives the evaluation element times the functional:
+    P_j lam = Q_j lam = alpha_j lam for the slices P_j[a, k] = mu[(j, k), a]
+    and Q_j[a, k] = mu[(k, j), a].  The integral is unique up to scale,
+    so the space has dimension 1 on valid inputs whether or not they are
+    factorisable (only :func:`coend.factorisability` decides that).
     """
     dim, order = A.dim, A.order
-    mu = maps.mu_hat
-    rows: list[list[Scalar]] = []
-    for a in range(dim):
-        for j in range(dim):
-            # sum_k mu[(j,k), a] lam_k = alpha_j lam_a
-            row = [mu[j * dim + k, a] for k in range(dim)]
-            row[a] = row[a] - A.alpha[j]
-            rows.append(row)
-            # sum_k mu[(k,j), a] lam_k = alpha_j lam_a
-            row = [mu[k * dim + j, a] for k in range(dim)]
-            row[a] = row[a] - A.alpha[j]
-            rows.append(row)
-    system = ExactMatrix(len(rows), dim, order, rows)
-    sols = system.kernel()
+    slices: list[list] = [[] for _ in range(2 * dim)]   # P_0 .. P_dim-1, Q_0 .. Q_dim-1
+    for (jk, a), c in maps.mu_hat.nonzero():
+        j, k = divmod(jk, dim)
+        slices[j].append(((a, k), c))
+        slices[dim + k].append(((a, j), c))
+    sols = common_eigenvectors(
+        [ExactMatrix.from_entries(dim, dim, order, t) for t in slices], A.alpha + A.alpha)
     if len(sols) != 1:
         return IntegralResult(None, len(sols), None)
     lam = sols[0]
@@ -101,10 +98,7 @@ def integral_L(A: QuasiHopfAlgebra, maps: CoendMaps) -> IntegralResult:
 
 def pairing_of(f: list[Scalar], g: list[Scalar], omega_hat: Tensor, order: int) -> Scalar:
     """<f x g, omega> with the flipped contraction convention."""
-    acc = Scalar.zero(order)
-    for (i, j), c in omega_hat.nonzero():
-        acc = acc + c * f[j] * g[i]
-    return acc
+    return dot(g, ts.contract_leg(omega_hat, 2, f).to_vector())
 
 
 def cointegral_L(A: QuasiHopfAlgebra, integral: list[Scalar] | None = None) -> CointegralResult:
@@ -148,87 +142,46 @@ def s_t_hat(A: QuasiHopfAlgebra, maps: CoendMaps, integral: list[Scalar]):
 def s_hat_pairing_form(A: QuasiHopfAlgebra, maps: CoendMaps, integral: list[Scalar]) -> ExactMatrix:
     """Equivalent route to the S-transformation through the self-pairing
     element and the transposed coproduct; agrees entry by entry with
-    :func:`s_t_hat` and serves as its oracle."""
+    :func:`s_t_hat` and serves as its oracle.
+
+    Column a is sum K(S(r') a r'', S(q') w_1 q'') S(p') w_2 p'' over
+    phi = p x q x r and omega = w_1 x w_2, with the bilinear form
+    K(x, y) = <integral, delta_hat(x (x) y)>."""
     dim, order = A.dim, A.order
-    omega = maps.omega_hat
-    out = ExactMatrix.zeros(dim, dim, order)
-    pair_cache: dict[tuple[int, int], ExactMatrix] = {}
-
-    def sandwich(r1: int, r2: int) -> ExactMatrix:
-        # x -> S(e_r1) x e_r2
-        if (r1, r2) not in pair_cache:
-            s_r1 = [A.antipode[r, r1] for r in range(dim)]
-            pair_cache[(r1, r2)] = A.lmult_of(s_r1) * A.right_mult[r2]
-        return pair_cache[(r1, r2)]
-
-    for (p, q, r), c_phi in A.phi.nonzero():
-        for (p1, p2), cp in A.cop_table[p]:
-            for (q1, q2), cq in A.cop_table[q]:
-                y_mid = sandwich(q1, q2)
-                for (r1, r2), cr in A.cop_table[r]:
-                    x_map = sandwich(r1, r2)
-                    for (w1, w2), cw in omega.nonzero():
-                        coeff = c_phi * cp * cq * cr * cw
-                        y = [y_mid[i, w1] for i in range(dim)]
-                        z_mat = sandwich(p1, p2)
-                        z = [z_mat[i, w2] for i in range(dim)]
-                        for a in range(dim):
-                            x = [x_map[i, a] for i in range(dim)]
-                            val = coeff * dot(integral, _delta_hat_pair(maps, x, y))
-                            if not val.is_zero():
-                                for i in range(dim):
-                                    if not z[i].is_zero():
-                                        out[i, a] = out[i, a] + val * z[i]
-    return out
-
-
-def _delta_hat_pair(maps: CoendMaps, x: list[Scalar], y: list[Scalar]) -> list[Scalar]:
-    """The transposed coproduct applied to x (x) y."""
-    dim = len(x)
-    flat = zero_vector(dim * dim, x[0].order)
-    for i, xi in enumerate(x):
-        if not xi.is_zero():
-            for j, yj in enumerate(y):
-                if not yj.is_zero():
-                    flat[i * dim + j] = xi * yj
-    return maps.delta_hat.apply(flat)
+    # legs 1 to 6 are p', p'', q', q'', r', r''; 7 and 8 are omega; 9 and 10 the slot
+    phi3 = ts.coproduct_leg(ts.coproduct_leg(ts.coproduct_leg(A.phi, 3, A.cop_table),
+                                             2, A.cop_table), 1, A.cop_table)
+    for leg in (1, 3, 5):
+        phi3 = ts.leg_map(phi3, leg, A.antipode)
+    t = ts.tensor_product(phi3, ts.tensor_product(maps.omega_hat, ts.identity(dim, order)))
+    # output legs (z, x, y, a); K pairs x and y for every a
+    t = ts.merge_legs(t, ((1, 8, 2), (5, 10, 6), (3, 7, 4), (9,)), A.mult_table)
+    k = matrix_from_columns([maps.delta_hat.transpose().apply(integral)], order)
+    return ts.as_matrix(t, 1) * k.kron(ExactMatrix.identity(dim, order))
 
 
 def sl2z_on_center(
     A: QuasiHopfAlgebra,
-    maps: CoendMaps,
-    integral: list[Scalar],
+    s_hat: ExactMatrix,
+    t_hat: ExactMatrix,
     center_basis: list[list[Scalar]] | None = None,
 ):
-    """The modular S and T maps on the centre, in centre coordinates,
-    together with the projective constant from (S T)^3 = lam S^2.
+    """The restrictions S_Z and T_Z of S_hat and T_hat to the centre, in
+    centre coordinates, together with the projective constant from
+    (S T)^3 = lam S^2.
 
     Raises ValueError if either map fails to preserve the centre (naming
     the first failing basis vector, S before T) or if exact
     proportionality fails; both identities are theorems, so a
     failure signals corrupted input or an implementation fault.
     """
-    if A.ribbon_inv is None:
-        raise ValueError("the modular action requires ribbon data")
-    dim, order = A.dim, A.order
+    order = A.order
     if center_basis is None:
         center_basis = center(A)
-
-    # prefix map x -> sum psi_1 beta S(psi_2) x psi_3
-    t = ts.leg_map(A.phi_inv, 2, A.antipode)
-    t = ts.leg_map(t, 1, A.rmult_of(A.beta))
-    pre = A.two_sided_action(ts.merge_legs(t, ((1, 2), (3,)), A.mult_table))
-    # S z = pre Omega K (alpha z), where Omega is omega_hat's coefficient
-    # matrix and K[j][b] = <integral, delta_hat(e_j (x) e_b)>
-    paired = maps.delta_hat.transpose().apply(integral)
-    k_mat = ExactMatrix(dim, dim, order, [paired[j * dim:(j + 1) * dim] for j in range(dim)])
-    s_mat = pre * ts.as_matrix(maps.omega_hat, 1) * k_mat
-
     # one elimination solves every column; S z and T z alternate, so the
     # first basis vector that fails is reported, with S checked before T
     coords = matrix_from_columns(center_basis, order).solve_each(
-        [x for z in center_basis
-         for x in (s_mat.apply(A.product(A.alpha, z)), A.product(A.ribbon_inv, z))])
+        [m.apply(z) for z in center_basis for m in (s_hat, t_hat)])
     s_cols, t_cols = coords[0::2], coords[1::2]
     for k, (z, s_col, t_col) in enumerate(zip(center_basis, s_cols, t_cols)):
         for name, col in (("S", s_col), ("T", t_col)):
@@ -258,12 +211,7 @@ def modular_data(A: QuasiHopfAlgebra, maps: CoendMaps | None = None) -> ModularD
     """Full modular pipeline; requires a factorisable ribbon input."""
     if maps is None:
         maps = coend_maps(A)
-    rank = ts.as_matrix(copairing(A, maps), 1).rank()
-    if rank != A.dim:
-        raise ValueError(
-            f"input is not factorisable (copairing rank {rank} < {A.dim}); "
-            "the modular action is only defined in the factorisable case"
-        )
+    require_factorisable(A, maps)
     integral = integral_L(A, maps)
     if integral.functional is None:
         raise ValueError(
@@ -276,7 +224,7 @@ def modular_data(A: QuasiHopfAlgebra, maps: CoendMaps | None = None) -> ModularD
         raise ValueError("integral pairs to zero against the cointegral")
     s_hat, t_hat = s_t_hat(A, maps, integral.functional)
     basis = center(A)
-    s_z, t_z, lam = sl2z_on_center(A, maps, integral.functional, basis)
+    s_z, t_z, lam = sl2z_on_center(A, s_hat, t_hat, basis)
     return ModularData(
         center_basis=basis,
         integral=integral.functional,

@@ -54,17 +54,12 @@ class AModule:
 
 
 class Morphism:
-    """A linear map between modules; optionally checked to intertwine."""
+    """A linear map between modules; :meth:`is_intertwiner` checks it."""
 
-    def __init__(self, source: AModule, target: AModule, matrix: ExactMatrix,
-                 strict: bool = False):
+    def __init__(self, source: AModule, target: AModule, matrix: ExactMatrix):
         self.source = source
         self.target = target
         self.matrix = matrix
-        if strict:
-            ok, w = self.is_intertwiner()
-            if not ok:
-                raise ValueError(f"morphism does not intertwine at basis index {w}")
 
     def is_intertwiner(self) -> tuple[bool, tuple | None]:
         for i in range(self.source.alg.dim):

@@ -6,7 +6,8 @@ The preset report digests the benchmark checks are checked here too, so a
 change of the report bytes fails the test suite first.  The generated
 D(Z/3), with nine simples, runs the fusion and modular solves at a size no
 preset reaches, and its universal Hopf algebra is checked as a Hopf algebra
-in the module category."""
+in the module category and against the S-route oracle and the Hopf short
+forms."""
 
 import hashlib
 import importlib.util
@@ -18,6 +19,8 @@ import pytest
 from click.testing import CliRunner
 
 from qhopf.cli import main, parse_text
+from qhopf.coend import coend_maps, hopf_reduced_maps
+from qhopf.modular import modular_data, s_hat_pairing_form
 from qhopf.repcat import verify_braided_hopf
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -81,15 +84,25 @@ def test_traced_report_counts_tensor_work_and_uninstalls(tmp_path):
     assert {n: getattr(tensorspace, n) for n in tracer_mod.TENSOR_FUNCS} == funcs
 
 
+# SHA-256 of the report bytes, run from the file's directory so that the
+# "algebra" field reads the relative path d_z3.alg
+DOUBLE_Z3_DIGESTS = {
+    1: "cfb0ddb8a86043ab6f92dab4d762aba110751de050786f59b569a0b31bda37e4",
+    2: "35ab72b9624b2480a51e3516ec05b74023891cf857c433dd9e3e0ea0b1512952",
+}
+
+
 @pytest.mark.parametrize("k", [1, 2])
-def test_generated_double_z3_report(tmp_path, k):
+def test_generated_double_z3_report(tmp_path, monkeypatch, k):
     alg, simples = INPUTS.double_cyclic(3, k, INPUTS.relabelling(random.Random(k), 9))
-    src = tmp_path / "d_z3.alg"
-    src.write_text(INPUTS.serialize(alg, simples, comment=alg.name), encoding="utf-8")
-    out = tmp_path / "report.json"
-    result = CliRunner().invoke(main, ["report", str(src), "--out", str(out)])
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("d_z3.alg").write_text(
+        INPUTS.serialize(alg, simples, comment=alg.name), encoding="utf-8")
+    result = CliRunner().invoke(main, ["report", "d_z3.alg", "--out", "report.json"])
     assert result.exit_code == 0, result.output
-    doc = json.loads(out.read_bytes())
+    data = pathlib.Path("report.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == DOUBLE_Z3_DIGESTS[k]
+    doc = json.loads(data)
     assert doc["factorisability"]["is_factorisable"]
     assert doc["modular"]["lambda"] == "1/3"
     labels = [f"s{s}{t}" for s in range(3) for t in range(3)]
@@ -111,3 +124,17 @@ def test_generated_double_z3_is_braided_hopf(k):
     rep = verify_braided_hopf(alg)
     assert rep.ok, rep.failures()
     assert len(rep.results) == 19
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_generated_double_z3_oracles(k):
+    # the S-route oracle and the Hopf short forms at dim 9; D(Z/3) is Hopf
+    alg, simples = INPUTS.double_cyclic(3, k, INPUTS.relabelling(random.Random(k), 9))
+    alg, _ = parse_text(INPUTS.serialize(alg, simples))
+    maps = coend_maps(alg)
+    md = modular_data(alg, maps)
+    assert s_hat_pairing_form(alg, maps, md.integral) == md.s_hat
+    short = hopf_reduced_maps(alg)
+    assert short.mu_hat == maps.mu_hat
+    assert short.delta_hat == maps.delta_hat
+    assert short.s_hat_L == maps.s_hat_L

@@ -234,6 +234,13 @@ def test_fusion_without_simples_exit_two(runner, tmp_path, presets):
     assert res.exit_code == 2
 
 
+def test_fusion_rejects_nonfactorisable(runner):
+    # the Verlinde formula needs the same factorisability gate as modular
+    res = runner.invoke(main, ["fusion", "group_Z2_trivialR"])
+    assert res.exit_code == 1
+    assert "not factorisable" in res.stderr
+
+
 def test_csv_rejected_elsewhere(runner):
     res = runner.invoke(main, ["check", "trivial", "--output", "csv"])
     assert res.exit_code != 0

@@ -18,6 +18,7 @@ from qhopf.modular import (
     integral_L,
     pairing_of,
     s_hat_pairing_form,
+    s_t_hat,
     sl2z_on_center,
 )
 
@@ -223,8 +224,8 @@ def test_lambda_rescales_with_integral(presets, all_maps):
     res = integral_L(alg, maps)
     t = Scalar.rational(3)
     scaled = [t * x for x in res.functional]
-    _, _, lam1 = sl2z_on_center(alg, maps, res.functional)
-    _, _, lam2 = sl2z_on_center(alg, maps, scaled)
+    _, _, lam1 = sl2z_on_center(alg, *s_t_hat(alg, maps, res.functional))
+    _, _, lam2 = sl2z_on_center(alg, *s_t_hat(alg, maps, scaled))
     assert lam2 == t * lam1
 
 
@@ -255,11 +256,11 @@ def test_pairing_value_flip_invariance(presets, all_maps, all_modular):
         assert k == md.pairing_value
 
 
-def test_sl2z_on_center_names_failing_basis_vector(presets, all_maps, all_modular):
+def test_sl2z_on_center_names_failing_basis_vector(presets, all_modular):
     # each basis spans a subspace that S or T leaves; the error names the
     # first basis vector whose image leaves it, S checked before T
     alg = presets["double_Z2"].algebra
-    maps, integral = all_maps["double_Z2"], all_modular["double_Z2"].integral
+    md = all_modular["double_Z2"]
 
     def vec(*xs):
         return [Scalar.rational(x, order=alg.order) for x in xs]
@@ -273,4 +274,4 @@ def test_sl2z_on_center_names_failing_basis_vector(presets, all_maps, all_modula
     for basis, name, k, shown in cases:
         message = f"{name} does not preserve the centre at centre basis vector {k} = {shown}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            sl2z_on_center(alg, maps, integral, basis)
+            sl2z_on_center(alg, md.s_hat, md.t_hat, basis)
