@@ -402,13 +402,14 @@ def report(path, output, out, field_order, projective, oracle):
     else:
         doc["modular"] = None
         doc["modular_skipped"] = "requires a factorisable ribbon algebra"
-    if simples is not None and fact.is_factorisable:
+    if simples is not None and fact.is_factorisable and A.ribbon is not None:
         _, doc["fusion"] = _fusion_payload(A, simples, oracle)
     else:
         doc["fusion"] = None
         doc["fusion_skipped"] = (
             "no simple modules declared" if simples is None
-            else "input is not factorisable"
+            else "input is not factorisable" if not fact.is_factorisable
+            else "requires ribbon data"
         )
     _emit(doc, output, out, f"report for {source}")
 

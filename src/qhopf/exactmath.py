@@ -11,9 +11,10 @@ A product convolves the numerators and reduces the powers x^k with
 k >= phi by a per-order table of x^k mod Phi_m, built once; Phi_m is monic,
 so the table is integer and no ``Fraction`` is made.  The public
 constructor accepts rational coefficients of any length: it clears their
-denominators, folds x^m = 1 and reduces through the same table.  Only
-``inverse`` (extended Euclid) and the read-only ``coeffs`` view use
-``Fraction``.
+denominators, folds x^m = 1 and reduces through the same table.  An
+inverse is the product of the other Galois conjugates over the rational
+norm.  Only the public constructors and the read-only ``coeffs`` and
+``to_fraction`` views use ``Fraction``.
 
 A matrix stores row i as ``data[i]``, a dict from column index to the
 nonzero entry there; it never stores a zero, just as a ``tensorspace.Tensor``
@@ -134,6 +135,12 @@ def _make(order: int, num: tuple[int, ...], den: int) -> "Scalar":
     s = object.__new__(Scalar)
     s.order, s.num, s.den = order, num, den
     return s
+
+
+def _rational_inverse(s: "Scalar") -> "Scalar":
+    # 1 / s for a nonzero rational s
+    n = s.num[0]
+    return _make(s.order, (s.den if n > 0 else -s.den,) + s.num[1:], abs(n))
 
 
 # ---------------------------------------------------------------------------
@@ -258,43 +265,24 @@ class Scalar:
                     prod[i + j] += x * y
         return _canonical(a.order, len(an), prod, den)
 
+    def conjugate(self, k: int) -> "Scalar":
+        """The Galois conjugate sigma_k, zeta_m -> zeta_m^k, for k prime to m."""
+        poly = [0] * self.order
+        for j, x in enumerate(self.num):
+            poly[j * k % self.order] = x
+        return _canonical(self.order, len(self.num), poly, self.den)
+
     def inverse(self) -> "Scalar":
+        """1 / a = (prod of the conjugates sigma_k(a), k != 1) / N(a), where
+        the norm N(a) = a times that product is rational."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         if self.is_rational():
-            n = self.num[0]
-            return _make(self.order, (self.den if n > 0 else -self.den,) + self.num[1:], abs(n))
-        # extended Euclid for self (as polynomial) against the cyclotomic modulus
-        mod = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = mod, list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while r1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                inv = 1 / r1[0]
-                return Scalar(self.order, [c * inv for c in s1])
-            q = [Fraction(0)] * (len(r0) - len(r1) + 1)
-            rem = list(r0)
-            for i in range(len(q) - 1, -1, -1):
-                c = rem[i + len(r1) - 1] / r1[-1]
-                q[i] = c
-                if c:
-                    for j, d in enumerate(r1):
-                        rem[i + j] -= c * d
-            rem = rem[: len(r1) - 1]
-            qs1 = [Fraction(0)] * (len(q) + len(s1) - 1)
-            for i, x in enumerate(q):
-                if x:
-                    for j, y in enumerate(s1):
-                        qs1[i + j] += x * y
-            news = [Fraction(0)] * max(len(s0), len(qs1))
-            for i, c in enumerate(s0):
-                news[i] += c
-            for i, c in enumerate(qs1):
-                news[i] -= c
-            r0, r1 = r1, rem
-            s0, s1 = s1, news
+            return _rational_inverse(self)
+        m = self.order
+        rest = prod((self.conjugate(k) for k in range(2, m) if gcd(k, m) == 1),
+                    start=Scalar.one(m))
+        return rest * _rational_inverse(self * rest)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inverse()

@@ -4,7 +4,8 @@ This module is the engine's one input boundary; the command line,
 ``presets`` and the tests read and write algebras only through it.
 
 File format (``.alg``): a header followed by sparse sections.  Lines are
-``#``-commented; omitted entries are zero; basis element 0 is the unit.
+``#``-commented; omitted entries are zero, repeated entries add up, and
+basis element 0 is the unit.
 
     dim 4
     field 4                    # cyclotomic order m, 1 = rationals
@@ -193,7 +194,7 @@ def parse_text(text: str, source: str = "<string>", field_order: int | None = No
     """Parse a definition file into an algebra and its optional simple
     modules.  ``field_order`` embeds everything into a larger cyclotomic
     field (must be a multiple of the declared order)."""
-    from .repcat import module_from_action
+    from .repcat import AModule
     from .fusion import SimpleSet
 
     dim: int | None = None
@@ -288,46 +289,37 @@ def parse_text(text: str, source: str = "<string>", field_order: int | None = No
         if not sections.get(name):
             raise ParseError(f"missing or empty mandatory section {name!r}", source)
 
-    zero = Scalar.zero(order)
+    # repeated indices are summed and zeros dropped by the sparse types;
+    # an omitted optional section is zero
+    def tensor_of(name: str, legs: int) -> Tensor:
+        return Tensor.from_entries(dim, legs, order, sections.get(name, []))
 
     def vector_of(name: str) -> list[Scalar]:
-        v = [zero] * dim
-        for (i,), c in sections.get(name, []):
-            v[i] = v[i] + c
-        return v
+        return tensor_of(name, 1).to_vector()
 
-    def tensor_of(name: str, legs: int) -> Tensor | None:
-        if name not in sections:
-            return None
-        t = Tensor.zero(dim, legs, order)
-        for idx, c in sections[name]:
-            t[idx] = t[idx] + c
-        return t
+    def by_first(entries):
+        # the entries (i, *rest) as one list of (rest, value) per i < dim
+        out: list[list] = [[] for _ in range(dim)]
+        for (i, *rest), c in entries:
+            out[i].append((tuple(rest), c))
+        return out
 
-    mult = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for (i, j, k), c in sections["mult"]:
-        mult[i][j][k] = mult[i][j][k] + c
-
-    coproduct = [Tensor.zero(dim, 2, order) for _ in range(dim)]
-    for (i, j, k), c in sections["coproduct"]:
-        coproduct[i][j, k] = coproduct[i][j, k] + c
-
-    antipode = ExactMatrix.from_entries(
-        dim, dim, order, (((j, i), c) for (i, j), c in sections["antipode"]))
-
+    m = tensor_of("mult", 3)
     alg = QuasiHopfAlgebra(
         dim=dim,
         order=order,
-        mult=mult,
+        mult=[[[m[i, j, k] for k in range(dim)] for j in range(dim)] for i in range(dim)],
         counit=vector_of("counit"),
-        coproduct=coproduct,
-        antipode=antipode,
+        coproduct=[Tensor.from_entries(dim, 2, order, e)
+                   for e in by_first(sections["coproduct"])],
+        antipode=ExactMatrix.from_entries(
+            dim, dim, order, (((j, i), c) for (i, j), c in sections["antipode"])),
         phi=tensor_of("phi", 3),
-        phi_inv=tensor_of("phi_inv", 3) or Tensor.zero(dim, 3, order),
+        phi_inv=tensor_of("phi_inv", 3),
         alpha=vector_of("alpha"),
         beta=vector_of("beta"),
         r_matrix=tensor_of("R", 2),
-        r_inv=tensor_of("R_inv", 2) or Tensor.zero(dim, 2, order),
+        r_inv=tensor_of("R_inv", 2),
         ribbon=vector_of("ribbon") if "ribbon" in sections else None,
         ribbon_inv=None,
         name=source,
@@ -351,7 +343,7 @@ def parse_text(text: str, source: str = "<string>", field_order: int | None = No
             alg.ribbon_inv = inv.to_vector()
             alg.notes.append("ribbon_inv solved from ribbon")
         else:
-            alg.ribbon_inv = [zero] * dim
+            alg.ribbon_inv = [Scalar.zero(order)] * dim
             alg.notes.append("ribbon is not invertible")
     alg.notes.extend(f"flag {f}" for f in flags)
     if order != declared:
@@ -359,14 +351,9 @@ def parse_text(text: str, source: str = "<string>", field_order: int | None = No
 
     simple_set = None
     if simples:
-        labeled = []
-        for s in simples:
-            d = s["dim"]
-            mats = [[[zero] * d for _ in range(d)] for _ in range(dim)]
-            for (a, r, c), val in s["entries"]:
-                mats[a][r][c] = mats[a][r][c] + val
-            labeled.append((s["label"], module_from_action(alg, mats, s["label"])))
-        simple_set = SimpleSet.from_modules(labeled)
+        simple_set = SimpleSet.from_modules([(s["label"], AModule(alg, [
+            ExactMatrix.from_entries(s["dim"], s["dim"], order, e)
+            for e in by_first(s["entries"])], s["label"])) for s in simples])
 
     return alg, simple_set
 

@@ -24,9 +24,7 @@ from .exactmath import (
 from . import tensorspace as ts
 from .tensorspace import Tensor
 from .qha import QuasiHopfAlgebra
-# conjugation_action (the action S commutes with) lives in coend, beside
-# coinvariant_elements, which uses it
-from .coend import CoendMaps, coend_maps, conjugation_action, require_factorisable  # noqa: F401
+from .coend import CoendMaps, coend_maps, require_factorisable
 
 
 @dataclass
@@ -92,11 +90,11 @@ def integral_L(A: QuasiHopfAlgebra, maps: CoendMaps) -> IntegralResult:
     if len(sols) != 1:
         return IntegralResult(None, len(sols), None)
     lam = sols[0]
-    k = pairing_of(lam, lam, maps.omega_hat, order)
+    k = pairing_of(lam, lam, maps.omega_hat)
     return IntegralResult(lam, 1, k)
 
 
-def pairing_of(f: list[Scalar], g: list[Scalar], omega_hat: Tensor, order: int) -> Scalar:
+def pairing_of(f: list[Scalar], g: list[Scalar], omega_hat: Tensor) -> Scalar:
     """<f x g, omega> with the flipped contraction convention."""
     return dot(g, ts.contract_leg(omega_hat, 2, f).to_vector())
 

@@ -14,7 +14,8 @@ Index conventions, fixed once:
 * functionals pair with elements of a tensor square in flipped order,
   <f (x) g, x (x) y> = f(y) g(x).  Dualising the transposed structure
   maps of the universal Hopf algebra therefore composes a transpose with
-  one pair flip; :func:`pair_flip` is the single place this happens.
+  one pair flip, ``flip_matrix(dim, dim, order)``, in
+  :func:`dualised_structure`, the single place this happens.
 """
 
 from __future__ import annotations
@@ -87,16 +88,6 @@ def regular_module(A: QuasiHopfAlgebra) -> AModule:
     return AModule(A, list(A.left_mult), label="A")
 
 
-def module_from_action(A: QuasiHopfAlgebra, mats: list[list[list[Scalar]]],
-                       label: str = "") -> AModule:
-    dim = len(mats[0])
-    return AModule(
-        A,
-        [ExactMatrix(dim, dim, A.order, m) for m in mats],
-        label=label,
-    )
-
-
 def tensor_module(U: AModule, V: AModule) -> AModule:
     """Tensor product along the coproduct."""
     A = U.alg
@@ -132,11 +123,6 @@ def flip_matrix(m: int, n: int, order: int) -> ExactMatrix:
     one = Scalar.one(order)
     return ExactMatrix.from_entries(m * n, m * n, order, (
         ((v * m + u, u * n + v), one) for u in range(m) for v in range(n)))
-
-
-def pair_flip(dim: int, order: int) -> ExactMatrix:
-    """The flip on A x A used when dualising transposed structure maps."""
-    return flip_matrix(dim, dim, order)
 
 
 def _flattened(mats: list[ExactMatrix]) -> ExactMatrix:
@@ -330,7 +316,7 @@ def dualised_structure(A: QuasiHopfAlgebra, maps: CoendMaps | None = None):
     L = coadjoint_module(A)
     LL = tensor_module(L, L)
     one_mod = trivial_module(A)
-    flip = pair_flip(A.dim, A.order)
+    flip = flip_matrix(A.dim, A.dim, A.order)
 
     mu = Morphism(LL, L, maps.mu_hat.transpose() * flip)
     delta = Morphism(L, LL, flip * maps.delta_hat.transpose())

@@ -87,6 +87,19 @@ def test_zero_ribbon_is_not_no_ribbon(presets):
     assert back.ribbon is not None and algebras_equal(back, zero_ribbon)
 
 
+def test_parse_sums_repeated_entries(presets):
+    # repeated indices add up, in the sections and in the simples, and a
+    # sum that cancels is no entry at all
+    p = presets["double_Z2"]
+    text = serialize(p.algebra, p.simples)
+    split = (text.replace("mult:\n0 0 0 = 1\n", "mult:\n0 0 0 = 1/2\n0 0 0 = 1/2\n", 1)
+             .replace("R:\n", "R:\n3 3 = 1\n3 3 = -1\n", 1)
+             .replace("simple s00 dim 1:\n", "simple s00 dim 1:\n1 0 0 = 2\n1 0 0 = -2\n", 1))
+    assert split.count("\n") == text.count("\n") + 5
+    alg, simples = parse_text(split)
+    assert serialize(alg, simples) == text
+
+
 def test_parse_reports_missing_section():
     with pytest.raises(ParseError, match="mult"):
         parse_text("dim 1\nfield 1\n\ncounit:\n0 = 1\n")
@@ -267,6 +280,21 @@ def test_report_on_nonfactorisable_skips_modular(runner):
     payload = json.loads(res.output)
     assert payload["modular"] is None
     assert "factorisable" in payload["modular_skipped"]
+
+
+def test_report_without_ribbon_skips_modular_and_fusion(runner, tmp_path):
+    # a factorisable input with simples but no ribbon section: the
+    # characters need ribbon data, so fusion is skipped like modular
+    text = preset_text("double_Z2")
+    start = text.index("ribbon:")
+    path = tmp_path / "noribbon.alg"
+    path.write_text(text[:start] + text[text.index("simple ", start):], encoding="utf-8")
+    res = runner.invoke(main, ["report", str(path)])
+    assert res.exit_code == 0, res.stderr
+    payload = json.loads(res.output)
+    assert payload["factorisability"]["is_factorisable"]
+    assert payload["modular"] is None and payload["fusion"] is None
+    assert "ribbon" in payload["modular_skipped"] and "ribbon" in payload["fusion_skipped"]
 
 
 def test_field_order_embedding(runner):

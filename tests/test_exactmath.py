@@ -126,7 +126,9 @@ REF_PHI = {
     8: [1, 0, 0, 0, 1],
     9: [1, 0, 0, 1, 0, 0, 1],
     12: [1, 0, -1, 0, 1],
+    15: [1, -1, 0, 1, -1, 1, 0, -1, 1],
     16: [1, 0, 0, 0, 0, 0, 0, 0, 1],
+    25: [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1],
 }
 
 
@@ -188,6 +190,14 @@ def test_scalar_matches_fraction_reference(order, data):
         with pytest.raises(DivisionByZero):
             a.inverse()
     assert (a == b) == (ra == rb)
+    # the Galois conjugate zeta -> zeta^k, by substitution and long division
+    k = data.draw(st.sampled_from([k for k in range(1, order + 1) if math.gcd(k, order) == 1]))
+    substituted = [Fraction(0)] * (k * len(ra) + 1)
+    for j, x in enumerate(ra):
+        substituted[j * k] += x
+    conj = a.conjugate(k)
+    assert_canonical(conj, order)
+    assert conj.coeffs == ref_reduce(order, substituted)
     # the same value given unreduced: a plus a multiple of Phi_m
     q = data.draw(st.lists(ref_coeffs, max_size=order + 1))
     shifted = [Fraction(0)] * (len(q) + len(REF_PHI[order]) + len(pa))

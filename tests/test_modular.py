@@ -10,11 +10,10 @@ from qhopf.exactmath import (
     zero_vector,
 )
 from qhopf import tensorspace as ts
-from qhopf.coend import invariant_functionals
+from qhopf.coend import conjugation_action, invariant_functionals
 from qhopf.modular import (
     center,
     cointegral_L,
-    conjugation_action,
     integral_L,
     pairing_of,
     s_hat_pairing_form,
@@ -247,12 +246,10 @@ def test_t_z_eigenvalues_fourth_roots_for_twisted(presets, all_modular):
     assert t2 != ident  # genuinely order four: eigenvalues include +-i
 
 
-def test_pairing_value_flip_invariance(presets, all_maps, all_modular):
+def test_pairing_value_flip_invariance(all_maps, all_modular):
     for name in FACTORISABLE:
         md = all_modular[name]
-        maps = all_maps[name]
-        k = pairing_of(md.integral, md.integral, maps.omega_hat,
-                       presets[name].algebra.order)
+        k = pairing_of(md.integral, md.integral, all_maps[name].omega_hat)
         assert k == md.pairing_value
 
 

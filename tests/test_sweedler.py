@@ -16,9 +16,9 @@ import pytest
 from click.testing import CliRunner
 
 from qhopf.cli import main, parse_text
-from qhopf.coend import factorisability
+from qhopf.coend import coend_maps, factorisability, hopf_reduced_maps
 from qhopf.fusion import radical_dimension
-from qhopf.modular import center, cointegral_L
+from qhopf.modular import center, cointegral_L, integral_L, s_hat_pairing_form, s_t_hat
 from qhopf.qha import validate
 from qhopf.repcat import verify_braided_hopf
 
@@ -116,6 +116,20 @@ def test_h4_braided_hopf(h4):
     rep = verify_braided_hopf(h4)
     assert rep.ok, rep.failures()
     assert len(rep.results) == 19
+
+
+def test_h4_oracles(h4):
+    # the first noncommutative, noncocommutative input of the Hopf short
+    # forms and the S-route oracle, where a swapped coproduct leg or a
+    # dropped antipode no longer cancels
+    maps, short = coend_maps(h4), hopf_reduced_maps(h4)
+    for name in ("mu_hat", "delta_hat", "eta_hat", "eps_hat", "s_hat_L", "omega_hat"):
+        assert getattr(maps, name) == getattr(short, name), name
+    integral = integral_L(h4, maps)
+    assert integral.space_dim == 1
+    s_hat, _ = s_t_hat(h4, maps, integral.functional)
+    assert s_hat.rank() == 1      # degenerate, as H4 is not factorisable
+    assert s_hat_pairing_form(h4, maps, integral.functional) == s_hat
 
 
 def test_h4_not_factorisable(h4):
