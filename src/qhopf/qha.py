@@ -20,10 +20,12 @@ and the monodromy, Drinfeld element and Drinfeld twist (``_x_d``,
 ``product`` multiplies two elements through ``mult_table`` and builds no
 matrix; ``lmult_of`` and ``rmult_of`` build one by ``kron_combination``.
 
-``validate`` checks every defining identity exhaustively over basis
-tuples and reports the first violating index tuple per axiom.  The
-derived elements (Drinfeld twist, Drinfeld element, monodromy) come with
-their own consistency checks.
+``validate`` checks each defining identity as one tensor equation: the
+basis elements it quantifies over are slots (``tensorspace.identity``),
+whose index legs come first, and a failure is located at the first
+differing multi-index, which starts with the failing basis tuple.  The
+Drinfeld element's own consistency checks name their first failing index
+too.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .exactmath import (
     basis_vector,
     dot,
     kron_combination,
-    vec_eq,
+    times,
 )
 from . import tensorspace as ts
 from .tensorspace import Tensor
@@ -156,12 +158,14 @@ class QuasiHopfAlgebra:
     def _drinfeld(self) -> tuple:
         u, u_tilde, u_inv = self._drinfeld_raw
         if u_inv is not None:
-            if not vec_eq(self.product(u, u_inv), self.unit()) or not vec_eq(
-                self.product(u_inv, u), self.unit()
-            ):
-                raise ValueError("drinfeld element is not invertible against S^-1(u~)")
-            if self.antipode * self.antipode != self.lmult_of(u) * self.rmult_of(u_inv):
-                raise ValueError("S^2 is not conjugation by the drinfeld element")
+            ut, uit = (Tensor.from_vector(x, self.order) for x in (u, u_inv))
+            unit = Tensor.unit(self.dim, 1, self.order)
+            if w := (first_difference(ts.mul(ut, uit, self.mult_table), unit)
+                     or first_difference(ts.mul(uit, ut, self.mult_table), unit)):
+                raise ValueError(f"drinfeld element is not invertible against S^-1(u~) at {w}")
+            if w := first_difference(self.antipode * self.antipode,
+                                     self.lmult_of(u) * self.rmult_of(u_inv)):
+                raise ValueError(f"S^2 is not conjugation by the drinfeld element at {w}")
         return u, u_tilde, u_inv
 
     @cached_property
@@ -333,125 +337,90 @@ def _stored(x) -> dict:
 
 
 def validate(A: QuasiHopfAlgebra) -> AxiomReport:
-    """Run every defining identity as an exact check over basis tuples."""
+    """Run every defining identity as one exact tensor equation.
+
+    An identity in basis elements is checked on every basis tuple at once.
+    Each basis argument is a slot (``tensorspace.identity``) whose index leg
+    is a ``merge_legs`` group of its own and is never multiplied;
+    associativity reads its two sides straight from ``mult_table``.  The
+    index legs come first, so a failure is located at the first differing
+    multi-index, which starts with the failing basis tuple.
+    """
     rep = AxiomReport()
     dim, order = A.dim, A.order
-    mt = A.mult_table
+    mt, cop, eps, S = A.mult_table, A.cop_table, A.counit, A.antipode
     one = Scalar.one(order)
     unit1 = Tensor.unit(dim, 1, order)
     unit2 = Tensor.unit(dim, 2, order)
     unit3 = Tensor.unit(dim, 3, order)
+    eps_t = Tensor.from_vector(eps, order)
 
-    def first_fail(name, pairs):
-        for w, ok in pairs:
-            if not ok:
-                rep.add(name, False, w)
-                return
-        rep.add(name, True)
+    def merged(groups, *factors):
+        return ts.merge_legs(reduce(ts.tensor_product, factors), groups, mt)
 
-    # unit element
-    ident = ExactMatrix.identity(dim, order)
-    rep.add("unit_element", A.left_mult[0] == ident and A.right_mult[0] == ident, (0,))
+    slot = ts.identity(dim, order)                             # (a, e_a)
+    prod = merged(((1,), (3,), (2, 4)), slot, slot)            # (a, b, e_a e_b)
+    cop_slot = ts.coproduct_leg(slot, 2, cop)                  # (a, Delta(e_a))
+    s_slot = ts.leg_map(slot, 2, S)                            # (a, S(e_a))
 
-    # associativity: L(e_i) L(e_j) = L(e_i e_j)
-    def assoc_checks():
-        for i in range(dim):
-            for j in range(dim):
-                yield (i, j), A.left_mult[i] * A.left_mult[j] == A.lmult_of(A.mult[i][j])
-    first_fail("associativity", assoc_checks())
+    rep.compare("unit_element", (merged(((2,), (1, 3)), unit1, slot), slot),
+                (merged(((2,), (3, 1)), unit1, slot), slot))
 
-    # counit is an algebra map
-    def counit_checks():
-        yield (0,), A.counit[0] == one
-        for i in range(dim):
-            for j in range(dim):
-                yield (i, j), A.counit_of(A.mult[i][j]) == A.counit[i] * A.counit[j]
-    first_fail("counit_algebra_map", counit_checks())
+    # (e_i e_j) e_k = e_i (e_j e_k), straight from the table
+    rep.compare("associativity", (
+        Tensor.from_entries(dim, 4, order, (
+            ((i, j, k, n), times(c, d)) for i, row in enumerate(mt)
+            for j, ij in enumerate(row) for m, c in ij
+            for k, mk in enumerate(mt[m]) for n, d in mk)),
+        Tensor.from_entries(dim, 4, order, (
+            ((i, j, k, n), times(c, d)) for j, row in enumerate(mt)
+            for k, jk in enumerate(row) for m, c in jk
+            for i in range(dim) for n, d in mt[i][m]))))
 
-    # coproduct is an algebra map
-    def cop_checks():
-        yield (0,), A.coproduct[0] == unit2
-        for i in range(dim):
-            for j in range(dim):
-                prod = A.delta_of(A.mult[i][j])
-                yield (i, j), prod == ts.mul(A.coproduct[i], A.coproduct[j], mt)
-    first_fail("coproduct_algebra_map", cop_checks())
+    rep.compare("counit_algebra_map", (eps[:1], [one]),
+                (ts.counit_leg(prod, 3, eps), ts.tensor_product(eps_t, eps_t)))
+    rep.compare("coproduct_algebra_map", (A.coproduct[0], unit2),
+                (ts.coproduct_leg(prod, 3, cop),
+                 merged(((1,), (4,), (2, 5), (3, 6)), cop_slot, cop_slot)))
+    rep.compare("counitality", (ts.counit_leg(cop_slot, 2, eps), slot),
+                (ts.counit_leg(cop_slot, 3, eps), slot))
+    rep.compare("quasi_coassociativity", (
+        merged(((1,), (2, 5), (3, 6), (4, 7)), ts.coproduct_leg(cop_slot, 2, cop), A.phi),
+        merged(((4,), (1, 5), (2, 6), (3, 7)), A.phi, ts.coproduct_leg(cop_slot, 3, cop))))
 
-    # counitality
-    def counitality_checks():
-        for i in range(dim):
-            e = Tensor.from_vector(basis_vector(dim, i, order), order)
-            yield (i,), (
-                ts.counit_leg(A.coproduct[i], 1, A.counit) == e
-                and ts.counit_leg(A.coproduct[i], 2, A.counit) == e
-            )
-    first_fail("counitality", counitality_checks())
+    rep.compare("coassociator_counital", (ts.counit_leg(A.phi, 2, eps), unit2))
 
-    # quasi-coassociativity
-    def qcoass_checks():
-        for i in range(dim):
-            d = A.coproduct[i]
-            lhs = ts.mul(ts.coproduct_leg(d, 1, A.cop_table), A.phi, mt)
-            rhs = ts.mul(A.phi, ts.coproduct_leg(d, 2, A.cop_table), mt)
-            yield (i,), lhs == rhs
-    first_fail("quasi_coassociativity", qcoass_checks())
-
-    rep.compare("coassociator_counital", (ts.counit_leg(A.phi, 2, A.counit), unit2))
-
-    lhs3 = ts.mul(ts.coproduct_leg(A.phi, 1, A.cop_table),
-                  ts.coproduct_leg(A.phi, 3, A.cop_table), mt)
+    lhs3 = ts.mul(ts.coproduct_leg(A.phi, 1, cop), ts.coproduct_leg(A.phi, 3, cop), mt)
     rhs3 = ts.mul_chain(
         [ts.embed(A.phi, 4, (1, 2, 3)),
-         ts.coproduct_leg(A.phi, 2, A.cop_table),
+         ts.coproduct_leg(A.phi, 2, cop),
          ts.embed(A.phi, 4, (2, 3, 4))], mt)
     rep.compare("three_cocycle", (lhs3, rhs3))
     rep.compare("coassociator_invertible", (ts.mul(A.phi, A.phi_inv, mt), unit3),
                 (ts.mul(A.phi_inv, A.phi, mt), unit3))
 
-    # antipode is an algebra anti-homomorphism
-    def antihom_checks():
-        yield (0,), vec_eq(A.antipode_of(A.unit()), A.unit())
-        for i in range(dim):
-            for j in range(dim):
-                lhs = A.antipode_of(A.mult[i][j])
-                rhs = A.product(
-                    A.antipode_of(basis_vector(dim, j, order)),
-                    A.antipode_of(basis_vector(dim, i, order)),
-                )
-                yield (i, j), vec_eq(lhs, rhs)
-    first_fail("antipode_anti_homomorphism", antihom_checks())
+    rep.compare("antipode_anti_homomorphism", (ts.leg_map(unit1, 1, S), unit1),
+                (ts.leg_map(prod, 3, S), merged(((1,), (3,), (4, 2)), s_slot, s_slot)))
 
-    # zig-zag antipode conditions with alpha and beta
+    # S(x') alpha x'' = eps(x) alpha and x' beta S(x'') = eps(x) beta
     ralpha = A.rmult_of(A.alpha)
     rbeta = A.rmult_of(A.beta)
-
-    def zig_checks():
-        for i in range(dim):
-            d = A.coproduct[i]
-            t = ts.leg_map(ts.leg_map(d, 1, A.antipode), 1, ralpha)
-            lhs = ts.merge_legs(t, ((1, 2),), mt).to_vector()
-            yield (i, 1), vec_eq(lhs, [A.counit[i] * c for c in A.alpha])
-            t = ts.leg_map(ts.leg_map(d, 2, A.antipode), 1, rbeta)
-            lhs = ts.merge_legs(t, ((1, 2),), mt).to_vector()
-            yield (i, 2), vec_eq(lhs, [A.counit[i] * c for c in A.beta])
-    first_fail("antipode_zigzag", zig_checks())
+    rep.compare("antipode_zigzag", (
+        merged(((1,), (2, 3)), ts.leg_map(ts.leg_map(cop_slot, 2, S), 2, ralpha)),
+        ts.tensor_product(eps_t, Tensor.from_vector(A.alpha, order))), (
+        merged(((1,), (2, 3)), ts.leg_map(ts.leg_map(cop_slot, 3, S), 2, rbeta)),
+        ts.tensor_product(eps_t, Tensor.from_vector(A.beta, order))))
 
     t = ts.leg_map(ts.leg_map(ts.leg_map(ts.leg_map(
-        A.phi, 1, A.antipode), 1, ralpha), 2, rbeta), 3, A.antipode)
-    got = ts.merge_legs(t, ((1, 2, 3),), mt).to_vector()
-    rep.compare("coassociator_antipode_left", (got, A.unit()))
-    t = ts.leg_map(ts.leg_map(ts.leg_map(
-        A.phi_inv, 1, rbeta), 2, A.antipode), 2, ralpha)
-    got = ts.merge_legs(t, ((1, 2, 3),), mt).to_vector()
-    rep.compare("coassociator_antipode_right", (got, A.unit()))
+        A.phi, 1, S), 1, ralpha), 2, rbeta), 3, S)
+    rep.compare("coassociator_antipode_left", (merged(((1, 2, 3),), t), unit1))
+    t = ts.leg_map(ts.leg_map(ts.leg_map(A.phi_inv, 1, rbeta), 2, S), 2, ralpha)
+    rep.compare("coassociator_antipode_right", (merged(((1, 2, 3),), t), unit1))
 
     # R-matrix axioms
-    def rdelta_checks():
-        for i in range(dim):
-            d = A.coproduct[i]
-            yield (i,), ts.mul(A.r_matrix, d, mt) == ts.mul(
-                ts.permute(d, (2, 1)), A.r_matrix, mt)
-    first_fail("r_matrix_intertwines_coproduct", rdelta_checks())
+    rep.compare("r_matrix_intertwines_coproduct", (
+        merged(((3,), (1, 4), (2, 5)), A.r_matrix, cop_slot),
+        merged(((1,), (3, 4), (2, 5)), cop_slot, A.r_matrix)))
 
     hex1_rhs = ts.mul_chain(
         [ts.permute(A.phi_inv, (2, 3, 1)),
@@ -460,7 +429,7 @@ def validate(A: QuasiHopfAlgebra) -> AxiomReport:
          ts.embed(A.r_matrix, 3, (2, 3)),
          A.phi_inv], mt)
     rep.compare("hexagon_coproduct_left",
-                (ts.coproduct_leg(A.r_matrix, 1, A.cop_table), hex1_rhs))
+                (ts.coproduct_leg(A.r_matrix, 1, cop), hex1_rhs))
 
     hex2_rhs = ts.mul_chain(
         [ts.permute(A.phi, (3, 1, 2)),
@@ -469,37 +438,34 @@ def validate(A: QuasiHopfAlgebra) -> AxiomReport:
          ts.embed(A.r_matrix, 3, (1, 2)),
          A.phi], mt)
     rep.compare("hexagon_coproduct_right",
-                (ts.coproduct_leg(A.r_matrix, 2, A.cop_table), hex2_rhs))
-    rep.compare("r_matrix_counit", (ts.counit_leg(A.r_matrix, 1, A.counit), unit1),
-                (ts.counit_leg(A.r_matrix, 2, A.counit), unit1))
+                (ts.coproduct_leg(A.r_matrix, 2, cop), hex2_rhs))
+    rep.compare("r_matrix_counit", (ts.counit_leg(A.r_matrix, 1, eps), unit1),
+                (ts.counit_leg(A.r_matrix, 2, eps), unit1))
     rep.compare("r_matrix_invertible", (ts.mul(A.r_matrix, A.r_inv, mt), unit2),
                 (ts.mul(A.r_inv, A.r_matrix, mt), unit2))
 
-    rank = A.antipode.rank()
+    rank = S.rank()
     rep.add("antipode_invertible", rank == dim, (rank,))
 
     # ribbon axioms
     if A.ribbon is not None:
         v = A.ribbon
+        vt = Tensor.from_vector(v, order)
         if A.ribbon_inv is None:
             rep.add("ribbon_invertible", False, (0,))
         else:
-            rep.compare("ribbon_invertible", (A.product(v, A.ribbon_inv), A.unit()))
-
-        def central_checks():
-            for i in range(dim):
-                e = basis_vector(dim, i, order)
-                yield (i,), vec_eq(A.product(v, e), A.product(e, v))
-        first_fail("ribbon_central", central_checks())
+            rep.compare("ribbon_invertible",
+                        (ts.mul(vt, Tensor.from_vector(A.ribbon_inv, order), mt), unit1))
+        rep.compare("ribbon_central", (merged(((1,), (3, 2)), slot, vt),
+                                       merged(((1,), (2, 3)), slot, vt)))
 
         m = monodromy(A)
-        vt = Tensor.from_vector(v, order)
         rep.compare("ribbon_monodromy",
                     (ts.mul(m, A.delta_of(v), mt), ts.tensor_product(vt, vt)))
         rep.compare("ribbon_antipode_fixed", (A.antipode_of(v), v))
         if rep["antipode_invertible"].ok:
-            u, _, _ = A._drinfeld_raw
-            rep.compare("ribbon_square", (A.product(v, v), A.product(u, A.antipode_of(u))))
+            u = Tensor.from_vector(A._drinfeld_raw[0], order)
+            rep.compare("ribbon_square", (ts.mul(vt, vt, mt), ts.mul(u, ts.leg_map(u, 1, S), mt)))
         rep.add("ribbon_counit", A.counit_of(v) == one, (0,))
 
     return rep

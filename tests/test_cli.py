@@ -14,7 +14,7 @@ from qhopf.cli import (
     parse_text,
     serialize,
 )
-from qhopf.presets import preset_path
+from qhopf.presets import PRESET_NAMES, preset_path
 
 
 @pytest.fixture()
@@ -378,3 +378,42 @@ def test_declared_simple_that_is_not_a_module_exit_one(runner, tmp_path):
         res = runner.invoke(main, [command, str(path)])
         assert res.exit_code == 1, command
         assert "s00: representation property fails at (0,)" in res.stderr
+
+
+# line edits of a definition file: (kind, line, choice)
+LINE_EDITS = st.tuples(st.sampled_from(("delete", "duplicate", "index", "scalar")),
+                       st.integers(0, 200), st.integers(0, 9))
+LITERALS = ("0", "1", "-1", "1/2", "-3/4*z", "z", "z^2 - 1", "1/0", "", "x")
+
+
+def _edit(lines, kind, at, choice):
+    at %= len(lines)
+    line = lines[at]
+    if kind == "delete":
+        del lines[at]
+    elif kind == "duplicate":
+        lines.insert(at, line)
+    elif kind == "index" and "=" in line:
+        head, _, value = line.partition("=")
+        idx = head.split()
+        if idx:
+            idx[choice % len(idx)] = str(choice)
+            lines[at] = " ".join(idx) + " =" + value
+    elif kind == "scalar" and "=" in line:
+        lines[at] = line.partition("=")[0] + "= " + LITERALS[choice]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(PRESET_NAMES), st.lists(LINE_EDITS, min_size=1, max_size=3))
+def test_report_contract_on_edited_files(name, edits):
+    # whatever the edit, report exits 0, 1 or 2 and never raises
+    lines = preset_text(name).splitlines()
+    for edit in edits:
+        _edit(lines, *edit)
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("edited.alg", "w", encoding="utf-8") as f:
+            f.write("\n".join(lines) + "\n")
+        res = runner.invoke(main, ["report", "edited.alg"])
+    assert res.exit_code in (0, 1, 2), res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exception

@@ -33,6 +33,35 @@ def test_mutation_fails_with_witness(presets):
     assert any(r.witness is not None for r in rep.failures())
 
 
+def test_witness_is_the_failing_index(presets):
+    # a slot identity is located at its first differing multi-index; the
+    # two sides are recomputed here from the structure constants alone
+    alg = mutate(presets["twisted_double_Z2"].algebra, ("mult", (1, 2, 3)),
+                 Scalar.rational(1, order=4))
+    m, S, r, zero = alg.mult, alg.antipode, range(alg.dim), Scalar.zero(alg.order)
+    rep = validate(alg)
+    i, j, k, n = rep["associativity"].witness
+    left = sum((m[i][j][a] * m[a][k][n] for a in r), zero)        # (e_i e_j) e_k
+    right = sum((m[j][k][a] * m[i][a][n] for a in r), zero)       # e_i (e_j e_k)
+    assert left != right
+    i, j, n = rep["antipode_anti_homomorphism"].witness
+    lhs = sum((m[i][j][a] * S[n, a] for a in r), zero)            # S(e_i e_j)
+    rhs = sum((S[x, j] * S[y, i] * m[x][y][n] for x in r for y in r), zero)
+    assert lhs != rhs
+
+
+def test_drinfeld_errors_are_located(presets):
+    one = Scalar.rational(1)
+    bad_inv = mutate(presets["double_Z2"].algebra, ("r_inv", (1, 1)), one)
+    with pytest.raises(ValueError, match=r"^drinfeld element is not invertible "
+                                         r"against S\^-1\(u~\) at \(\d+,\)$"):
+        drinfeld_element(bad_inv)
+    bad_s = mutate(presets["group_Z2_trivialR"].algebra, ("antipode", (1, 1)), one)
+    with pytest.raises(ValueError, match=r"^S\^2 is not conjugation by the drinfeld "
+                                         r"element at \(1, 1\)$"):
+        drinfeld_element(bad_s)
+
+
 def test_twist_trivial_for_hopf_presets(presets):
     for name in ("trivial", "group_Z2_trivialR", "double_Z2"):
         alg = presets[name].algebra

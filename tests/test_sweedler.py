@@ -6,19 +6,24 @@ g is group-like, Delta(x) = x (x) 1 + g (x) x, S(x) = -gx.  R is the
 triangular R-matrix
     1/2 (1(x)1 + 1(x)g + g(x)1 - g(x)g)
       + 1/2 (x(x)x - x(x)gx + gx(x)x + gx(x)gx),
-and the other sign patterns on the x-terms fail a hexagon.  Only
-basis-free facts are asserted.
+and the other sign patterns on the x-terms fail a hexagon.  Apart from
+the mutation harness, whose single-entry mutants depend on this basis,
+only basis-free facts are asserted.
 """
 
 import json
+from collections import Counter
+from itertools import product
 
 import pytest
 from click.testing import CliRunner
 
 from qhopf.cli import main, parse_text
 from qhopf.coend import coend_maps, factorisability, hopf_reduced_maps
+from qhopf.exactmath import Scalar
 from qhopf.fusion import radical_dimension
 from qhopf.modular import center, cointegral_L, integral_L, s_hat_pairing_form, s_t_hat
+from qhopf.presets import mutate
 from qhopf.qha import validate
 from qhopf.repcat import verify_braided_hopf
 
@@ -145,3 +150,37 @@ def test_h4_not_semisimple_not_unimodular(h4):
     assert len(center(h4)) == 1
     # the left and right integrals of H4 differ, so no two-sided one exists
     assert cointegral_L(h4).dim_two_sided == 0
+
+
+# every single-entry mutation (delta 1) of these sites, with its index count
+H4_MUTATION_SITES = {"mult": 3, "coproduct": 3, "antipode": 2, "phi": 3, "alpha": 1,
+                     "beta": 1, "counit": 1, "r_matrix": 2, "ribbon": 1}
+
+# how many of the 240 mutants fail each check
+H4_MUTANT_FAILURES = {
+    "unit_element": 28, "associativity": 64, "counit_algebra_map": 36,
+    "coproduct_algebra_map": 128, "counitality": 52, "quasi_coassociativity": 137,
+    "coassociator_counital": 33, "three_cocycle": 84, "coassociator_invertible": 68,
+    "antipode_anti_homomorphism": 74, "antipode_zigzag": 118,
+    "coassociator_antipode_left": 48, "coassociator_antipode_right": 16,
+    "r_matrix_intertwines_coproduct": 132, "hexagon_coproduct_left": 208,
+    "hexagon_coproduct_right": 208, "r_matrix_counit": 16, "r_matrix_invertible": 80,
+    "antipode_invertible": 1, "ribbon_invertible": 8, "ribbon_central": 27,
+    "ribbon_monodromy": 98, "ribbon_antipode_fixed": 6, "ribbon_square": 107,
+    "ribbon_counit": 3,
+}
+
+
+def test_h4_mutation_harness(h4):
+    # on a noncommutative input every check can fail, ribbon_central and
+    # r_matrix_intertwines_coproduct included; each failure is located
+    failures = Counter()
+    one = Scalar.rational(1)
+    for section, arity in H4_MUTATION_SITES.items():
+        for idx in product(range(h4.dim), repeat=arity):
+            rep = validate(mutate(h4, (section, idx), one))
+            assert not rep.ok, (section, idx)
+            for r in rep.failures():
+                assert r.witness, (section, idx, r.name)
+            failures.update(r.name for r in rep.failures())
+    assert failures == H4_MUTANT_FAILURES
