@@ -274,7 +274,7 @@ def _guarded(fn):
 def _validated(A):
     rep = validate(A)
     if not rep.ok:
-        bad = ", ".join(f"{r.name}@{r.witness}" for r in rep.failures())
+        bad = ", ".join(map(str, rep.failures()))
         click.echo(f"axiom failure: {bad}", err=True)
         sys.exit(1)
     return rep

@@ -3,13 +3,17 @@
 Scalars are elements of Q(zeta_m), stored in the power basis of the m-th
 cyclotomic polynomial Phi_m (m = 1 gives plain rationals) as integer
 numerators ``num`` over one positive denominator ``den``.  The form is
-canonical after every operation: ``len(num) == euler_phi(m)``, ``den > 0``,
-``gcd(den, *num) == 1``, and zero is ``(0, ..., 0) / 1``, so equality and
-hashing of scalars are literal comparisons.
+canonical after every operation: ``num`` stops at the highest nonzero
+power, so ``len(num) <= euler_phi(m)``, a rational is a 1-tuple and zero is
+``()`` over 1; ``den > 0`` and ``gcd(den, *num) == 1``.  Equality on one
+order is therefore a literal comparison.  The hash is that of the
+normalised trace Tr(x) / phi(m), which embedding does not change, so it
+agrees with ``==`` across orders.
 
-A product convolves the numerators and reduces the powers x^k with
-k >= phi by a per-order table of x^k mod Phi_m, built once; Phi_m is monic,
-so the table is integer and no ``Fraction`` is made.  The public
+A product convolves only the stored numerators, so a rational or a
+low-degree value costs no more than its degree; powers x^k with k >= phi
+are reduced by a per-order table of x^k mod Phi_m, built once; Phi_m is
+monic, so the table is integer and no ``Fraction`` is made.  The public
 constructor accepts rational coefficients of any length: it clears their
 denominators, folds x^m = 1 and reduces through the same table.  An
 inverse is the product of the other Galois conjugates over the rational
@@ -36,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm, prod
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Hashable, Iterable, Iterator, Sequence, TypeVar
 
 K = TypeVar("K", bound=Hashable)
@@ -83,14 +87,15 @@ def cyclotomic_polynomial(m: int) -> list[int]:
     return poly
 
 
+@cache
 def euler_phi(m: int) -> int:
     return len(cyclotomic_polynomial(m)) - 1
 
 
 @cache
-def _reduction_table(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Row k - phi lists the nonzero (j, c) of x^k mod Phi_m, for
-    phi <= k < max(2 phi - 1, m): every power a product of two reduced
+def _reduction_table(order: int) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+    """(phi, rows): row k - phi lists the nonzero (j, c) of x^k mod Phi_m,
+    for phi <= k < max(2 phi - 1, m): every power a product of two reduced
     numerators, or an input folded by x^m = 1, can reach."""
     mod = cyclotomic_polynomial(order)
     phi = len(mod) - 1
@@ -102,32 +107,58 @@ def _reduction_table(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
         row = [0] + row[:-1]
         if top:
             row = [r - top * c for r, c in zip(row, mod)]
-    return tuple(rows)
+    return phi, tuple(rows)
 
 
-def _canonical(order: int, phi: int, poly: list[int], den: int) -> "Scalar":
-    """The scalar poly(zeta_m) / den, for phi = euler_phi(m), den > 0 and
-    len(poly) no more than the table reaches: high powers reduced, common
-    factor divided out."""
-    num = poly[:phi]
+@cache
+def _trace_weights(order: int) -> tuple[tuple[int, ...], int]:
+    """(w, n) with Tr(zeta_m^j) / phi(m) = w[j] / n for j < phi(m).  For
+    d = m / gcd(m, j), zeta_m^j is a primitive d-th root of unity, so the
+    normalised trace is mu(d) / phi(d); mu(d), the sum of the primitive
+    d-th roots, is minus the second-highest coefficient of Phi_d."""
+    ds = [order // gcd(order, j) for j in range(euler_phi(order))]
+    n = lcm(*(euler_phi(d) for d in ds))
+    return tuple(-cyclotomic_polynomial(d)[-2] * (n // euler_phi(d)) for d in ds), n
+
+
+def _canonical(order: int, poly: list[int], den: int) -> "Scalar":
+    """The scalar poly(zeta_m) / den, for den > 0 and len(poly) no more
+    than the table reaches: high powers reduced, trailing zeros dropped,
+    common factor divided out.  May reuse poly."""
+    phi, rows = _reduction_table(order)
     if len(poly) > phi:
-        for c, row in zip(poly[phi:], _reduction_table(order)):
+        num = poly[:phi]
+        for c, row in zip(poly[phi:], rows):
             if c:
                 for j, t in row:
                     num[j] += c * t
     else:
-        num += [0] * (phi - len(num))
+        num = poly
+    while num and not num[-1]:
+        num.pop()
     return _lowest(order, num, den)
 
 
 def _lowest(order: int, num: list[int], den: int) -> "Scalar":
-    """The scalar with numerators num over den > 0, in lowest terms."""
+    """The scalar with trimmed numerators num over den > 0, in lowest terms."""
     if den != 1:
         g = gcd(den, *num)
         if g != 1:
             num = [x // g for x in num]
             den //= g
     return _make(order, tuple(num), den)
+
+
+def _ratio(order: int, n: int, den: int) -> "Scalar":
+    """The rational n / den for den > 0, in lowest terms."""
+    if not n:
+        return _constants(order)[0]
+    if den != 1:
+        g = gcd(n, den)
+        if g != 1:
+            n //= g
+            den //= g
+    return _make(order, (n,), den)
 
 
 def _make(order: int, num: tuple[int, ...], den: int) -> "Scalar":
@@ -140,7 +171,7 @@ def _make(order: int, num: tuple[int, ...], den: int) -> "Scalar":
 def _rational_inverse(s: "Scalar") -> "Scalar":
     # 1 / s for a nonzero rational s
     n = s.num[0]
-    return _make(s.order, (s.den if n > 0 else -s.den,) + s.num[1:], abs(n))
+    return _make(s.order, (s.den if n > 0 else -s.den,), abs(n))
 
 
 # ---------------------------------------------------------------------------
@@ -149,18 +180,19 @@ def _rational_inverse(s: "Scalar") -> "Scalar":
 
 class Scalar:
     """An element of Q(zeta_m), exact and canonically reduced: integer
-    power-basis numerators ``num`` over a positive denominator ``den``."""
+    power-basis numerators ``num``, up to the highest nonzero one, over a
+    positive denominator ``den``."""
 
     __slots__ = ("order", "num", "den")
 
     def __init__(self, order: int, coeffs: Sequence[Fraction | int]):
-        phi = euler_phi(order)
+        euler_phi(order)                         # rejects an order below 1
         fracs = [Fraction(c) for c in coeffs]
         den = lcm(*(f.denominator for f in fracs))
         poly = [0] * min(len(fracs), order)      # folded by x^m = 1
         for k, f in enumerate(fracs):
             poly[k % order] += f.numerator * (den // f.denominator)
-        s = _canonical(order, phi, poly, den)
+        s = _canonical(order, poly, den)
         self.order, self.num, self.den = order, s.num, s.den
 
     # -- constructors
@@ -168,8 +200,8 @@ class Scalar:
     @classmethod
     def rational(cls, p, q: int = 1, order: int = 1) -> "Scalar":
         val = Fraction(p, q) if q != 1 else Fraction(p)
-        phi = euler_phi(order)
-        return _make(order, (val.numerator,) + (0,) * (phi - 1), val.denominator)
+        zero = _constants(order)[0]              # rejects an order below 1
+        return _make(order, (val.numerator,), val.denominator) if val else zero
 
     @classmethod
     def zero(cls, order: int = 1) -> "Scalar":
@@ -188,22 +220,23 @@ class Scalar:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The power-basis coefficients as ``Fraction``s."""
-        return tuple(Fraction(n, self.den) for n in self.num)
+        """The euler_phi(m) power-basis coefficients as ``Fraction``s."""
+        pad = euler_phi(self.order) - len(self.num)
+        return tuple(Fraction(n, self.den) for n in self.num) + (Fraction(0),) * pad
 
     def is_zero(self) -> bool:
-        return not any(self.num)
+        return not self.num
 
     def is_one(self) -> bool:
-        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
+        return self.den == 1 and self.num == (1,)
 
     def is_rational(self) -> bool:
-        return not any(self.num[1:])
+        return len(self.num) <= 1
 
     def to_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return Fraction(self.num[0], self.den)
+        return Fraction(self.num[0] if self.num else 0, self.den)
 
     # -- field embeddings
 
@@ -215,16 +248,18 @@ class Scalar:
             raise IncompatibleOrders(
                 f"cannot embed Q(zeta_{self.order}) into Q(zeta_{order})"
             )
+        if len(self.num) <= 1:
+            return _make(order, self.num, self.den)
         step = order // self.order
-        poly = [0] * (len(self.num) * step)
+        poly = [0] * ((len(self.num) - 1) * step + 1)
         poly[::step] = self.num
-        return _canonical(order, euler_phi(order), poly, self.den)
+        return _canonical(order, poly, self.den)
 
     # -- arithmetic
 
     def _coerce(self, other: "Scalar") -> tuple["Scalar", "Scalar"]:
-        if self.order == other.order:
-            return self, other
+        # both scalars in the larger field; the callers handle equal orders
+        # inline, which saves a call on the hot path
         if self.order % other.order == 0:
             return self, other.embed(self.order)
         if other.order % self.order == 0:
@@ -235,12 +270,29 @@ class Scalar:
 
     def _combine(self, other: "Scalar", op) -> "Scalar":
         # a op b for op in (add, sub), over the common denominator
-        a, b = self._coerce(other)
+        a, b = (self, other) if self.order == other.order else self._coerce(other)
+        an, bn = a.num, b.num
+        if len(an) == 1 == len(bn):                  # two nonzero rationals
+            da, db = a.den, b.den
+            if da == db:
+                return _ratio(a.order, op(an[0], bn[0]), da)
+            return _ratio(a.order, op(an[0] * db, bn[0] * da), da * db)
+        if not bn:
+            return a
+        if not an:
+            return b if op is add else -b
+        pad = len(bn) - len(an)
+        if pad > 0:
+            an += (0,) * pad
+        elif pad < 0:
+            bn += (0,) * -pad
         if a.den == b.den:
-            num, den = list(map(op, a.num, b.num)), a.den
+            num, den = list(map(op, an, bn)), a.den
         else:
             da, db = a.den, b.den
-            num, den = [op(x * db, y * da) for x, y in zip(a.num, b.num)], da * db
+            num, den = [op(x * db, y * da) for x, y in zip(an, bn)], da * db
+        while num and not num[-1]:
+            num.pop()
         return _lowest(a.order, num, den)
 
     def __add__(self, other: "Scalar") -> "Scalar":
@@ -253,24 +305,36 @@ class Scalar:
         return _make(self.order, tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        a, b = self._coerce(other)
+        a, b = (self, other) if self.order == other.order else self._coerce(other)
         an, bn, den = a.num, b.num, a.den * b.den
+        # r names the rational factor: a name the comprehensions close over
+        # would become a cell variable, slowing the convolution loop below
         if len(an) == 1:
-            return _lowest(a.order, [an[0] * bn[0]], den)
-        prod = [0] * (2 * len(an) - 1)
+            r = an[0]
+            if len(bn) == 1:
+                return _ratio(a.order, r * bn[0], den)
+            return _lowest(a.order, [r * y for y in bn], den)
+        if len(bn) == 1:
+            r = bn[0]
+            return _lowest(a.order, [x * r for x in an], den)
+        # a zero factor leaves prod empty or all zeros, trimmed to ()
+        prod = [0] * (len(an) + len(bn) - 1)
         bnz = [(j, y) for j, y in enumerate(bn) if y]
         for i, x in enumerate(an):
             if x:
                 for j, y in bnz:
                     prod[i + j] += x * y
-        return _canonical(a.order, len(an), prod, den)
+        return _canonical(a.order, prod, den)
 
     def conjugate(self, k: int) -> "Scalar":
         """The Galois conjugate sigma_k, zeta_m -> zeta_m^k, for k prime to m."""
-        poly = [0] * self.order
+        if len(self.num) <= 1:
+            return self
+        m = self.order
+        poly = [0] * m
         for j, x in enumerate(self.num):
-            poly[j * k % self.order] = x
-        return _canonical(self.order, len(self.num), poly, self.den)
+            poly[j * k % m] = x
+        return _canonical(m, poly, self.den)
 
     def inverse(self) -> "Scalar":
         """1 / a = (prod of the conjugates sigma_k(a), k != 1) / N(a), where
@@ -304,11 +368,15 @@ class Scalar:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Scalar):
             return NotImplemented
-        a, b = self._coerce(other)
+        a, b = (self, other) if self.order == other.order else self._coerce(other)
         return a.num == b.num and a.den == b.den
 
     def __hash__(self) -> int:
-        return hash((self.order, self.num, self.den))
+        # the normalised trace Tr(x) / phi(m), as a reduced integer pair
+        w, n = _trace_weights(self.order)
+        t, d = sum(map(mul, self.num, w)), n * self.den
+        g = gcd(t, d)
+        return hash((t // g, d // g))
 
     def __repr__(self) -> str:
         return f"Scalar({self.order}, {self})"
@@ -320,8 +388,8 @@ class Scalar:
 @cache
 def _constants(order: int) -> tuple[Scalar, Scalar]:
     """The zero and the one of Q(zeta_m)."""
-    phi = euler_phi(order)
-    return _make(order, (0,) * phi, 1), _make(order, (1,) + (0,) * (phi - 1), 1)
+    euler_phi(order)                             # rejects an order below 1
+    return _make(order, (), 1), _make(order, (1,), 1)
 
 
 def format_scalar(s: Scalar) -> str:

@@ -23,7 +23,8 @@ matrix; ``lmult_of`` and ``rmult_of`` build one by ``kron_combination``.
 ``validate`` checks each defining identity as one tensor equation: the
 basis elements it quantifies over are slots (``tensorspace.identity``),
 whose index legs come first, and a failure is located at the first
-differing multi-index, which starts with the failing basis tuple.  The
+differing multi-index, which starts with the failing basis tuple; a
+check of several identities also records which of them failed.  The
 Drinfeld element's own consistency checks name their first failing index
 too.
 """
@@ -263,6 +264,13 @@ class CheckResult:
     name: str
     ok: bool
     witness: tuple | None = None
+    identity: int | None = None      # the failing pair of a check of several
+
+    def __str__(self) -> str:
+        """``name@witness``, or ``name[k]@witness`` when the k-th identity
+        of a check of several failed."""
+        pair = "" if self.identity is None else f"[{self.identity}]"
+        return f"{self.name}{pair}@{self.witness}"
 
 
 class AxiomReport:
@@ -271,14 +279,21 @@ class AxiomReport:
     def __init__(self):
         self.results: list[CheckResult] = []
 
-    def add(self, name: str, ok: bool, witness: tuple | None = None):
-        self.results.append(CheckResult(name, ok, None if ok else witness))
+    def add(self, name: str, ok: bool, witness: tuple | None = None,
+            identity: int | None = None):
+        if ok:
+            witness = identity = None
+        self.results.append(CheckResult(name, ok, witness, identity))
 
     def compare(self, name: str, *pairs) -> None:
         """Record the identity lhs == rhs for each (lhs, rhs) pair; a failure
-        is located at the first difference of the first unequal pair."""
-        bad = next(((a, b) for a, b in pairs if a != b), None)
-        self.add(name, bad is None, None if bad is None else first_difference(*bad))
+        is located at the first difference of the first unequal pair, and
+        names that pair's position when there are several."""
+        k = next((k for k, (a, b) in enumerate(pairs) if a != b), None)
+        if k is None:
+            self.add(name, True)
+        else:
+            self.add(name, False, first_difference(*pairs[k]), k if len(pairs) > 1 else None)
 
     @property
     def ok(self) -> bool:
@@ -310,9 +325,7 @@ class AxiomReport:
         bad = self.failures()
         if not bad:
             return f"AxiomReport(ok, {len(self.results)} checks)"
-        return "AxiomReport(FAIL: " + ", ".join(
-            f"{r.name}@{r.witness}" for r in bad
-        ) + ")"
+        return "AxiomReport(FAIL: " + ", ".join(map(str, bad)) + ")"
 
 
 # ---------------------------------------------------------------------------

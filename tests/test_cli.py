@@ -417,3 +417,66 @@ def test_report_contract_on_edited_files(name, edits):
         res = runner.invoke(main, ["report", "edited.alg"])
     assert res.exit_code in (0, 1, 2), res.output
     assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+
+
+# whole definition files from a small grammar: (section, index count)
+SECTIONS = (("mult", 3), ("counit", 1), ("coproduct", 3), ("antipode", 2), ("phi", 3),
+            ("phi_inv", 3), ("alpha", 1), ("beta", 1), ("R", 2), ("R_inv", 2), ("ribbon", 1))
+OPTIONAL = ("phi_inv", "R_inv", "ribbon")
+
+
+def _group_lines(section, dim):
+    """The entries of Q[Z/dim] with trivial R, unit phi, alpha and beta."""
+    r = range(dim)
+    return {"mult": [(i, j, (i + j) % dim) for i in r for j in r],
+            "counit": [(i,) for i in r],
+            "coproduct": [(i, i, i) for i in r],
+            "antipode": [(i, -i % dim) for i in r]}.get(
+        section, [(0,) * dict(SECTIONS)[section]])
+
+
+@st.composite
+def definition_files(draw):
+    dim, field = draw(st.integers(1, 3)), draw(st.sampled_from((1, 3, 4)))
+    power = st.integers(0, 2 * field + 1)
+    # literals equal to one, then any literals, z^k with k >= m and 0 among them
+    ones = st.sampled_from(("1", f"z^{field}", f"z^{2 * field}", "-1/6*z + 1 + 1/6*z"))
+    literal = st.one_of(ones, st.sampled_from(("0", "-1", "1/2", "-1/6*z + 2", "z - z")),
+                        power.map(lambda k: f"z^{k}"), power.map(lambda k: f"-1/2*z^{k} + 1/3"))
+    # one file in eight may name dim or dim + 1, which are out of range
+    index = st.integers(0, dim + 1 if draw(st.integers(0, 7)) == 0 else dim - 1)
+    # each section is the group algebra's, with random lines added to it or
+    # in its place, at a rate of none, one in six or one in two per file
+    noise = draw(st.sampled_from((0, 1, 3)))
+    lines = [f"dim {dim}", f"field {field}"]
+    for section, arity in SECTIONS:
+        if section in OPTIONAL and draw(st.booleans()):
+            continue
+        lines.append(f"{section}:")
+        mode = draw(st.integers(0, 5)) if noise else 5
+        if mode:
+            lines += [" ".join(map(str, idx)) + f" = {draw(ones)}"
+                      for idx in _group_lines(section, dim)]
+        extra = st.tuples(st.tuples(*[index] * arity), literal)
+        for idx, value in draw(st.lists(extra, min_size=1, max_size=2)) if mode < noise else ():
+            lines.append(" ".join(map(str, idx)) + f" = {value}")
+        if lines[-1] != f"{section}:" and draw(st.integers(0, 4)) == 0:
+            head, _, value = lines.pop().partition(" = ")    # repeated entries add up
+            lines += [f"{head} = 1/2*({value})"] * 2
+    if draw(st.booleans()):
+        lines.append("simple s0 dim 1:")
+        lines += [f"{a} 0 0 = {draw(ones)}" for a in range(dim)]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(definition_files())
+def test_report_contract_on_generated_files(text):
+    # whatever the file, report exits 0, 1 or 2 and never raises
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("generated.alg", "w", encoding="utf-8") as f:
+            f.write(text)
+        res = runner.invoke(main, ["report", "generated.alg"])
+    assert res.exit_code in (0, 1, 2), res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exception

@@ -123,6 +123,7 @@ REF_PHI = {
     3: [1, 1, 1],
     4: [1, 0, 1],
     5: [1, 1, 1, 1, 1],
+    6: [1, -1, 1],
     8: [1, 0, 0, 0, 1],
     9: [1, 0, 0, 1, 0, 0, 1],
     12: [1, 0, -1, 0, 1],
@@ -154,8 +155,11 @@ def ref_mul(order, p, q):
 
 
 def assert_canonical(s, order):
+    # numerators up to the highest nonzero power, in lowest terms; the gcd
+    # makes zero () over 1
     phi = len(REF_PHI[order]) - 1
-    assert len(s.num) == phi and all(type(x) is int for x in s.num)
+    assert len(s.num) <= phi and all(type(x) is int for x in s.num)
+    assert not s.num or s.num[-1] != 0
     assert type(s.den) is int and s.den > 0
     assert math.gcd(s.den, *s.num) == 1
 
@@ -211,14 +215,112 @@ def test_scalar_matches_fraction_reference(order, data):
     assert same == a and hash(same) == hash(a) and str(same) == str(a)
 
 
+@st.composite
+def low_degree(draw, order):
+    """Raw coefficients of 0, a rational, +-zeta^k or a two-term sum
+    c zeta^j + d zeta^k, with j, k < m: the values most arithmetic sees."""
+    q = st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(bool)
+    power = st.integers(0, order - 1)
+
+    def term(c, k):
+        return [0] * k + [c]
+
+    kind = draw(st.sampled_from(("zero", "rational", "root", "sum")))
+    if kind == "zero":
+        return []
+    if kind == "rational":
+        return [draw(q)]
+    if kind == "root":
+        return term(draw(st.sampled_from((1, -1))), draw(power))
+    a, b = term(draw(q), draw(power)), term(draw(q), draw(power))
+    return [x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+
+
+def ref_embed(order, target, coeffs):
+    """A value of Q(zeta_d) in Q(zeta_n): zeta_d = zeta_n^(n/d)."""
+    step = target // order
+    poly = [Fraction(0)] * (step * len(coeffs))
+    poly[::step] = coeffs
+    return ref_reduce(target, poly)
+
+
+@pytest.mark.parametrize("order", sorted(REF_PHI))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_low_degree_scalars_match_reference(order, data):
+    # operands short of the full degree, which the trimmed form stores short
+    divisors = [d for d in REF_PHI if order % d == 0]
+    d = data.draw(st.sampled_from(divisors))
+    pa, pb = data.draw(low_degree(d)), data.draw(low_degree(order))
+    a, b = Scalar(d, pa), Scalar(order, pb)
+    ra, rb = ref_embed(d, order, ref_reduce(d, pa)), ref_reduce(order, pb)
+    wide = a.embed(order)
+    for s, r in [
+        (wide, ra), (b, rb),
+        (a * b, ref_mul(order, ra, rb)), (b * a, ref_mul(order, ra, rb)),
+        (a + b, tuple(x + y for x, y in zip(ra, rb))),
+        (a - b, tuple(x - y for x, y in zip(ra, rb))),
+        (b - a, tuple(y - x for x, y in zip(ra, rb))),
+    ]:
+        assert_canonical(s, order)
+        assert s.order == order and s.coeffs == r
+        assert s.is_zero() == (not any(r))
+        assert s.is_one() == (r == ref_reduce(order, [1]))
+        assert s.is_rational() == (not any(r[1:]))
+        if s.is_rational():
+            assert s.to_fraction() == r[0]
+        else:
+            with pytest.raises(ValueError):
+                s.to_fraction()
+    assert_canonical(a, d)
+    assert (wide == a) and (a == wide) and hash(wide) == hash(a)
+    if any(rb):
+        inv = b.inverse()
+        assert_canonical(inv, order)
+        assert ref_mul(order, rb, inv.coeffs) == ref_reduce(order, [1])
+    else:
+        with pytest.raises(DivisionByZero):
+            b.inverse()
+    k = data.draw(st.sampled_from([k for k in range(1, order + 1) if math.gcd(k, order) == 1]))
+    substituted = [Fraction(0)] * (k * len(rb) + 1)
+    for j, x in enumerate(rb):
+        substituted[j * k] += x
+    conj = b.conjugate(k)
+    assert_canonical(conj, order)
+    assert conj.coeffs == ref_reduce(order, substituted)
+
+
+def test_order_below_one_is_rejected():
+    for make in (lambda: Scalar.rational(1, order=0), lambda: Scalar.rational(0, order=0),
+                 lambda: Scalar.zero(0), lambda: Scalar.one(0), lambda: Scalar(0, [1])):
+        with pytest.raises(ValueError):
+            make()
+
+
+def test_hash_agrees_with_equality_across_orders():
+    assert Scalar.rational(1) == Scalar.one(4) and hash(Scalar.rational(1)) == hash(Scalar.one(4))
+    z4, z8 = Scalar.zeta(4), Scalar.zeta(8) ** 2
+    assert z4 == z8 and hash(z4) == hash(z8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(REF_PHI)).flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(ref_coeffs, max_size=2 * m), st.integers(1, 4))))
+def test_hash_is_invariant_under_embedding(case):
+    order, coeffs, multiple = case
+    a = Scalar(order, coeffs)
+    wide = a.embed(order * multiple)
+    assert wide == a and hash(wide) == hash(a)
+
+
 def test_unreduced_constructor_input():
     # zeta_8^8 as a coefficient list of length 9
     z8_8 = Scalar(8, [0] * 8 + [1])
-    assert z8_8 == Scalar.one(8) and z8_8.num == (1, 0, 0, 0) and z8_8.den == 1
+    assert z8_8 == Scalar.one(8) and z8_8.num == (1,) and z8_8.den == 1
     # zeta_16^15 = -zeta_16^7, and 2/4 zeta_5^7 = 1/2 zeta_5^2
     assert Scalar(16, [0] * 15 + [1]) == -(Scalar.zeta(16) ** 7)
     half_z5_2 = Scalar(5, [0] * 7 + [Fraction(2, 4)])
-    assert (half_z5_2.num, half_z5_2.den) == ((0, 0, 1, 0), 2)
+    assert (half_z5_2.num, half_z5_2.den) == ((0, 0, 1), 2)
 
 
 # ---------------------------------------------------------------------------

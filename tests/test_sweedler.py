@@ -18,7 +18,7 @@ from itertools import product
 import pytest
 from click.testing import CliRunner
 
-from qhopf.cli import main, parse_text
+from qhopf.cli import main, parse_text, serialize
 from qhopf.coend import coend_maps, factorisability, hopf_reduced_maps
 from qhopf.exactmath import Scalar
 from qhopf.fusion import radical_dimension
@@ -184,3 +184,26 @@ def test_h4_mutation_harness(h4):
                 assert r.witness, (section, idx, r.name)
             failures.update(r.name for r in rep.failures())
     assert failures == H4_MUTANT_FAILURES
+
+
+def test_failing_identity_is_named(h4, tmp_path):
+    # H4 is noncommutative, so a beta mutant breaks x' beta S(x'') = eps(x) beta,
+    # the second identity of antipode_zigzag, while the first still holds; on
+    # a commutative input such as twisted_double_Z2 no beta mutant fails it
+    bad = mutate(h4, ("beta", (1,)), Scalar.rational(1))
+    rep = validate(bad)
+    zigzag, single = rep["antipode_zigzag"], rep["coassociator_antipode_left"]
+    assert zigzag.identity == 1 and single.identity is None
+    assert str(zigzag) == f"antipode_zigzag[1]@{zigzag.witness}"
+    assert str(single) == f"coassociator_antipode_left@{single.witness}"
+    assert f"antipode_zigzag[1]@{zigzag.witness}" in repr(rep)
+    path = tmp_path / "beta.alg"
+    path.write_text(serialize(bad), encoding="utf-8")
+    res = CliRunner().invoke(main, ["derived", str(path)])
+    assert res.exit_code == 1
+    assert f"antipode_zigzag[1]@{zigzag.witness}, " in res.stderr
+    assert f"coassociator_antipode_left@{single.witness}, " in res.stderr
+    # the JSON of check does not carry the position
+    res = CliRunner().invoke(main, ["check", str(path)])
+    assert res.exit_code == 1
+    assert json.loads(res.stdout)["checks"] == rep.as_dict()["checks"]
