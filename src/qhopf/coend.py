@@ -19,7 +19,14 @@ from dataclasses import dataclass
 from .exactmath import ExactMatrix, Scalar, common_eigenvectors, matrix_from_columns
 from . import tensorspace as ts
 from .tensorspace import Tensor
-from .qha import QuasiHopfAlgebra, drinfeld_element, drinfeld_twist, element_x_d, monodromy
+from .qha import (
+    QuasiHopfAlgebra,
+    drinfeld_element,
+    drinfeld_twist,
+    element_x_d,
+    monodromy,
+    monodromy_core,
+)
 
 
 @dataclass
@@ -56,20 +63,22 @@ class FactorisabilityReport:
 # intermediate elements
 
 
-def element_w(A: QuasiHopfAlgebra) -> Tensor:
-    """The 4-leg element whose antipode-contraction is the self-pairing."""
+def _w_and_x_q(A: QuasiHopfAlgebra) -> tuple[Tensor, Tensor]:
+    """(:func:`element_w`, :func:`element_x_q`).  Both end in the same four
+    factors T = core_234 (id x id x Delta)(phi^-1), with the core
+    phi^-1 M_12 phi of ``qha.monodromy_core``, so T is built once."""
     mt = A.mult_table
+    tail = ts.mul(ts.embed(monodromy_core(A), 4, (2, 3, 4)),
+                  ts.coproduct_leg(A.phi_inv, 3, A.cop_table), mt)
     alpha_t = Tensor.from_vector(A.alpha, A.order)
-    return ts.mul_chain(
-        [
-            ts.embed(ts.tensor_product(alpha_t, alpha_t), 4, (2, 4)),
-            ts.embed(A.phi_inv, 4, (2, 3, 4)),
-            ts.embed(monodromy(A), 4, (2, 3)),
-            ts.embed(A.phi, 4, (2, 3, 4)),
-            ts.coproduct_leg(A.phi_inv, 3, A.cop_table),
-        ],
-        mt,
-    )
+    return (ts.mul(ts.embed(ts.tensor_product(alpha_t, alpha_t), 4, (2, 4)), tail, mt),
+            ts.mul(ts.coproduct_leg(A.phi, 3, A.cop_table), tail, mt))
+
+
+def element_w(A: QuasiHopfAlgebra) -> Tensor:
+    """The 4-leg element whose antipode-contraction is the self-pairing:
+    (alpha x alpha)_24 phi^-1_234 M_23 phi_234 (id x id x Delta)(phi^-1)."""
+    return _w_and_x_q(A)[0]
 
 
 def element_d(A: QuasiHopfAlgebra) -> Tensor:
@@ -86,19 +95,10 @@ def element_d(A: QuasiHopfAlgebra) -> Tensor:
 
 
 def element_x_q(A: QuasiHopfAlgebra) -> Tensor:
-    """Five-factor product of coassociators and the monodromy; the kernel
-    of the monodromy bilinear map on A x A."""
-    mt = A.mult_table
-    return ts.mul_chain(
-        [
-            ts.coproduct_leg(A.phi, 3, A.cop_table),
-            ts.embed(A.phi_inv, 4, (2, 3, 4)),
-            ts.embed(monodromy(A), 4, (2, 3)),
-            ts.embed(A.phi, 4, (2, 3, 4)),
-            ts.coproduct_leg(A.phi_inv, 3, A.cop_table),
-        ],
-        mt,
-    )
+    """Five-factor product of coassociators and the monodromy, the kernel
+    of the monodromy bilinear map on A x A:
+    (id x id x Delta)(phi) phi^-1_234 M_23 phi_234 (id x id x Delta)(phi^-1)."""
+    return _w_and_x_q(A)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ def coend_maps(A: QuasiHopfAlgebra) -> CoendMaps:
     s_hat = ts.as_matrix(ts.merge_legs(
         ts.tensor_product(base, slot), ((1, 5, 3, 2), (4,)), mt), 1)
 
-    w_tensor = element_w(A)
+    w_tensor, x_q = _w_and_x_q(A)
     t = ts.leg_map(ts.leg_map(w_tensor, 3, A.antipode), 1, A.antipode)
     omega_hat = ts.merge_legs(t, ((3, 4), (1, 2)), mt)
 
@@ -162,7 +162,7 @@ def coend_maps(A: QuasiHopfAlgebra) -> CoendMaps:
         omega_hat=omega_hat,
         d_tensor=d_tensor,
         w_tensor=w_tensor,
-        x_q=element_x_q(A),
+        x_q=x_q,
         x_d=element_x_d(A),
     )
 
@@ -294,14 +294,11 @@ def bt_monodromy_via_tangle_element(A: QuasiHopfAlgebra) -> Tensor:
     """Alternative route through the 4-leg tangle element; must agree with
     :func:`bt_monodromy_matrix` entry by entry."""
     mt = A.mult_table
-    inner = ts.mul_chain(
-        [A.phi_inv, ts.embed(monodromy(A), 3, (1, 2)), A.phi], mt
-    )
     q = ts.mul_chain(
         [
             ts.embed(Tensor.from_vector(A.alpha, A.order), 4, (2,)),
             ts.coproduct_leg(A.phi, 3, A.cop_table),
-            ts.embed(inner, 4, (2, 3, 4)),
+            ts.embed(monodromy_core(A), 4, (2, 3, 4)),
             ts.embed(Tensor.from_vector(A.beta, A.order), 4, (3,)),
         ],
         mt,

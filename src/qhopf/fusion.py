@@ -11,7 +11,7 @@ from fractions import Fraction
 from .exactmath import ExactMatrix, Scalar, dot, matrix_from_columns
 from . import tensorspace as ts
 from .tensorspace import Tensor
-from .qha import QuasiHopfAlgebra, drinfeld_element, monodromy
+from .qha import QuasiHopfAlgebra, drinfeld_element, monodromy, monodromy_core
 from .repcat import AModule
 
 
@@ -94,10 +94,7 @@ def _internal_character_tensor(A: QuasiHopfAlgebra) -> Tensor:
     :func:`chi_central` of V."""
     mt = A.mult_table
     w = _ribbon_weight(A)
-    t = ts.mul(
-        ts.mul(A.phi_inv, ts.embed(monodromy(A), 3, (1, 2)), mt), A.phi, mt
-    )
-    t = ts.leg_map(t, 2, A.rmult_of(A.beta))
+    t = ts.leg_map(monodromy_core(A), 2, A.rmult_of(A.beta))
     t = ts.leg_map(t, 2, A.antipode)
     t = ts.leg_map(t, 2, A.rmult_of(A.alpha))
     t = ts.merge_legs(t, ((1,), (2, 3)), mt)

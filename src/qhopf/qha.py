@@ -11,10 +11,12 @@ derived from it and from the other structure constants are
 ``left_mult`` and ``right_mult`` (both by ``_mult_matrices``),
 ``cop_table``, ``antipode_inv``, the coadjoint and adjoint actions (by
 ``two_sided_action``), the element x_d, the unchecked Drinfeld triple,
-and the monodromy, Drinfeld element and Drinfeld twist (``_x_d``,
-``_drinfeld_raw``, ``_monodromy``, ``_drinfeld``, ``_twist``; all but
+the monodromy and its coassociator conjugate phi^-1 M_12 phi, the
+Drinfeld element and the Drinfeld twist (``_x_d``, ``_drinfeld_raw``,
+``_monodromy``, ``_monodromy_core``, ``_drinfeld``, ``_twist``; all but
 ``_drinfeld_raw`` are read through the functions ``element_x_d``,
-``monodromy``, ``drinfeld_element`` and ``drinfeld_twist``).
+``monodromy``, ``monodromy_core``, ``drinfeld_element`` and
+``drinfeld_twist``).
 :class:`QuasiHopfAlgebra` says what each view is.
 
 ``product`` multiplies two elements through ``mult_table`` and builds no
@@ -66,6 +68,10 @@ class QuasiHopfAlgebra:
     * ``antipode_inv``: the inverse of ``antipode``;
     * ``coadjoint_action()`` and ``adjoint_action()``: both through
       ``two_sided_action``;
+    * ``_monodromy_core``: phi^-1 M_12 phi for the monodromy M, read
+      through the module function ``monodromy_core``; the coend elements
+      w and X_q, the tangle route of the monodromy matrix and the
+      internal characters all start from it;
     * ``_x_d``: phi_1 (x) phi_2 beta S(phi_3), read through the module
       function ``element_x_d``;
     * ``_drinfeld_raw``: the triple (u, u~, u^-1) before any consistency
@@ -141,6 +147,11 @@ class QuasiHopfAlgebra:
     @cached_property
     def _monodromy(self) -> Tensor:
         return ts.mul(ts.permute(self.r_matrix, (2, 1)), self.r_matrix, self.mult_table)
+
+    @cached_property
+    def _monodromy_core(self) -> Tensor:
+        return ts.mul_chain([self.phi_inv, ts.embed(self._monodromy, 3, (1, 2)), self.phi],
+                            self.mult_table)
 
     @cached_property
     def _x_d(self) -> Tensor:
@@ -491,6 +502,11 @@ def validate(A: QuasiHopfAlgebra) -> AxiomReport:
 def monodromy(A: QuasiHopfAlgebra) -> Tensor:
     """The double-braiding element: flip of R times R."""
     return A._monodromy
+
+
+def monodromy_core(A: QuasiHopfAlgebra) -> Tensor:
+    """The 3-leg element phi^-1 M_12 phi, M the monodromy."""
+    return A._monodromy_core
 
 
 def element_x_d(A: QuasiHopfAlgebra) -> Tensor:

@@ -2,7 +2,10 @@
 categorical structure morphisms as exact matrices.
 
 Every action matrix, of a module or of a k-leg element on a tensor product
-of modules, is one ``exactmath.kron_combination`` of action lists.
+of modules, is one ``exactmath.kron_combination`` of action lists.  For a
+k-leg element that call is :func:`element_action`, which builds no
+tensor product module: the associator, braiding and double braiding
+morphisms wrap it, and ``verify_braided_hopf`` calls it directly.
 
 Index conventions, fixed once:
 
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from .exactmath import ExactMatrix, Scalar, kron_combination
 from . import tensorspace as ts
-from .qha import AxiomReport, QuasiHopfAlgebra, drinfeld_element, drinfeld_twist
+from .qha import AxiomReport, QuasiHopfAlgebra, drinfeld_element, drinfeld_twist, monodromy
 from .coend import CoendMaps, coend_maps
 
 
@@ -133,45 +136,42 @@ def _flattened(mats: list[ExactMatrix]) -> ExactMatrix:
         ((a, r * m.cols + c), x) for a, mat in enumerate(mats) for (r, c), x in mat.nonzero()))
 
 
+def element_action(t: ts.Tensor, modules) -> ExactMatrix:
+    """The action of the k-leg element t on M_1 (x) ... (x) M_k, for the
+    modules M_1, ..., M_k; no tensor product module is built."""
+    return kron_combination(t.nonzero(), [m.action for m in modules])
+
+
+def _braiding_matrix(U: AModule, V: AModule) -> ExactMatrix:
+    return flip_matrix(U.dim, V.dim, U.alg.order) * element_action(U.alg.r_matrix, (U, V))
+
+
 def associator(U: AModule, V: AModule, W: AModule) -> Morphism:
     """Coassociator action U (x) (V (x) W) -> (U (x) V) (x) W."""
-    A = U.alg
     return Morphism(
         tensor_module(U, tensor_module(V, W)),
         tensor_module(tensor_module(U, V), W),
-        kron_combination(A.phi.nonzero(), [U.action, V.action, W.action]),
+        element_action(U.alg.phi, (U, V, W)),
     )
 
 
 def associator_inv(U: AModule, V: AModule, W: AModule) -> Morphism:
-    A = U.alg
     return Morphism(
         tensor_module(tensor_module(U, V), W),
         tensor_module(U, tensor_module(V, W)),
-        kron_combination(A.phi_inv.nonzero(), [U.action, V.action, W.action]),
+        element_action(U.alg.phi_inv, (U, V, W)),
     )
 
 
 def braiding(U: AModule, V: AModule) -> Morphism:
     """Flip after acting with the R-matrix."""
-    A = U.alg
-    return Morphism(
-        tensor_module(U, V),
-        tensor_module(V, U),
-        flip_matrix(U.dim, V.dim, A.order)
-        * kron_combination(A.r_matrix.nonzero(), [U.action, V.action]),
-    )
+    return Morphism(tensor_module(U, V), tensor_module(V, U), _braiding_matrix(U, V))
 
 
 def double_braiding(U: AModule, V: AModule) -> Morphism:
     """Monodromy action on U (x) V (no flip)."""
-    from .qha import monodromy
-
-    return Morphism(
-        tensor_module(U, V),
-        tensor_module(U, V),
-        kron_combination(monodromy(U.alg).nonzero(), [U.action, V.action]),
-    )
+    return Morphism(tensor_module(U, V), tensor_module(U, V),
+                    element_action(monodromy(U.alg), (U, V)))
 
 
 def evaluation(U: AModule) -> Morphism:
@@ -346,7 +346,7 @@ def verify_braided_hopf(A: QuasiHopfAlgebra, maps: CoendMaps | None = None) -> A
         ok, w = mor.is_intertwiner()
         rep.add(f"module_morphism_{name}", ok, w)
 
-    al = associator(L, L, L).matrix
+    al = element_action(A.phi, (L, L, L))
 
     rep.compare("associativity",
                 (mu.matrix * i_l.kron(mu.matrix), mu.matrix * mu.matrix.kron(i_l) * al))
@@ -358,12 +358,11 @@ def verify_braided_hopf(A: QuasiHopfAlgebra, maps: CoendMaps | None = None) -> A
                 (i_l.kron(eps.matrix) * delta.matrix, i_l))
 
     # (L L)(L L) -> L((L L) L) by coherence, then the middle braiding
-    ll_mod = tensor_module(L, L)
-    al_inv = associator_inv(L, L, L).matrix
-    lll = [L.action, L.action, ll_mod.action]
-    coh_in = i_l.kron(al) * kron_combination(A.phi_inv.nonzero(), lll)
-    coh_out = kron_combination(A.phi.nonzero(), lll) * i_l.kron(al_inv)
-    mid = i_l.kron(braiding(L, L).matrix).kron(i_l)
+    al_inv = element_action(A.phi_inv, (L, L, L))
+    lll = (L, L, mu.source)                                # mu.source is L (x) L
+    coh_in = i_l.kron(al) * element_action(A.phi_inv, lll)
+    coh_out = element_action(A.phi, lll) * i_l.kron(al_inv)
+    mid = i_l.kron(_braiding_matrix(L, L)).kron(i_l)
     rhs = mu.matrix.kron(mu.matrix) * coh_out * mid * coh_in \
         * delta.matrix.kron(delta.matrix)
     rep.compare("coproduct_algebra_map", (delta.matrix * mu.matrix, rhs))

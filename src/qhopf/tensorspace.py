@@ -12,6 +12,15 @@ through ``exactmath.collect``, which sums the terms landing on one
 multi-index and drops the sums that cancel to zero; ``ExactMatrix`` rows
 are kept the same way.
 
+``mul`` and ``merge_legs`` expand each stored entry (each pair of entries
+for ``mul``) into one term per combination of the structure constants of
+its legs.  When every leg's structure constant is a single term, as in
+any group basis, the output index and coefficient are built inline,
+skipping a multiplication by a one exactly where ``exactmath.times``
+would, that is, only at the same field order; any other entry goes
+through ``_expand``, the one general path.  ``merge_legs`` folds each
+group's basis product once per index tuple and call.
+
 A linear map given by a fixed element is one contraction.  The slot
 ``identity`` = sum_a e_a x e_a carries the input: in the ``merge_legs``
 groups its second leg stands where e_a enters a product and its first leg
@@ -232,15 +241,37 @@ def _expand(c: Scalar, parts: Sequence[Sequence[tuple[int, Scalar]]]
         yield tuple(idx), cc
 
 
+def _products(factors: Iterable[tuple[Scalar, list[Sequence[tuple[int, Scalar]]]]]
+              ) -> Iterator[tuple[Index, Scalar]]:
+    # the _expand terms of each (c, parts), built inline when every part is
+    # one term (see the module docstring)
+    for c, parts in factors:
+        try:
+            single = [term for term, in parts]
+        except ValueError:
+            yield from _expand(c, parts)
+            continue
+        idx = []
+        for k, ck in single:
+            idx.append(k)
+            if ck.order == c.order:
+                if ck.is_one():
+                    continue
+                if c.is_one():
+                    c = ck
+                    continue
+            c = c * ck
+        yield tuple(idx), c
+
+
 def mul(s: Tensor, t: Tensor, mult: MultTable) -> Tensor:
     """Componentwise product of s and t in the algebra A^(x k)."""
     s._check_compatible(t)
-    return s._like(collect(
-        term
+    return s._like(collect(_products(
+        (cs * ct, [mult[a][b] for a, b in zip(is_, it)])
         for is_, cs in s.entries.items()
         for it, ct in t.entries.items()
-        for term in _expand(cs * ct, [mult[a][b] for a, b in zip(is_, it)])
-    ))
+    )))
 
 
 def mul_chain(factors: Sequence[Tensor], mult: MultTable) -> Tensor:
@@ -259,13 +290,21 @@ def merge_legs(
     used = sorted(leg for g in groups for leg in g)
     if used != list(range(1, t.legs + 1)):
         raise LegError(f"groups {groups} do not partition legs 1..{t.legs}")
-    return t._like(collect(
-        term
-        for idx, c in t.entries.items()
-        for term in _expand(c, [
-            _fold_basis_product([idx[leg - 1] for leg in g], mult, t.order)
-            for g in groups])
-    ), len(groups))
+    zero_based = [[leg - 1 for leg in g] for g in groups]
+    folded: dict[Index, list[tuple[int, Scalar]]] = {}   # one product per index tuple
+
+    def factors():
+        for idx, c in t.entries.items():
+            parts = []
+            for g in zero_based:
+                key = tuple([idx[i] for i in g])
+                terms = folded.get(key)
+                if terms is None:
+                    terms = folded[key] = _fold_basis_product(key, mult, t.order)
+                parts.append(terms)
+            yield c, parts
+
+    return t._like(collect(_products(factors())), len(groups))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
+import itertools
+import math
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qhopf.exactmath import Scalar
 from qhopf import tensorspace as ts
@@ -310,3 +313,147 @@ def test_six_and_eight_legs_merge_to_product(presets):
         pairs = [(leg, a.legs + leg) for leg in range(1, a.legs + 1)]
         assert ts.merge_legs(both, pairs, mt) == ts.mul(a, b, mt)
         assert not ts.mul(a, b, mt).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# mul and merge_legs against a dense reference, on tables with multi-term
+# products: no algebra of the test suite has one, so only these reach the
+# general expansion beside the single-term path
+
+
+def _table_scalars(order):
+    # one, and -1, 1/2 and zeta_m, the single non-one coefficients
+    return st.sampled_from([Scalar.one(order), Scalar.rational(-1, order=order),
+                            Scalar.rational(1, 2, order=order), Scalar.zeta(order)])
+
+
+@st.composite
+def product_tables(draw, dim, order):
+    """mult[i][j] empty, one term with coefficient one, one term with
+    another coefficient, or several terms, possibly repeating an index
+    with cancelling coefficients."""
+    index = st.integers(0, dim - 1)
+    scalars = _table_scalars(order)
+
+    def entry():
+        kind = draw(st.sampled_from(["empty", "one", "single", "multi"]))
+        if kind == "empty":
+            return []
+        if kind == "one":
+            return [(draw(index), Scalar.one(order))]
+        if kind == "single":
+            return [(draw(index), draw(scalars.filter(lambda c: not c.is_one())))]
+        terms = [(draw(index), draw(scalars)) for _ in range(draw(st.integers(2, 3)))]
+        if draw(st.booleans()):
+            k, c = terms[0]
+            terms.append((k, -c))
+        return terms
+
+    return [[entry() for _ in range(dim)] for _ in range(dim)]
+
+
+@st.composite
+def tensor_problems(draw):
+    """(table, s, t): a table at one of the orders 1 and 4 and two tensors
+    of one shape at one of them, not necessarily the same."""
+    dim, legs = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    m_order, t_order = draw(st.sampled_from([1, 4])), draw(st.sampled_from([1, 4]))
+    table = draw(product_tables(dim, m_order))
+    coeff = st.sampled_from([Scalar.one(t_order), Scalar.rational(-1, order=t_order),
+                             Scalar.rational(2, 3, order=t_order), Scalar.zeta(t_order)])
+    index = st.tuples(*[st.integers(0, dim - 1)] * legs)
+
+    def tensor():
+        return Tensor._of(dim, legs, t_order, draw(st.dictionaries(index, coeff, max_size=4)))
+
+    return table, tensor(), tensor()
+
+
+@st.composite
+def merge_problems(draw):
+    """(table, t, groups): t = s x t of a product problem, its legs
+    shuffled and cut into groups."""
+    table, s, t = draw(tensor_problems())
+    t = ts.tensor_product(s, t)
+    legs = draw(st.permutations(range(1, t.legs + 1)))
+    cuts = sorted(draw(st.sets(st.integers(1, t.legs - 1), max_size=t.legs - 1)))
+    return table, t, [legs[a:b] for a, b in zip([0, *cuts], [*cuts, t.legs])]
+
+
+def _dense_table(table):
+    """c[i][j][k], every entry a Scalar of the table's order, and that order."""
+    dim = len(table)
+    order = next((c.order for row in table for e in row for _, c in e), 1)
+    out = [[[Scalar.zero(order)] * dim for _ in range(dim)] for _ in range(dim)]
+    for i, row in enumerate(table):
+        for j, terms in enumerate(row):
+            for k, c in terms:
+                out[i][j][k] = out[i][j][k] + c
+    return out, order
+
+
+def _dense_product(dense, word, order):
+    # e_{w_1} ... e_{w_n} as a coefficient vector, by plain multiplication
+    dim = len(dense)
+    vec = [Scalar.one(order) if k == word[0] else Scalar.zero(order) for k in range(dim)]
+    for b in word[1:]:
+        vec = [sum((vec[a] * dense[a][b][k] for a in range(dim)), Scalar.zero(order))
+               for k in range(dim)]
+    return vec
+
+
+def _expected(dim, legs, terms):
+    """sum over (c, vectors) of c times the tensor product of the vectors,
+    every output index visited; the zeros are dropped."""
+    out = {}
+    for c, vecs in terms:
+        for idx in itertools.product(range(dim), repeat=legs):
+            x = c
+            for vec, k in zip(vecs, idx):
+                x = x * vec[k]
+            out[idx] = out[idx] + x if idx in out else x
+    return {idx: x for idx, x in out.items() if not x.is_zero()}
+
+
+def _assert_entries(got, want, order):
+    assert got.entries == want
+    # a skipped multiplication by a one of another field leaves the order
+    assert all(c.order == order for c in got.entries.values())
+
+
+ONE_1, ONE_4, HALF_4 = Scalar.one(1), Scalar.one(4), Scalar.rational(1, 2, order=4)
+# products by a one of Q(zeta_4) on rational tensors, through both paths
+ONES_4 = [[[(0, ONE_4)], [(1, ONE_4), (0, HALF_4), (1, -ONE_4)]],
+          [[], [(1, ONE_4), (0, HALF_4)]]]
+TWO_LEGS = Tensor._of(2, 2, 1, {(0, 0): ONE_1, (0, 1): ONE_1, (1, 1): Scalar.rational(2, 3)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(tensor_problems())
+@example((ONES_4, TWO_LEGS, TWO_LEGS))
+@example(([[[(0, ONE_4)]]], Tensor.unit(1, 2, 1), Tensor.unit(1, 2, 1)))
+@example(([[[(0, -ONE_1), (0, Scalar.rational(1, 2))]]], Tensor.unit(1, 1, 4), Tensor.unit(1, 1, 4)))
+@example(([[[(0, ONE_4), (1, HALF_4)], []], [[], []]], Tensor.unit(2, 1, 1), Tensor.unit(2, 1, 1)))
+def test_mul_matches_dense_reference(problem):
+    table, s, t = problem
+    dense, m_order = _dense_table(table)
+    want = _expected(s.dim, s.legs, (
+        (cs * ct, [dense[a][b] for a, b in zip(i_s, i_t)])
+        for i_s, cs in s.entries.items() for i_t, ct in t.entries.items()))
+    _assert_entries(ts.mul(s, t, table), want, math.lcm(s.order, m_order))
+
+
+@settings(max_examples=80, deadline=None)
+@given(merge_problems())
+@example((ONES_4, TWO_LEGS, [[2, 1]]))
+@example((ONES_4, TWO_LEGS, [[2], [1]]))
+@example(([[[(0, ONE_4)]]], Tensor.unit(1, 3, 1), [[3, 1, 2]]))
+@example(([[[(0, HALF_4)]]], Tensor.unit(1, 3, 4), [[1, 2, 3]]))
+def test_merge_legs_matches_dense_reference(problem):
+    table, t, groups = problem
+    dense, m_order = _dense_table(table)
+    want = _expected(t.dim, len(groups), (
+        (c, [_dense_product(dense, [idx[leg - 1] for leg in g], t.order) for g in groups])
+        for idx, c in t.entries.items()))
+    order = math.lcm(t.order, m_order) if any(len(g) > 1 for g in groups) else t.order
+    _assert_entries(ts.merge_legs(t, groups, table), want, order)
