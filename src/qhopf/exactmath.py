@@ -25,10 +25,13 @@ nonzero entry there; it never stores a zero, just as a ``tensorspace.Tensor``
 never does.  The constructor takes dense rows, ``from_entries`` takes
 ((row, col), entry) pairs, and ``dense`` is the one dense view.  Every
 operation reads only the stored entries and sums through ``collect``,
-which drops the sums that cancel to zero.  Rank, kernel and
-the batched solve ``solve_each`` use exact Gauss-Jordan elimination on
-sparse rows (no floats); ``solve`` is ``solve_each`` with one target, and
-``inverse`` solves for the columns of the identity in one elimination.
+which sums in one pass and never stores a zero: a zero term is skipped,
+and a key whose running sum cancels is deleted at once (a later term on
+it stores it again).  Rank, kernel and the batched solve ``solve_each``
+use exact Gauss-Jordan elimination on sparse rows (no floats), which
+negates each row's multiplier once and adds; ``solve`` is ``solve_each``
+with one target, and ``inverse`` solves for the columns of the identity
+in one elimination.
 
 ``kron_combination`` builds every action matrix, c F_1[i_1] (x) ... (x)
 F_k[i_k] summed over the terms of a k-leg element, from the stored
@@ -158,7 +161,9 @@ def _ratio(order: int, n: int, den: int) -> "Scalar":
         if g != 1:
             n //= g
             den //= g
-    return _make(order, (n,), den)
+    s = object.__new__(Scalar)                  # _make, inlined on the hot path
+    s.order, s.num, s.den = order, (n,), den
+    return s
 
 
 def _make(order: int, num: tuple[int, ...], den: int) -> "Scalar":
@@ -432,21 +437,30 @@ def vec_eq(u: Sequence[Scalar], v: Sequence[Scalar]) -> bool:
 
 
 def collect(terms: Iterable[tuple[K, Scalar]]) -> dict[K, Scalar]:
-    """Sum the terms per key; keys whose sum is zero are dropped."""
+    """Sum the terms per key, in one pass that stores no zero: a zero term
+    is skipped, a key whose running sum cancels is deleted at once, and a
+    later term on that key stores it again."""
     acc: dict[K, Scalar] = {}
     get = acc.get
     for k, c in terms:
         old = get(k)
-        acc[k] = c if old is None else old + c
-    return {k: c for k, c in acc.items() if not c.is_zero()}
+        if old is None:
+            if c.num:
+                acc[k] = c
+        elif (c := old + c).num:
+            acc[k] = c
+        else:
+            del acc[k]
+    return acc
 
 
 def times(a: Scalar, b: Scalar) -> Scalar:
     """a * b, skipping the multiplication by a one of the same field."""
-    # identity matrices, slots and group-like structure constants are ones
-    if b.is_one() and b.order == a.order:
+    # identity matrices, slots and group-like structure constants are ones;
+    # is_one, spelled out to save two calls on the hot path
+    if b.den == 1 and b.num == (1,) and b.order == a.order:
         return a
-    if a.is_one() and a.order == b.order:
+    if a.den == 1 and a.num == (1,) and a.order == b.order:
         return b
     return a * b
 
@@ -607,13 +621,14 @@ class ExactMatrix:
             prow = m[r] = {j: inv * x for j, x in m[r].items()}
             for i, row in enumerate(m):
                 if i != r and (f := row.get(c)) is not None:
+                    f = -f                       # row += f * prow, one negation
                     for j, x in prow.items():
                         y = row.get(j)
-                        y = -(f * x) if y is None else y - f * x
-                        if y.is_zero():
-                            del row[j]
-                        else:
+                        y = f * x if y is None else y + f * x
+                        if y.num:
                             row[j] = y
+                        else:
+                            del row[j]
             pivots.append(c)
             r += 1
             if r == self.rows:

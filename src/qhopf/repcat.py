@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from .exactmath import ExactMatrix, Scalar, kron_combination
 from . import tensorspace as ts
-from .qha import AxiomReport, QuasiHopfAlgebra, drinfeld_element, drinfeld_twist, monodromy
+from .qha import (AxiomReport, QuasiHopfAlgebra, drinfeld_element, drinfeld_twist, monodromy,
+                  validate)
 from .coend import CoendMaps, coend_maps
 
 
@@ -332,8 +333,20 @@ def verify_braided_hopf(A: QuasiHopfAlgebra, maps: CoendMaps | None = None) -> A
     """Check, as exact matrix identities in the module category, that the
     dualised structure maps make the universal Hopf algebra object a Hopf
     algebra with a self-pairing whose product/coproduct and unit/counit
-    are mutually adjoint, and whose antipode squares to the twist."""
-    L, mu, delta, eta, eps, s_l, omega = dualised_structure(A, maps)
+    are mutually adjoint, and whose antipode squares to the twist.
+
+    On an input that fails ``validate`` the structure maps may not exist
+    (a Drinfeld element or twist that is not invertible); when building
+    them raises ``ValueError`` or ``ZeroDivisionError``, the failing
+    ``validate`` report is returned instead, each failure located.  The
+    error is raised again if ``validate`` passes."""
+    try:
+        L, mu, delta, eta, eps, s_l, omega = dualised_structure(A, maps)
+    except (ValueError, ZeroDivisionError):
+        rep = validate(A)
+        if rep.ok:
+            raise
+        return rep
     d = L.dim
     order = A.order
     rep = AxiomReport()

@@ -19,7 +19,10 @@ any group basis, the output index and coefficient are built inline,
 skipping a multiplication by a one exactly where ``exactmath.times``
 would, that is, only at the same field order; any other entry goes
 through ``_expand``, the one general path.  ``merge_legs`` folds each
-group's basis product once per index tuple and call.
+group's basis product once per index tuple and call; while the running
+product and the next structure constant are each one term, the fold
+steps with ``exactmath.times`` and sums nothing, and any other step sums
+through ``collect``.
 
 A linear map given by a fixed element is one contraction.  The slot
 ``identity`` = sum_a e_a x e_a carries the input: in the ``merge_legs``
@@ -221,12 +224,16 @@ def _check_leg(t: Tensor, j: int) -> None:
 def _fold_basis_product(
     indices: Sequence[int], mult: MultTable, order: int
 ) -> list[tuple[int, Scalar]]:
-    # product e_{i_1} e_{i_2} ... expanded through the structure constants
+    # product e_{i_1} e_{i_2} ... expanded through the structure constants;
+    # a one-term product times a one-term constant steps without a sum
     if len(indices) == 1:
         return [(indices[0], Scalar.one(order))]
     acc = mult[indices[0]][indices[1]]
     for b in indices[2:]:
-        acc = list(collect((k, times(c, ck)) for a, c in acc for k, ck in mult[a][b]).items())
+        if len(acc) == 1 and len(step := mult[acc[0][0]][b]) == 1:
+            acc = [(step[0][0], times(acc[0][1], step[0][1]))]
+        else:
+            acc = list(collect((k, times(c, ck)) for a, c in acc for k, ck in mult[a][b]).items())
     return acc
 
 

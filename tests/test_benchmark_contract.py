@@ -116,6 +116,58 @@ def test_generated_double_z3_report(tmp_path, monkeypatch, k):
     }
 
 
+# SHA-256 of the report bytes of two more generated inputs, run the same
+# way: D(Z/4) with k = 3 (k = 2 is not prime to 4 and fails the axioms) and
+# Q[Z/2 x Z/6], each in its identity labelling
+GENERATED_DIGESTS = {
+    "d_z4": "d222a5931674997443fbf7ee9ab86b1a7433b0fd4bc55a5103a433e751239f1e",
+    "q_z2xz6": "1ed6e67a8757f5c5979a13dd76ca12d233004fcce1186139863f20751051bd78",
+}
+
+
+def _generated(name):
+    if name == "d_z4":
+        alg, simples = INPUTS.double_cyclic(4, 3, list(range(16)))
+        return INPUTS.serialize(alg, simples, comment=alg.name)
+    alg = INPUTS.group_algebra((2, 6), list(range(12)))
+    return INPUTS.serialize(alg, comment=alg.name)
+
+
+@pytest.mark.parametrize("name", list(GENERATED_DIGESTS))
+def test_generated_report_bytes_are_pinned(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path(f"{name}.alg").write_text(_generated(name), encoding="utf-8")
+    result = CliRunner().invoke(main, ["report", f"{name}.alg", "--out", "report.json"])
+    assert result.exit_code == 0, result.output
+    data = pathlib.Path("report.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GENERATED_DIGESTS[name]
+
+
+# Scalar multiplies and inverses per field order of one `report
+# twisted_double_Z2` and one verify_braided_hopf of that preset, freshly
+# loaded; a kernel change that adds work raises one of them
+SCALAR_WORK_CEILING = {"mul": {4: 8530}, "inv": {4: 100}}
+
+
+def test_scalar_work_does_not_grow(tmp_path):
+    from qhopf.presets import preset
+
+    tracer = _load("tracer").Tracer()
+    tracer.install()
+    try:
+        result = CliRunner().invoke(
+            main, ["report", "twisted_double_Z2", "--out", str(tmp_path / "report.json")])
+        assert result.exit_code == 0, result.output
+        assert verify_braided_hopf(preset("twisted_double_Z2").algebra).ok
+        _, _, muls, invs = tracer.take()
+    finally:
+        tracer.uninstall()
+    for kind, counts in (("mul", muls), ("inv", invs)):
+        ceiling = SCALAR_WORK_CEILING[kind]
+        assert set(counts) <= set(ceiling), (kind, counts)
+        assert all(counts[o] <= ceiling[o] for o in counts), (kind, counts, ceiling)
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_generated_double_z3_is_braided_hopf(k):
     alg, simples = INPUTS.double_cyclic(3, k, INPUTS.relabelling(random.Random(k), 9))

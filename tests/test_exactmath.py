@@ -11,6 +11,7 @@ from qhopf.exactmath import (
     IncompatibleOrders,
     Scalar,
     basis_vector,
+    collect,
     cyclotomic_polynomial,
     kron_combination,
     stack_rows,
@@ -552,6 +553,51 @@ def test_kron_combination_matches_reference(problem):
     assert got == kron_combination_reference(terms, factors)
     assert (got.rows, got.cols) == (
         math.prod(f[0].rows for f in factors), math.prod(f[0].cols for f in factors))
+
+
+# ---------------------------------------------------------------------------
+# collect, the one sum-and-drop-zeros helper
+
+
+def collect_reference(terms):
+    # sum every term per key, then drop the zero sums
+    acc = {}
+    for k, c in terms:
+        acc[k] = acc[k] + c if k in acc else c
+    return {k: c for k, c in acc.items() if not c.is_zero()}
+
+
+@st.composite
+def keyed_terms(draw):
+    """(key, c) terms at order 1 or 4 over a few keys: single terms, zero
+    terms, cancelling pairs, and a key cancelled and then added again."""
+    order = draw(st.sampled_from([1, 4]))
+    keys, coeff = st.integers(0, 3), small_scalars(order)
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        k, c = draw(keys), draw(coeff)
+        kind = draw(st.sampled_from(["term", "zero", "cancel", "readd"]))
+        if kind == "term":
+            terms.append((k, c))
+        elif kind == "zero":
+            terms.append((k, Scalar.zero(order)))
+        else:
+            terms += [(k, c), (k, -c)]
+            if kind == "readd":
+                terms.append((k, draw(coeff)))
+    return terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(keyed_terms())
+@example([(0, rat(1)), (0, rat(-1)), (0, rat(2))])
+@example([(1, rat(0)), (0, rat(3))])
+@example([(2, rat(0, order=4)), (2, Scalar.zeta(4)), (2, -Scalar.zeta(4)), (2, rat(1, 2, 4))])
+@example([(0, rat(1)), (1, rat(2)), (0, rat(-1)), (1, rat(-2)), (0, rat(5))])
+def test_collect_matches_two_pass_reference(terms):
+    got = collect(terms)
+    assert got == collect_reference(terms)
+    assert all(not c.is_zero() for c in got.values())
 
 
 # ---------------------------------------------------------------------------

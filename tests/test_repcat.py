@@ -1,3 +1,7 @@
+import random
+
+import pytest
+
 from qhopf.exactmath import ExactMatrix, Scalar
 from qhopf.repcat import (
     Morphism,
@@ -308,6 +312,42 @@ def test_verify_braided_hopf_locates_matrix_failures(presets, all_maps):
     assert not rep["associativity"].ok
     assert isinstance(witness, tuple) and len(witness) == 2
     assert all(r.witness is not None for r in rep.failures())
+
+
+# the mutation sites, with their arities, whose single-entry mutants of
+# twisted_double_Z2 mostly leave no invertible Drinfeld element or twist;
+# coproduct, counit and phi_inv mutants mostly reach the braided Hopf checks
+MUTANT_ARITY = {"mult": 3, "antipode": 2, "phi": 3, "alpha": 1, "beta": 1,
+                "r_matrix": 2, "r_inv": 2}
+
+
+def test_verify_braided_hopf_reports_invalid_inputs(presets):
+    # where the structure maps cannot be built, the validate report stands in
+    from qhopf.presets import mutate
+
+    base = presets["twisted_double_Z2"].algebra
+    rng = random.Random(5)
+    fallback = 0
+    for _ in range(30):
+        section = rng.choice(sorted(MUTANT_ARITY))
+        idx = tuple(rng.randrange(base.dim) for _ in range(MUTANT_ARITY[section]))
+        delta = Scalar.rational(rng.choice([1, -1]), rng.choice([1, 2]), order=base.order)
+        rep = verify_braided_hopf(mutate(base, (section, idx), delta))
+        assert not rep.ok, (section, idx, delta)
+        assert all(r.witness is not None for r in rep.failures()), (section, idx, rep)
+        fallback += rep.results[0].name != "module_morphism_product"
+    assert fallback >= 20
+
+
+def test_verify_braided_hopf_raises_again_on_a_valid_input(presets, monkeypatch):
+    import qhopf.repcat
+
+    def broken(A, maps=None):
+        raise ValueError("structure maps unavailable")
+
+    monkeypatch.setattr(qhopf.repcat, "dualised_structure", broken)
+    with pytest.raises(ValueError, match="structure maps unavailable"):
+        verify_braided_hopf(presets["double_Z2"].algebra)
 
 
 def test_coadjoint_of_trivial_algebra_is_trivial(presets):

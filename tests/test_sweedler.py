@@ -11,7 +11,9 @@ the mutation harness, whose single-entry mutants depend on this basis,
 only basis-free facts are asserted.
 """
 
+import hashlib
 import json
+import pathlib
 from collections import Counter
 from itertools import product
 
@@ -115,6 +117,17 @@ def test_h4_report_skips_modular_and_fusion(tmp_path):
     assert doc["modular"] is None and doc["fusion"] is None
     assert doc["modular_skipped"] == "requires a factorisable ribbon algebra"
     assert doc["fusion_skipped"] == "no simple modules declared"
+
+
+def test_h4_report_bytes_are_pinned(tmp_path, monkeypatch):
+    # the only pinned report with multi-term structure constants; run from
+    # the file's directory so that the "algebra" field reads h4.alg
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("h4.alg").write_text(H4, encoding="utf-8")
+    res = CliRunner().invoke(main, ["report", "h4.alg", "--out", "report.json"])
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(pathlib.Path("report.json").read_bytes()).hexdigest() == (
+        "8f010f50584ae6fca64b0305d81471c1d2d0f208b5050dd1f54ba35ff1f304a7")
 
 
 def test_h4_braided_hopf(h4):

@@ -426,6 +426,16 @@ ONE_1, ONE_4, HALF_4 = Scalar.one(1), Scalar.one(4), Scalar.rational(1, 2, order
 ONES_4 = [[[(0, ONE_4)], [(1, ONE_4), (0, HALF_4), (1, -ONE_4)]],
           [[], [(1, ONE_4), (0, HALF_4)]]]
 TWO_LEGS = Tensor._of(2, 2, 1, {(0, 0): ONE_1, (0, 1): ONE_1, (1, 1): Scalar.rational(2, 3)})
+# e_0 e_0 = e_1, one term; e_1 e_0 is several terms in CHAIN_MULTI and none
+# in CHAIN_EMPTY, so a group of three or more legs steps once and then sums
+# or vanishes
+HALF_1 = Scalar.rational(1, 2)
+CHAIN_MULTI = [[[(1, ONE_1)], [(0, ONE_1)]], [[(0, HALF_1), (1, ONE_1)], [(0, ONE_1)]]]
+CHAIN_EMPTY = [[[(1, ONE_1)], []], [[], [(0, ONE_1)]]]
+# one-term rational constants, none of them a one of Q(zeta_4)
+SINGLE_1 = [[[(0, ONE_1)], [(1, HALF_1)]], [[(1, -ONE_1)], [(0, ONE_1)]]]
+THREE_LEGS_4 = Tensor._of(2, 3, 4, {(0, 1, 1): Scalar.zeta(4), (1, 0, 1): ONE_4,
+                                    (0, 0, 0): HALF_4})
 
 
 @settings(max_examples=80, deadline=None)
@@ -449,6 +459,9 @@ def test_mul_matches_dense_reference(problem):
 @example((ONES_4, TWO_LEGS, [[2], [1]]))
 @example(([[[(0, ONE_4)]]], Tensor.unit(1, 3, 1), [[3, 1, 2]]))
 @example(([[[(0, HALF_4)]]], Tensor.unit(1, 3, 4), [[1, 2, 3]]))
+@example((CHAIN_MULTI, Tensor.unit(2, 3, 1), [[1, 2, 3]]))
+@example((CHAIN_EMPTY, Tensor.unit(2, 4, 1), [[1, 2, 3, 4]]))
+@example((SINGLE_1, THREE_LEGS_4, [[3, 1, 2]]))
 def test_merge_legs_matches_dense_reference(problem):
     table, t, groups = problem
     dense, m_order = _dense_table(table)
