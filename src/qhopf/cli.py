@@ -1,15 +1,16 @@
 """The ``qhopf`` command.
 
 Each subcommand reads a definition file or a preset through
-``fileformat.parse_text``, runs one stage of the engine and writes a JSON
-(or csv, or markdown) payload that carries ``schema_version``.  The
-parser and serialiser live in ``fileformat``; their names are imported
-here too, so ``cli.parse_text``, ``cli.serialize`` and the rest keep
-working.
+``fileformat.parse_text`` and writes a JSON (or csv, or markdown) payload
+that carries ``schema_version``.  ``report`` checks the axioms, then runs
+every stage of ``STAGES`` in order; a stage command runs one of them and
+prints exactly that section of the report.  The parser and serialiser
+live in ``fileformat``; their names are imported here too, so
+``cli.parse_text``, ``cli.serialize`` and the rest keep working.
 
-Exit codes: 0 success, 1 mathematically invalid input (axiom failure),
-2 I/O or parse error.  One decorator, ``_guarded``, maps exceptions to
-these codes for every subcommand.
+Exit codes: 0 success, 1 mathematically invalid input (axiom failure) or,
+for a stage command, an input that cannot have the stage, 2 I/O or parse
+error.  One decorator, ``_guarded``, maps exceptions to these codes.
 """
 
 from __future__ import annotations
@@ -118,109 +119,128 @@ def _load(path: str, field_order: int | None):
     return parse_text(text, source=source, field_order=field_order) + (source,)
 
 
-def _check_payload(A: QuasiHopfAlgebra):
+def _check_payload(A: QuasiHopfAlgebra, strict: bool) -> dict:
+    """The axiom report of ``validate``.  With ``strict``, a failing axiom
+    ends the command instead: exit 1, the failures on stderr, nothing on
+    stdout."""
     rep = validate(A)
-    return rep, {"notes": sorted(A.notes), **rep.as_dict()}
+    if strict and not rep.ok:
+        click.echo(f"axiom failure: {', '.join(map(str, rep.failures()))}", err=True)
+        sys.exit(1)
+    return {"notes": sorted(A.notes), **rep.as_dict()}
 
 
-def _derived_payload(A: QuasiHopfAlgebra):
-    f, f_inv, gamma = drinfeld_twist(A)
-    u, u_tilde, u_inv = drinfeld_element(A)
-    return {
-        "twist_f": tensor_json(f),
-        "twist_f_inv": tensor_json(f_inv),
-        "twist_gamma": tensor_json(gamma),
-        "u": vector_json(u),
-        "u_tilde": vector_json(u_tilde),
-        "u_inv": vector_json(u_inv) if u_inv is not None else None,
-        "monodromy": tensor_json(monodromy(A)),
-    }
+# the stages of ``report`` after ``check``, in order; each names a builder of ``_Stages``
+STAGES = ("derived", "coend", "factorisability", "modular", "fusion")
 
 
-def _coend_payload(A: QuasiHopfAlgebra, maps=None):
-    from .coend import coend_maps
+class _Stages:
+    """The stage builders on one validated algebra, under the click options
+    of the command.  Each returns the stage's payload, or a string: the
+    reason the input cannot have that stage.  The coend maps and the
+    factorisability verdict are built once, on first use."""
 
-    maps = maps or coend_maps(A)
-    return maps, {
-        "mu_hat": matrix_json(maps.mu_hat),
-        "delta_hat": matrix_json(maps.delta_hat),
-        "eta_hat": vector_json(maps.eta_hat),
-        "eps_hat": vector_json(maps.eps_hat),
-        "s_hat_L": matrix_json(maps.s_hat_L),
-        "omega_hat": tensor_json(maps.omega_hat),
-        "intermediates": {
-            "D": tensor_json(maps.d_tensor),
-            "W": tensor_json(maps.w_tensor),
-            "X_Q": tensor_json(maps.x_q),
-            "X_D": tensor_json(maps.x_d),
-        },
-    }
+    def __init__(self, A: QuasiHopfAlgebra, simples, options: dict):
+        self.A, self.simples, self.options = A, simples, options
+
+    @functools.cached_property
+    def maps(self):
+        from .coend import coend_maps
+
+        return coend_maps(self.A)
+
+    @functools.cached_property
+    def fact(self):
+        from .coend import factorisability
+
+        return factorisability(self.A, self.maps)
+
+    def derived(self) -> dict:
+        f, f_inv, gamma = drinfeld_twist(self.A)
+        u, u_tilde, u_inv = drinfeld_element(self.A)
+        return {
+            "twist_f": tensor_json(f),
+            "twist_f_inv": tensor_json(f_inv),
+            "twist_gamma": tensor_json(gamma),
+            "u": vector_json(u),
+            "u_tilde": vector_json(u_tilde),
+            "u_inv": vector_json(u_inv) if u_inv is not None else None,
+            "monodromy": tensor_json(monodromy(self.A)),
+        }
+
+    def coend(self) -> dict:
+        return {
+            "mu_hat": matrix_json(self.maps.mu_hat),
+            "delta_hat": matrix_json(self.maps.delta_hat),
+            "eta_hat": vector_json(self.maps.eta_hat),
+            "eps_hat": vector_json(self.maps.eps_hat),
+            "s_hat_L": matrix_json(self.maps.s_hat_L),
+            "omega_hat": tensor_json(self.maps.omega_hat),
+            "intermediates": {
+                "D": tensor_json(self.maps.d_tensor),
+                "W": tensor_json(self.maps.w_tensor),
+                "X_Q": tensor_json(self.maps.x_q),
+                "X_D": tensor_json(self.maps.x_d),
+            },
+        }
+
+    def factorisability(self) -> dict:
+        return {
+            "d_hat_L": tensor_json(self.fact.d_hat_L),
+            "rank_D": self.fact.rank_D,
+            "m_bt": tensor_json(self.fact.m_bt),
+            "rank_BT": self.fact.rank_BT,
+            "omega_iso_rank": self.fact.omega_iso_rank,
+            "invariants_dim": self.fact.invariants_dim,
+            "coinvariants_dim": self.fact.coinvariants_dim,
+            "is_factorisable": self.fact.is_factorisable,
+            "tests_agree": self.fact.tests_agree,
+        }
+
+    def modular(self) -> dict | str:
+        if not self.fact.is_factorisable or self.A.ribbon is None:
+            return "requires a factorisable ribbon algebra"
+        from .modular import modular_data
+
+        md = modular_data(self.A, self.maps)
+        payload = {
+            "center_basis": [vector_json(z) for z in md.center_basis],
+            "integral": vector_json(md.integral),
+            "pairing_value": format_scalar(md.pairing_value),
+            "cointegral": vector_json(md.cointegral),
+            "S_hat": matrix_json(md.s_hat),
+            "T_hat": matrix_json(md.t_hat),
+            "S_Z": matrix_json(md.s_z),
+            "T_Z": matrix_json(md.t_z),
+            "lambda": format_scalar(md.lam),
+        }
+        if not self.options["projective"]:
+            payload["normalisation_note"] = md.lam_note
+        return payload
+
+    def fusion(self) -> dict | str:
+        if self.simples is None:
+            return "no simple modules declared"
+        if not self.fact.is_factorisable:
+            return "input is not factorisable"
+        if self.A.ribbon is None:
+            return "requires ribbon data"
+        from .fusion import verlinde_fusion
+
+        table = verlinde_fusion(self.A, self.simples, oracle=self.options["oracle"])
+        return {
+            "labels": table.labels,
+            "table": [
+                {"U": table.labels[u], "V": table.labels[v], "W": table.labels[w], "N": n}
+                for u, row in enumerate(table.table)
+                for v, counts in enumerate(row)
+                for w, n in enumerate(counts)
+            ],
+        }
 
 
-def _fact_payload(A: QuasiHopfAlgebra, maps):
-    from .coend import factorisability
-
-    fact = factorisability(A, maps)
-    return fact, {
-        "d_hat_L": tensor_json(fact.d_hat_L),
-        "rank_D": fact.rank_D,
-        "m_bt": tensor_json(fact.m_bt),
-        "rank_BT": fact.rank_BT,
-        "omega_iso_rank": fact.omega_iso_rank,
-        "invariants_dim": fact.invariants_dim,
-        "coinvariants_dim": fact.coinvariants_dim,
-        "is_factorisable": fact.is_factorisable,
-        "tests_agree": fact.tests_agree,
-    }
-
-
-def _modular_payload(A: QuasiHopfAlgebra, maps, projective: bool):
-    from .modular import modular_data
-
-    md = modular_data(A, maps)
-    payload = {
-        "center_basis": [vector_json(z) for z in md.center_basis],
-        "integral": vector_json(md.integral),
-        "pairing_value": format_scalar(md.pairing_value),
-        "cointegral": vector_json(md.cointegral),
-        "S_hat": matrix_json(md.s_hat),
-        "T_hat": matrix_json(md.t_hat),
-        "S_Z": matrix_json(md.s_z),
-        "T_Z": matrix_json(md.t_z),
-        "lambda": format_scalar(md.lam),
-    }
-    if not projective:
-        payload["normalisation_note"] = md.lam_note
-    return md, payload
-
-
-def _fusion_payload(A: QuasiHopfAlgebra, simples, oracle: bool):
-    from .fusion import verlinde_fusion
-
-    table = verlinde_fusion(A, simples, oracle=oracle)
-    return table, {
-        "labels": table.labels,
-        "table": [
-            {"U": table.labels[u], "V": table.labels[v], "W": table.labels[w],
-             "N": table.table[u][v][w]}
-            for u in range(len(table.labels))
-            for v in range(len(table.labels))
-            for w in range(len(table.labels))
-        ],
-    }
-
-
-def _fusion_csv(table) -> str:
-    lines = ["U,V,W,N"]
-    n = len(table.labels)
-    for u in range(n):
-        for v in range(n):
-            for w in range(n):
-                lines.append(
-                    f"{table.labels[u]},{table.labels[v]},"
-                    f"{table.labels[w]},{table.table[u][v][w]}"
-                )
-    return "\n".join(lines) + "\n"
+def _fusion_csv(rows: list[dict]) -> str:
+    return "U,V,W,N\n" + "".join(f"{r['U']},{r['V']},{r['W']},{r['N']}\n" for r in rows)
 
 
 def _emit(payload, output: str, out, title: str, csv_text: str | None = None):
@@ -271,15 +291,6 @@ def _guarded(fn):
     return run
 
 
-def _validated(A):
-    rep = validate(A)
-    if not rep.ok:
-        bad = ", ".join(map(str, rep.failures()))
-        click.echo(f"axiom failure: {bad}", err=True)
-        sys.exit(1)
-    return rep
-
-
 @click.group()
 @click.version_option()
 def main():
@@ -296,85 +307,65 @@ def main():
 def check(path, output, out, field_order):
     """Validate every axiom and report pass/fail with witnesses."""
     A, _, source = _load(path, field_order)
-    rep, payload = _check_payload(A)
-    payload = {"algebra": source, **payload}
+    payload = {"algebra": source, **_check_payload(A, strict=False)}
     _emit(payload, output, out, f"axiom report for {source}")
-    if not rep.ok:
+    if not payload["ok"]:
         sys.exit(1)
 
 
+@_guarded
+def _run_stage(stage, title, path, output, out, field_order, **options):
+    """One stage of ``report``: exit 1 with its skip reason on stderr when
+    the input cannot have it."""
+    A, simples, source = _load(path, field_order)
+    if stage == "fusion" and simples is None:
+        raise ParseError("fusion requires a 'simple' section", source)
+    _check_payload(A, strict=True)
+    payload = getattr(_Stages(A, simples, options), stage)()
+    if isinstance(payload, str):
+        click.echo(f"{stage}: {payload}", err=True)
+        sys.exit(1)
+    _emit({"algebra": source, **payload}, output, out, f"{title} of {source}",
+          csv_text=_fusion_csv(payload["table"]) if stage == "fusion" else None)
+
+
 @main.command()
 @_common_options
-@_guarded
 def derived(path, output, out, field_order):
     """Drinfeld twist, Drinfeld elements and monodromy."""
-    A, _, source = _load(path, field_order)
-    _validated(A)
-    _emit({"algebra": source, **_derived_payload(A)}, output, out,
-          f"derived elements of {source}")
+    _run_stage("derived", "derived elements", path, output, out, field_order)
 
 
 @main.command()
 @_common_options
-@_guarded
 def coend(path, output, out, field_order):
     """Structure maps of the universal Hopf algebra on the dual."""
-    A, _, source = _load(path, field_order)
-    _validated(A)
-    _, payload = _coend_payload(A)
-    _emit({"algebra": source, **payload}, output, out,
-          f"universal Hopf algebra maps of {source}")
+    _run_stage("coend", "universal Hopf algebra maps", path, output, out, field_order)
 
 
 @main.command()
 @_common_options
-@_guarded
 def factorisable(path, output, out, field_order):
     """Run all three non-degeneracy tests."""
-    A, _, source = _load(path, field_order)
-    _validated(A)
-    from .coend import coend_maps
-
-    maps = coend_maps(A)
-    _, payload = _fact_payload(A, maps)
-    _emit({"algebra": source, **payload}, output, out,
-          f"factorisability of {source}")
+    _run_stage("factorisability", "factorisability", path, output, out, field_order)
 
 
 @main.command()
 @_common_options
 @click.option("--projective", is_flag=True,
               help="omit the normalisation notes from the output")
-@_guarded
 def modular(path, output, out, field_order, projective):
     """Centre, integral, cointegral and the modular S/T action."""
-    A, _, source = _load(path, field_order)
-    _validated(A)
-    from .coend import coend_maps
-
-    maps = coend_maps(A)
-    _, payload = _modular_payload(A, maps, projective)
-    _emit({"algebra": source, **payload}, output, out,
-          f"modular data of {source}")
+    _run_stage("modular", "modular data", path, output, out, field_order, projective=projective)
 
 
 @main.command()
 @_common_options
 @click.option("--oracle/--no-oracle", default=True, show_default=True,
               help="cross-check against the character decomposition")
-@_guarded
 def fusion(path, output, out, field_order, oracle):
     """Verlinde fusion table from internal characters."""
-    A, simples, source = _load(path, field_order)
-    if simples is None:
-        raise ParseError("fusion requires a 'simple' section", source)
-    _validated(A)
-    from .coend import coend_maps, require_factorisable
-
-    require_factorisable(A, coend_maps(A))
-    table, payload = _fusion_payload(A, simples, oracle)
-    _emit({"algebra": source, **payload}, output, out,
-          f"fusion table of {source}", csv_text=_fusion_csv(table))
+    _run_stage("fusion", "fusion table", path, output, out, field_order, oracle=oracle)
 
 
 @main.command()
@@ -382,35 +373,21 @@ def fusion(path, output, out, field_order, oracle):
 @click.option("--projective", is_flag=True)
 @click.option("--oracle/--no-oracle", default=True, show_default=True)
 @_guarded
-def report(path, output, out, field_order, projective, oracle):
+def report(path, output, out, field_order, **options):
     """Everything in one document."""
     A, simples, source = _load(path, field_order)
-    rep, check_payload = _check_payload(A)
     doc = {"algebra": source, "dim": A.dim, "field_order": A.order,
-           "check": check_payload}
-    if not rep.ok:
+           "check": _check_payload(A, strict=False)}
+    if not doc["check"]["ok"]:
         _emit(doc, output, out, f"report for {source}")
         sys.exit(1)
-    from .coend import coend_maps
-
-    maps = coend_maps(A)
-    doc["derived"] = _derived_payload(A)
-    _, doc["coend"] = _coend_payload(A, maps)
-    fact, doc["factorisability"] = _fact_payload(A, maps)
-    if fact.is_factorisable and A.ribbon is not None:
-        _, doc["modular"] = _modular_payload(A, maps, projective)
-    else:
-        doc["modular"] = None
-        doc["modular_skipped"] = "requires a factorisable ribbon algebra"
-    if simples is not None and fact.is_factorisable and A.ribbon is not None:
-        _, doc["fusion"] = _fusion_payload(A, simples, oracle)
-    else:
-        doc["fusion"] = None
-        doc["fusion_skipped"] = (
-            "no simple modules declared" if simples is None
-            else "input is not factorisable" if not fact.is_factorisable
-            else "requires ribbon data"
-        )
+    stages = _Stages(A, simples, options)
+    for stage in STAGES:
+        payload = getattr(stages, stage)()
+        if isinstance(payload, str):
+            doc[stage], doc[f"{stage}_skipped"] = None, payload
+        else:
+            doc[stage] = payload
     _emit(doc, output, out, f"report for {source}")
 
 

@@ -64,21 +64,20 @@ class FactorisabilityReport:
 
 
 def _w_and_x_q(A: QuasiHopfAlgebra) -> tuple[Tensor, Tensor]:
-    """(:func:`element_w`, :func:`element_x_q`).  Both end in the same four
-    factors T = core_234 (id x id x Delta)(phi^-1), with the core
-    phi^-1 M_12 phi of ``qha.monodromy_core``, so T is built once."""
+    """The 4-leg elements W and X_Q of ``CoendMaps``:
+
+    W = (alpha x alpha)_24 phi^-1_234 M_23 phi_234 (id x id x Delta)(phi^-1),
+    whose antipode-contraction is the self-pairing, and
+    X_Q = (id x id x Delta)(phi) phi^-1_234 M_23 phi_234 (id x id x Delta)(phi^-1),
+    the kernel of the monodromy bilinear map :func:`q_form`.  Both end in
+    the same four factors T = core_234 (id x id x Delta)(phi^-1), with the
+    core phi^-1 M_12 phi of ``qha.monodromy_core``, so T is built once."""
     mt = A.mult_table
     tail = ts.mul(ts.embed(monodromy_core(A), 4, (2, 3, 4)),
                   ts.coproduct_leg(A.phi_inv, 3, A.cop_table), mt)
     alpha_t = Tensor.from_vector(A.alpha, A.order)
     return (ts.mul(ts.embed(ts.tensor_product(alpha_t, alpha_t), 4, (2, 4)), tail, mt),
             ts.mul(ts.coproduct_leg(A.phi, 3, A.cop_table), tail, mt))
-
-
-def element_w(A: QuasiHopfAlgebra) -> Tensor:
-    """The 4-leg element whose antipode-contraction is the self-pairing:
-    (alpha x alpha)_24 phi^-1_234 M_23 phi_234 (id x id x Delta)(phi^-1)."""
-    return _w_and_x_q(A)[0]
 
 
 def element_d(A: QuasiHopfAlgebra) -> Tensor:
@@ -92,13 +91,6 @@ def element_d(A: QuasiHopfAlgebra) -> Tensor:
         ],
         mt,
     )
-
-
-def element_x_q(A: QuasiHopfAlgebra) -> Tensor:
-    """Five-factor product of coassociators and the monodromy, the kernel
-    of the monodromy bilinear map on A x A:
-    (id x id x Delta)(phi) phi^-1_234 M_23 phi_234 (id x id x Delta)(phi^-1)."""
-    return _w_and_x_q(A)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -222,24 +214,24 @@ def hopf_reduced_maps(A: QuasiHopfAlgebra) -> CoendMaps:
 # the monodromy bilinear map
 
 
-def q_hat(A: QuasiHopfAlgebra, x_q: Tensor | None = None) -> ExactMatrix:
-    """Matrix of the bilinear map (a, b) -> S(X_3) a X_4 (x) S(X_1) b X_2
-    on A x A; column index is (a, b) flattened row-major."""
-    dim, order = A.dim, A.order
-    x = element_x_q(A) if x_q is None else x_q
-    base = ts.leg_map(ts.leg_map(x, 3, A.antipode), 1, A.antipode)
-    ident = ts.identity(dim, order)
-    t = ts.tensor_product(base, ts.tensor_product(ident, ident))
-    return ts.as_matrix(ts.merge_legs(t, ((3, 6, 4), (1, 8, 2), (5,), (7,)), A.mult_table), 2)
+def q_form(A: QuasiHopfAlgebra, x_q: Tensor, a: Tensor, b: Tensor) -> Tensor:
+    """The monodromy bilinear map (a, b) -> S(X_3) a X_4 (x) S(X_1) b X_2.
 
-
-def q_hat_apply(A: QuasiHopfAlgebra, x_q: Tensor, a: list[Scalar], b: list[Scalar]) -> Tensor:
-    """The bilinear monodromy map evaluated on a pair of elements."""
-    mt = A.mult_table
+    Each argument is a 1-leg element or a 2-leg ``tensorspace.identity``
+    slot, whose second leg is the element; the result's legs are the two
+    outputs, then the first leg of each slot, a's before b's."""
     base = ts.leg_map(ts.leg_map(x_q, 3, A.antipode), 1, A.antipode)
-    t = ts.leg_map(base, 3, A.rmult_of(a))
-    t = ts.leg_map(t, 1, A.rmult_of(b))
-    return ts.merge_legs(t, ((3, 4), (1, 2)), mt)
+    ea, eb = 4 + a.legs, 4 + a.legs + b.legs
+    slots = [(first,) for first, arg in ((5, a), (ea + 1, b)) if arg.legs == 2]
+    return ts.merge_legs(ts.tensor_product(base, ts.tensor_product(a, b)),
+                         ((3, ea, 4), (1, eb, 2), *slots), A.mult_table)
+
+
+def q_hat(A: QuasiHopfAlgebra, x_q: Tensor) -> ExactMatrix:
+    """Matrix of :func:`q_form` on A x A; column index is (a, b)
+    flattened row-major."""
+    ident = ts.identity(A.dim, A.order)
+    return ts.as_matrix(q_form(A, x_q, ident, ident), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +247,6 @@ def copairing(A: QuasiHopfAlgebra, maps: CoendMaps) -> Tensor:
     t = ts.leg_map(ts.leg_map(t, 1, A.antipode), 3, A.antipode)
     t = ts.mul(ts.embed(maps.omega_hat, 4, (2, 4)), t, mt)
     return ts.merge_legs(t, ((1, 2), (3, 4)), mt)
-
-
-def require_factorisable(A: QuasiHopfAlgebra, maps: CoendMaps) -> None:
-    """Raise ValueError unless the copairing has full rank: the modular
-    action and the Verlinde fusion are defined only in that case."""
-    rank = ts.as_matrix(copairing(A, maps), 1).rank()
-    if rank != A.dim:
-        raise ValueError(f"input is not factorisable (copairing rank {rank} < {A.dim}); "
-                         "the modular action and Verlinde fusion need it")
 
 
 def bt_monodromy_matrix(A: QuasiHopfAlgebra) -> Tensor:

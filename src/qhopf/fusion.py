@@ -81,9 +81,10 @@ def _trace_functional(V: AModule) -> list[Scalar]:
     return [V.action[i].trace() for i in range(V.alg.dim)]
 
 
-def _central_image(A: QuasiHopfAlgebra, t: Tensor, V: AModule, what: str) -> list[Scalar]:
-    """Leg 2 of t contracted with the trace of V, checked to be central."""
-    v = ts.contract_leg(t, 2, _trace_functional(V)).to_vector()
+def _central_image(A: QuasiHopfAlgebra, t: Tensor, character: list[Scalar],
+                   what: str) -> list[Scalar]:
+    """Leg 2 of t contracted with a character, checked to be central."""
+    v = ts.contract_leg(t, 2, character).to_vector()
     if A.lmult_of(v) != A.rmult_of(v):
         raise ValueError(f"{what} is not central; input data is inconsistent")
     return v
@@ -105,7 +106,8 @@ def chi_central(A: QuasiHopfAlgebra, V: AModule) -> list[Scalar]:
     """The central element representing the modular S-image of the class
     function of V; the coefficients of the Verlinde expansion live in the
     span of these."""
-    return _central_image(A, _internal_character_tensor(A), V, "internal character")
+    return _central_image(A, _internal_character_tensor(A), _trace_functional(V),
+                          "internal character")
 
 
 def chi_central_hopf(A: QuasiHopfAlgebra, V: AModule) -> list[Scalar]:
@@ -150,7 +152,7 @@ def phi_central(A: QuasiHopfAlgebra, V: AModule, cointegral: list[Scalar]) -> li
     f = ts.merge_legs(g, ((1,), (2, 3)), mt)
 
     f = ts.leg_map(f, 2, A.lmult_of(w))
-    return _central_image(A, f, V, "class-function central element")
+    return _central_image(A, f, _trace_functional(V), "class-function central element")
 
 
 def phi_central_hopf(A: QuasiHopfAlgebra, V: AModule, cointegral: list[Scalar]) -> list[Scalar]:
@@ -219,7 +221,7 @@ def verlinde_fusion(
                           "modules: " + "; ".join(problems))
     n = len(simples.simples)
     t = _internal_character_tensor(A)
-    chis = [_central_image(A, t, V, "internal character") for V in simples.simples]
+    chis = [_central_image(A, t, c, "internal character") for c in simples.characters]
     cmat = matrix_from_columns(chis, A.order)
     if cmat.rank() != n:
         raise FusionError("internal characters are linearly dependent")
@@ -228,9 +230,9 @@ def verlinde_fusion(
     if oracle:
         # tr_{U (x) V}(e_i) = sum c tr_U(e_a) tr_V(e_b) over Delta(e_i) = sum c e_a (x) e_b
         deltas = ts.coproduct_leg(ts.identity(A.dim, A.order), 2, A.cop_table)
-        traces = [_trace_functional(V) for V in simples.simples]
+        chars = simples.characters
         classes = _character_coordinates(
-            [ts.contract_leg(ts.contract_leg(deltas, 3, traces[iv]), 2, traces[iu]).to_vector()
+            [ts.contract_leg(ts.contract_leg(deltas, 3, chars[iv]), 2, chars[iu]).to_vector()
              for iu, iv in pairs], simples, A.order)
     table = [[[0] * n for _ in range(n)] for _ in range(n)]
     # checked pair by pair, so the first failing pair is the one reported

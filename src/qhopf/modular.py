@@ -24,7 +24,7 @@ from .exactmath import (
 from . import tensorspace as ts
 from .tensorspace import Tensor
 from .qha import QuasiHopfAlgebra
-from .coend import CoendMaps, coend_maps, require_factorisable
+from .coend import CoendMaps, coend_maps, copairing, q_form
 
 
 @dataclass
@@ -127,11 +127,8 @@ def s_t_hat(A: QuasiHopfAlgebra, maps: CoendMaps, integral: list[Scalar]):
     if A.ribbon_inv is None:
         raise ValueError("modular transformations require ribbon data")
     dim, order = A.dim, A.order
-    # column a is the integral on the first leg of q_hat_apply(e_a, alpha);
-    # legs 5, 6 and 7 are alpha and the slot (a, e_a)
-    x = ts.leg_map(ts.leg_map(maps.x_q, 3, A.antipode), 1, A.antipode)
-    slot = ts.tensor_product(Tensor.from_vector(A.alpha, order), ts.identity(dim, order))
-    q = ts.merge_legs(ts.tensor_product(x, slot), ((3, 7, 4), (1, 5, 2), (6,)), A.mult_table)
+    # column a is the integral on the first leg of q_form(e_a, alpha)
+    q = q_form(A, maps.x_q, ts.identity(dim, order), Tensor.from_vector(A.alpha, order))
     s_hat = ts.as_matrix(ts.contract_leg(q, 1, integral), 1)
     t_hat = A.lmult_of(A.ribbon_inv)
     return s_hat, t_hat
@@ -209,7 +206,10 @@ def modular_data(A: QuasiHopfAlgebra, maps: CoendMaps | None = None) -> ModularD
     """Full modular pipeline; requires a factorisable ribbon input."""
     if maps is None:
         maps = coend_maps(A)
-    require_factorisable(A, maps)
+    rank = ts.as_matrix(copairing(A, maps), 1).rank()
+    if rank != A.dim:
+        raise ValueError(f"input is not factorisable (copairing rank {rank} < {A.dim}); "
+                         "the modular action needs it")
     integral = integral_L(A, maps)
     if integral.functional is None:
         raise ValueError(

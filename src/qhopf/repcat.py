@@ -399,7 +399,10 @@ def verify_braided_hopf(A: QuasiHopfAlgebra, maps: CoendMaps | None = None) -> A
     rep.compare("pairing_unit_right", (omega.matrix * i_l.kron(eta.matrix), eps.matrix))
     rep.compare("pairing_unit_left", (omega.matrix * eta.matrix.kron(i_l), eps.matrix))
 
-    if A.ribbon_inv is not None:
-        theta = L.act(A.ribbon_inv)
-        rep.compare("antipode_square_is_twist", (s_l.matrix * s_l.matrix, theta))
+    if A.ribbon is not None and A.ribbon_inv is not None:
+        # the twist acts by ribbon_inv, and ribbon must undo it: a ribbon
+        # changed without its solved inverse fails the second identity
+        s2 = s_l.matrix * s_l.matrix
+        rep.compare("antipode_square_is_twist", (s2, L.act(A.ribbon_inv)),
+                    (s2 * L.act(A.ribbon), i_l))
     return rep

@@ -1,4 +1,5 @@
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -252,6 +253,49 @@ def test_fusion_rejects_nonfactorisable(runner):
     res = runner.invoke(main, ["fusion", "group_Z2_trivialR"])
     assert res.exit_code == 1
     assert "not factorisable" in res.stderr
+
+
+# each stage command and the report section it prints
+STAGE_COMMANDS = {"derived": "derived", "coend": "coend", "factorisable": "factorisability",
+                  "modular": "modular", "fusion": "fusion"}
+
+
+@pytest.mark.parametrize("name", [*PRESET_NAMES, "H4"])
+def test_stage_commands_print_their_report_section(runner, tmp_path, name):
+    # a stage command prints its section of the report, or exits 1 with the
+    # report's skip reason; fusion without simples is a parse error
+    from test_sweedler import H4
+
+    path = name
+    if name == "H4":
+        path = str(tmp_path / "H4.alg")
+        pathlib.Path(path).write_text(H4, encoding="utf-8")
+    report = json.loads(runner.invoke(main, ["report", path]).stdout)
+    for command, stage in STAGE_COMMANDS.items():
+        res = runner.invoke(main, [command, path])
+        if report[stage] is not None:
+            assert res.exit_code == 0, (command, res.stderr)
+            payload = json.loads(res.stdout)
+            del payload["algebra"], payload["schema_version"]
+            assert payload == report[stage], command
+        elif report[f"{stage}_skipped"] == "no simple modules declared":
+            assert res.exit_code == 2 and "requires a 'simple' section" in res.stderr
+        else:
+            assert (res.exit_code, res.stdout) == (1, ""), command
+            assert report[f"{stage}_skipped"] in res.stderr, (command, res.stderr)
+
+
+def test_stage_commands_stop_on_axiom_failure(runner, tmp_path, presets):
+    from qhopf.presets import mutate
+
+    p = presets["double_Z2"]
+    bad = mutate(p.algebra, ("r_matrix", (0, 0)), Scalar.rational(1))
+    path = tmp_path / "bad.alg"
+    path.write_text(serialize(bad, p.simples), encoding="utf-8")
+    for command in STAGE_COMMANDS:
+        res = runner.invoke(main, [command, str(path)])
+        assert (res.exit_code, res.stdout) == (1, ""), command
+        assert res.stderr.startswith("axiom failure: hexagon_coproduct_left@"), command
 
 
 def test_csv_rejected_elsewhere(runner):

@@ -6,11 +6,10 @@ from qhopf.coend import (
     bt_monodromy_matrix,
     bt_monodromy_via_tangle_element,
     copairing,
-    element_w,
     factorisability,
     hopf_reduced_maps,
+    q_form,
     q_hat,
-    q_hat_apply,
 )
 
 HOPF = ("trivial", "group_Z2_trivialR", "double_Z2")
@@ -96,11 +95,11 @@ def test_double_rank_is_dimension(presets, all_maps):
     assert fact.omega_iso_rank == fact.invariants_dim == fact.coinvariants_dim == 4
 
 
-def test_q_hat_identity_cases(presets):
+def test_q_hat_identity_cases(presets, all_maps):
     # trivial algebra and trivial monodromy collapse the bilinear map
     for name in ("trivial", "group_Z2_trivialR"):
         alg = presets[name].algebra
-        qm = q_hat(alg)
+        qm = q_hat(alg, all_maps[name].x_q)
         n = alg.dim * alg.dim
         from qhopf.exactmath import ExactMatrix
 
@@ -113,7 +112,8 @@ def test_omega_hat_from_q_hat(presets, all_maps):
     for name, p in presets.items():
         alg = p.algebra
         maps = all_maps[name]
-        got = q_hat_apply(alg, maps.x_q, alg.alpha, alg.alpha)
+        alpha = Tensor.from_vector(alg.alpha, alg.order)
+        got = q_form(alg, maps.x_q, alpha, alpha)
         assert got == maps.omega_hat, name
 
 
@@ -127,7 +127,7 @@ def test_copairing_from_w_directly(presets, all_maps):
         xc = ts.coproduct_leg(
             ts.coproduct_leg(maps.x_d, 1, alg.cop_table), 3, alg.cop_table)
         t_x = ts.permute(xc, (3, 4, 1, 2))
-        t_w = ts.permute(element_w(alg), (3, 4, 1, 2))
+        t_w = ts.permute(maps.w_tensor, (3, 4, 1, 2))
         u = ts.mul(t_w, t_x, mt)
         u = ts.leg_map(ts.leg_map(u, 1, alg.antipode), 3, alg.antipode)
         direct = ts.merge_legs(u, ((1, 2), (3, 4)), mt)
@@ -152,3 +152,22 @@ def test_copairing_hopf_reduction(presets, all_maps):
     for name in HOPF:
         maps = all_maps[name]
         assert copairing(presets[name].algebra, maps) == maps.omega_hat, name
+
+
+def test_q_form_slots_match_elements(presets, all_maps):
+    # a slot argument evaluates the map on every basis element at once; its
+    # index leg follows the two values, a's before b's
+    for name in ("double_Z2", "twisted_double_Z2"):
+        alg = presets[name].algebra
+        x_q, slot = all_maps[name].x_q, ts.identity(alg.dim, alg.order)
+        e = [basis_vector(alg.dim, i, alg.order) for i in range(alg.dim)]
+        el = [Tensor.from_vector(v, alg.order) for v in e]
+        both = q_form(alg, x_q, slot, slot)
+        first = q_form(alg, x_q, slot, el[1])
+        second = q_form(alg, x_q, el[1], slot)
+        for i in range(alg.dim):
+            assert ts.contract_leg(first, 3, e[i]) == q_form(alg, x_q, el[i], el[1])
+            assert ts.contract_leg(second, 3, e[i]) == q_form(alg, x_q, el[1], el[i])
+            for j in range(alg.dim):
+                got = ts.contract_leg(ts.contract_leg(both, 4, e[j]), 3, e[i])
+                assert got == q_form(alg, x_q, el[i], el[j]), (name, i, j)

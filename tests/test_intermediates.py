@@ -9,7 +9,7 @@ import random
 import pytest
 
 from qhopf import tensorspace as ts
-from qhopf.coend import coend_maps, element_w, element_x_q
+from qhopf.coend import coend_maps
 from qhopf.exactmath import ExactMatrix
 from qhopf.fileformat import parse_text
 from qhopf.presets import PRESET_NAMES, preset
@@ -56,8 +56,6 @@ def test_core_and_five_factor_elements(alg):
               ts.embed(alg.phi, 4, (2, 3, 4)), ts.coproduct_leg(alg.phi_inv, 3, cop)]
     w = ts.mul_chain([ts.embed(ts.tensor_product(alpha_t, alpha_t), 4, (2, 4)), *middle], mt)
     x_q = ts.mul_chain([ts.coproduct_leg(alg.phi, 3, cop), *middle], mt)
-    assert element_w(alg) == w
-    assert element_x_q(alg) == x_q
     maps = coend_maps(alg)
     assert maps.w_tensor == w and maps.x_q == x_q
 

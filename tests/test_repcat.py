@@ -299,6 +299,18 @@ def test_verify_braided_hopf_fails_on_mutant(presets):
     assert not rep.ok
 
 
+def test_verify_braided_hopf_reads_the_ribbon(presets):
+    # a ribbon changed without its solved inverse: S_L^2 still equals the
+    # action of ribbon_inv, so only the second identity, S_L^2 v = 1, fails
+    from qhopf.presets import mutate
+
+    base = presets["twisted_double_Z2"].algebra
+    for i in range(base.dim):
+        rep = verify_braided_hopf(mutate(base, ("ribbon", (i,)), Scalar.one(base.order)))
+        assert [str(r).partition("@")[0] for r in rep.failures()] == \
+            ["antipode_square_is_twist[1]"], (i, rep)
+
+
 def test_verify_braided_hopf_locates_matrix_failures(presets, all_maps):
     import copy
     from dataclasses import replace
