@@ -202,7 +202,7 @@ class _Stages:
             return "requires a factorisable ribbon algebra"
         from .modular import modular_data
 
-        md = modular_data(self.A, self.maps)
+        md = modular_data(self.A, self.maps, self.fact)
         payload = {
             "center_basis": [vector_json(z) for z in md.center_basis],
             "integral": vector_json(md.integral),
@@ -247,9 +247,7 @@ def _emit(payload, output: str, out, title: str, csv_text: str | None = None):
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     if output == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif output == "csv":
-        if csv_text is None:
-            raise click.UsageError("csv output is only available for 'fusion'")
+    elif output == "csv":                     # offered by 'fusion' only
         text = csv_text
     else:
         text = _to_markdown(payload, title)
@@ -261,9 +259,9 @@ def _emit(payload, output: str, out, title: str, csv_text: str | None = None):
         click.echo(text, nl=False)
 
 
-def _common_options(fn):
+def _common_options(fn, formats=("json", "md")):
     fn = click.argument("path")(fn)
-    fn = click.option("--output", type=click.Choice(["json", "csv", "md"]),
+    fn = click.option("--output", type=click.Choice(formats),
                       default="json", show_default=True)(fn)
     fn = click.option("--out", type=click.Path(), default=None,
                       help="write the report to a file instead of stdout")(fn)
@@ -360,7 +358,7 @@ def modular(path, output, out, field_order, projective):
 
 
 @main.command()
-@_common_options
+@functools.partial(_common_options, formats=("json", "csv", "md"))
 @click.option("--oracle/--no-oracle", default=True, show_default=True,
               help="cross-check against the character decomposition")
 def fusion(path, output, out, field_order, oracle):

@@ -27,7 +27,12 @@ never does.  The constructor takes dense rows, ``from_entries`` takes
 operation reads only the stored entries and sums through ``collect``,
 which sums in one pass and never stores a zero: a zero term is skipped,
 and a key whose running sum cancels is deleted at once (a later term on
-it stores it again).  Rank, kernel and the batched solve ``solve_each``
+it stores it again).  The matrix product is the exception: it gathers
+the factors of the products that land on each output entry, sends a lone
+product through ``times`` (so permutation and identity factors cost no
+multiplication) and sums two or more with ``sum_of_products``, as integer
+numerators over one common denominator put in canonical form once, with
+no intermediate ``Scalar``.  Rank, kernel and the batched solve ``solve_each``
 use exact Gauss-Jordan elimination on sparse rows (no floats), which
 negates each row's multiplier once and adds; ``solve`` is ``solve_each``
 with one target, and ``inverse`` solves for the columns of the identity
@@ -465,6 +470,58 @@ def times(a: Scalar, b: Scalar) -> Scalar:
     return a * b
 
 
+def sum_of_products(flat: Sequence[Scalar], order: int) -> Scalar:
+    """x_1 y_1 + x_2 y_2 + ... for flat = [x_1, y_1, x_2, y_2, ...], each
+    factor in Q(zeta_m) for m = order or a divisor of it.  The products are
+    summed as integer numerators over one common denominator, and the sum
+    is put in canonical form once, at the end; while every factor is
+    rational the sum is one integer, reduced by a single gcd."""
+    n, den = 0, 1
+    for i in range(0, len(flat), 2):
+        x, y = flat[i], flat[i + 1]
+        xn, yn = x.num, y.num
+        if len(xn) != 1 or len(yn) != 1:
+            if xn and yn:
+                break                        # a non-rational product: leave the integer path
+            continue                         # a zero factor
+        p, q = xn[0] * yn[0], x.den * y.den
+        if q == den:
+            n += p
+        elif not den % q:
+            n += p * (den // q)
+        else:
+            n, den = n * q + p * den, den * q
+    else:
+        return _ratio(order, n, den)
+    # numerators of the sum so far; a product of two reduced numerators has
+    # at most 2 phi - 1 of them, which the reduction table reaches
+    phi = euler_phi(order)
+    poly = [0] * (2 * phi - 1)
+    poly[0] = n
+    for i in range(i, len(flat), 2):
+        x, y = flat[i], flat[i + 1]
+        if not x.num or not y.num:
+            continue
+        if x.order != order and len(x.num) > 1:
+            x = x.embed(order)
+        if y.order != order and len(y.num) > 1:
+            y = y.embed(order)
+        q = x.den * y.den
+        if q == den:
+            s = 1
+        elif not den % q:
+            s = den // q
+        else:
+            poly = [c * q for c in poly]
+            s, den = den, den * q
+        for a, xa in enumerate(x.num):
+            if xa:
+                xa *= s
+                for b, yb in enumerate(y.num, a):
+                    poly[b] += xa * yb
+    return _canonical(order, poly, den)
+
+
 def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     """sum_i u[i] v[i], skipping the zeros of u."""
     acc = Scalar.zero(u[0].order)
@@ -577,9 +634,26 @@ class ExactMatrix:
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         assert self.cols == other.rows, f"shape mismatch {self.cols} vs {other.rows}"
         b = other.data
-        return ExactMatrix._of(self.rows, other.cols, self.order, [
-            collect((j, times(x, y)) for k, x in row.items() for j, y in b[k].items())
-            for row in self.data])
+        order = self.order if self.order == other.order else lcm(self.order, other.order)
+        data: list[Row] = []
+        for row in self.data:
+            # the factors of the products that land on each output column
+            flats: dict[int, list[Scalar]] = {}
+            for k, x in row.items():
+                for j, y in b[k].items():
+                    if (f := flats.get(j)) is None:
+                        flats[j] = [x, y]
+                    else:
+                        f += (x, y)
+            out: Row = {}
+            for j, f in flats.items():
+                # a lone product skips a multiplication by one (permutation
+                # and identity factors); two or more are summed once
+                s = times(f[0], f[1]) if len(f) == 2 else sum_of_products(f, order)
+                if s.num:
+                    out[j] = s
+            data.append(out)
+        return ExactMatrix._of(self.rows, other.cols, self.order, data)
 
     def apply(self, v: Sequence[Scalar]) -> list[Scalar]:
         assert self.cols == len(v)

@@ -6,9 +6,8 @@ character-theoretic decomposition oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exactmath import ExactMatrix, Scalar, dot, matrix_from_columns
+from .exactmath import ExactMatrix, Scalar, dot, matrix_from_columns, times
 from . import tensorspace as ts
 from .tensorspace import Tensor
 from .qha import QuasiHopfAlgebra, drinfeld_element, monodromy, monodromy_core
@@ -171,10 +170,10 @@ def phi_central_hopf(A: QuasiHopfAlgebra, V: AModule, cointegral: list[Scalar]) 
 def _as_nonneg_int(c: Scalar) -> int:
     if not c.is_rational():
         raise FusionError(f"non-rational multiplicity {c}")
-    f: Fraction = c.to_fraction()
-    if f.denominator != 1 or f < 0:
-        raise FusionError(f"multiplicity {f} is not a non-negative integer")
-    return int(f)
+    n = c.num[0] if c.num else 0
+    if c.den != 1 or n < 0:
+        raise FusionError(f"multiplicity {c.to_fraction()} is not a non-negative integer")
+    return n
 
 
 def _character_coordinates(characters: list[list[Scalar]], simples: SimpleSet,
@@ -182,6 +181,18 @@ def _character_coordinates(characters: list[list[Scalar]], simples: SimpleSet,
     """Each character in the coordinates of the simple characters (None
     outside their span), from one elimination."""
     return matrix_from_columns(simples.characters, order).solve_each(characters)
+
+
+def _tensor_characters(A: QuasiHopfAlgebra, chars: list[list[Scalar]]) -> list[list[Scalar]]:
+    """The characters of U (x) V for every pair of the given characters, U
+    major: tr_{U (x) V}(e_i) = sum c tr_U(e_a) tr_V(e_b) over
+    Delta(e_i) = sum c e_a (x) e_b, in one pass over the coproduct."""
+    n = len(chars)
+    nonzero = [[(iu, x) for iu, x in enumerate(col) if x.num] for col in zip(*chars)]
+    return ExactMatrix.from_entries(n * n, A.dim, A.order, (
+        ((iu * n + iv, i), times(c, times(xu, xv)))
+        for i, terms in enumerate(A.cop_table) for (a, b), c in terms
+        for iu, xu in nonzero[a] for iv, xv in nonzero[b])).dense
 
 
 def _as_class(coords: list[Scalar] | None) -> list[int]:
@@ -228,12 +239,8 @@ def verlinde_fusion(
     pairs = [(iu, iv) for iu in range(n) for iv in range(n)]
     expansions = cmat.solve_each([A.product(chis[iu], chis[iv]) for iu, iv in pairs])
     if oracle:
-        # tr_{U (x) V}(e_i) = sum c tr_U(e_a) tr_V(e_b) over Delta(e_i) = sum c e_a (x) e_b
-        deltas = ts.coproduct_leg(ts.identity(A.dim, A.order), 2, A.cop_table)
-        chars = simples.characters
         classes = _character_coordinates(
-            [ts.contract_leg(ts.contract_leg(deltas, 3, chars[iv]), 2, chars[iu]).to_vector()
-             for iu, iv in pairs], simples, A.order)
+            _tensor_characters(A, simples.characters), simples, A.order)
     table = [[[0] * n for _ in range(n)] for _ in range(n)]
     # checked pair by pair, so the first failing pair is the one reported
     for p, (iu, iv) in enumerate(pairs):

@@ -24,7 +24,7 @@ from .exactmath import (
 from . import tensorspace as ts
 from .tensorspace import Tensor
 from .qha import QuasiHopfAlgebra
-from .coend import CoendMaps, coend_maps, copairing, q_form
+from .coend import CoendMaps, FactorisabilityReport, coend_maps, factorisability, q_form
 
 
 @dataclass
@@ -202,13 +202,17 @@ LAM_NOTE = (
 )
 
 
-def modular_data(A: QuasiHopfAlgebra, maps: CoendMaps | None = None) -> ModularData:
-    """Full modular pipeline; requires a factorisable ribbon input."""
+def modular_data(A: QuasiHopfAlgebra, maps: CoendMaps | None = None,
+                 fact: FactorisabilityReport | None = None) -> ModularData:
+    """Full modular pipeline; requires a factorisable ribbon input.  The
+    copairing rank is read from ``fact``, the verdict of
+    :func:`coend.factorisability`, which is built here when not given."""
     if maps is None:
         maps = coend_maps(A)
-    rank = ts.as_matrix(copairing(A, maps), 1).rank()
-    if rank != A.dim:
-        raise ValueError(f"input is not factorisable (copairing rank {rank} < {A.dim}); "
+    if fact is None:
+        fact = factorisability(A, maps)
+    if fact.rank_D != A.dim:
+        raise ValueError(f"input is not factorisable (copairing rank {fact.rank_D} < {A.dim}); "
                          "the modular action needs it")
     integral = integral_L(A, maps)
     if integral.functional is None:

@@ -23,7 +23,7 @@ Index conventions, fixed once:
 
 from __future__ import annotations
 
-from .exactmath import ExactMatrix, Scalar, kron_combination
+from .exactmath import ExactMatrix, Scalar, kron_combination, stack_rows, times
 from . import tensorspace as ts
 from .qha import (AxiomReport, QuasiHopfAlgebra, drinfeld_element, drinfeld_twist, monodromy,
                   validate)
@@ -43,16 +43,23 @@ class AModule:
         return kron_combination((((i,), c) for i, c in enumerate(v)), [self.action])
 
     def check_representation(self) -> tuple[bool, tuple | None]:
-        """rho(e_0) = 1 and rho(e_i) rho(e_j) = sum c[i][j][k] rho(e_k)."""
-        A = self.alg
-        if self.action[0] != ExactMatrix.identity(self.dim, A.order):
+        """rho(e_0) = 1 and rho(e_i) rho(e_j) = sum c[i][j][k] rho(e_k), the
+        second as one identity of block matrices with block (i, j) on each
+        side; the witness is the smallest failing (i, j)."""
+        A, d, n = self.alg, self.dim, self.alg.dim
+        if self.action[0] != ExactMatrix.identity(d, A.order):
             return False, (0,)
-        for i in range(A.dim):
-            for j in range(A.dim):
-                terms = (((k,), c) for k, c in A.mult_table[i][j])
-                if self.action[i] * self.action[j] != kron_combination(terms, [self.action]):
-                    return False, (i, j)
-        return True, None
+        # the column of blocks rho_i times the row of blocks rho_j
+        row_of_blocks = stack_rows([m.transpose() for m in self.action]).transpose()
+        lhs = stack_rows(self.action) * row_of_blocks
+        entries = [list(m.nonzero()) for m in self.action]
+        rhs = ExactMatrix.from_entries(n * d, n * d, A.order, (
+            ((i * d + r, j * d + s), times(c, x))
+            for i, row in enumerate(A.mult_table) for j, terms in enumerate(row)
+            for k, c in terms for (r, s), x in entries[k]))
+        if lhs == rhs:
+            return True, None
+        return False, min((r // d, c // d) for (r, c), _ in (lhs - rhs).nonzero())
 
     def __repr__(self) -> str:
         return f"AModule({self.label or 'dim %d' % self.dim})"

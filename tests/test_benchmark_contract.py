@@ -145,13 +145,25 @@ def test_generated_report_bytes_are_pinned(tmp_path, monkeypatch, name):
 
 # Scalar multiplies and inverses per field order of one `report
 # twisted_double_Z2` and one verify_braided_hopf of that preset, freshly
-# loaded; a kernel change that adds work raises one of them
-SCALAR_WORK_CEILING = {"mul": {4: 8530}, "inv": {4: 100}}
+# loaded, and the products summed by exactmath.sum_of_products, which never
+# reach Scalar.__mul__; a kernel change that adds work raises one of them
+SCALAR_WORK_CEILING = {"mul": {4: 7844}, "inv": {4: 96}, "summed": {4: 1152}}
 
 
-def test_scalar_work_does_not_grow(tmp_path):
+def test_scalar_work_does_not_grow(tmp_path, monkeypatch):
+    from collections import Counter
+
+    from qhopf import exactmath
     from qhopf.presets import preset
 
+    summed = Counter()
+    helper = exactmath.sum_of_products
+
+    def counted(flat, order):
+        summed[order] += len(flat) // 2
+        return helper(flat, order)
+
+    monkeypatch.setattr(exactmath, "sum_of_products", counted)
     tracer = _load("tracer").Tracer()
     tracer.install()
     try:
@@ -162,7 +174,7 @@ def test_scalar_work_does_not_grow(tmp_path):
         _, _, muls, invs = tracer.take()
     finally:
         tracer.uninstall()
-    for kind, counts in (("mul", muls), ("inv", invs)):
+    for kind, counts in (("mul", muls), ("inv", invs), ("summed", summed)):
         ceiling = SCALAR_WORK_CEILING[kind]
         assert set(counts) <= set(ceiling), (kind, counts)
         assert all(counts[o] <= ceiling[o] for o in counts), (kind, counts, ceiling)

@@ -303,6 +303,22 @@ def test_csv_rejected_elsewhere(runner):
     assert res.exit_code != 0
 
 
+@pytest.mark.parametrize("command", ["check", "derived", "coend", "factorisable", "modular",
+                                     "report"])
+def test_csv_rejected_before_any_stage(runner, monkeypatch, command):
+    # only fusion offers csv; elsewhere click refuses it before the input
+    # is even loaded, so no stage runs (and a skipped stage exits 2, not 1)
+    import qhopf.cli as cli
+
+    loaded = []
+    monkeypatch.setattr(cli, "_load", lambda *args: loaded.append(args))
+    for name in ("double_Z2", "group_Z2_trivialR"):
+        res = runner.invoke(main, [command, name, "--output", "csv"])
+        assert res.exit_code == 2, (name, res.output)
+        assert "Invalid value for '--output'" in res.stderr
+    assert loaded == []
+
+
 def test_markdown_output(runner):
     res = runner.invoke(main, ["check", "trivial", "--output", "md"])
     assert res.exit_code == 0

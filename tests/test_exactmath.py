@@ -15,6 +15,7 @@ from qhopf.exactmath import (
     cyclotomic_polynomial,
     kron_combination,
     stack_rows,
+    sum_of_products,
 )
 from qhopf.tensorspace import Tensor, as_matrix
 
@@ -598,6 +599,105 @@ def test_collect_matches_two_pass_reference(terms):
     got = collect(terms)
     assert got == collect_reference(terms)
     assert all(not c.is_zero() for c in got.values())
+
+
+# ---------------------------------------------------------------------------
+# sum_of_products and the matrix product
+
+
+def sum_of_products_reference(flat, order):
+    # chained * and +, one product and one sum at a time, in Q(zeta_order)
+    acc = Scalar.zero(order)
+    for x, y in zip(flat[0::2], flat[1::2]):
+        acc = acc + x.embed(order) * y.embed(order)
+    return acc
+
+
+@st.composite
+def product_sums(draw):
+    """(flat, order): up to six products at order 1, 3, 4, 12 or 16 whose
+    factors are zeros, rationals, roots of unity or two-term sums (so
+    denominators differ and rationals meet non-rationals), each stored at
+    the order or a divisor of it; sometimes a product and its negation."""
+    order = draw(st.sampled_from([1, 3, 4, 12, 16]))
+    divisors = [d for d in REF_PHI if order % d == 0]
+
+    def factor():
+        d = draw(st.sampled_from(divisors))
+        return Scalar(d, draw(low_degree(d)))
+
+    flat = []
+    for _ in range(draw(st.integers(0, 6))):
+        flat += [factor(), factor()]
+    if flat and draw(st.booleans()):
+        flat += [-flat[0], flat[1]]
+    return flat, order
+
+
+Z3, Z4 = Scalar.zeta(3), Scalar.zeta(4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_sums())
+@example(([rat(1, 2), rat(1, 3), rat(1, 3), rat(1, 2), rat(2, 5), rat(-5, 6)], 1))
+@example(([rat(1, 2), rat(1, 3), rat(-1, 6), rat(1)], 1))
+@example(([rat(1, 2, 3), Z3, rat(3, 4, 3), rat(2, 3, 3), Z3, Z3 * Z3], 3))
+@example(([Z3, rat(1, 2), -Z3, rat(1, 2), rat(1, 3), rat(3)], 3))
+@example(([Scalar.zero(4), Z4, Z4, Scalar.zero(4), rat(0), rat(5)], 4))
+@example(([Z4, Z4, Z3, Z3, rat(1, 6), rat(1, 1, 12), Scalar.zeta(12), rat(1, 5, 12)], 12))
+@example(([Scalar.zeta(16), Scalar.zeta(16) ** 15, Scalar.zeta(8), rat(-1, 2, 8)], 16))
+@example(([], 12))
+def test_sum_of_products_matches_chained_arithmetic(case):
+    flat, order = case
+    got = sum_of_products(flat, order)
+    assert got.order == order
+    assert_canonical(got, order)
+    assert got == sum_of_products_reference(flat, order)
+
+
+def matrix_product_reference(a, b):
+    # the dense triple loop
+    out = [[Scalar.zero(a.order) for _ in range(b.cols)] for _ in range(a.rows)]
+    for i in range(a.rows):
+        for j in range(b.cols):
+            for k in range(a.cols):
+                out[i][j] = out[i][j] + a[i, k].embed(a.order) * b[k, j].embed(a.order)
+    return ExactMatrix(a.rows, b.cols, a.order, out)
+
+
+@st.composite
+def matrix_pairs(draw):
+    """(a, b) composable, at order 1, 3, 4 or 12; entries as in
+    product_sums, but stored at the order or at 1, half of them zero, and
+    sometimes columns of a repeated against rows of b of opposite sign, so
+    that every sum cancels."""
+    order = draw(st.sampled_from([1, 3, 4, 12]))
+
+    def entry():
+        if draw(st.booleans()):
+            return Scalar.zero(order)
+        d = draw(st.sampled_from([1, order]))
+        return Scalar(d, draw(low_degree(d)))
+
+    r, k, c = (draw(st.integers(1, 4)) for _ in range(3))
+    a = ExactMatrix(r, k, order, [[entry() for _ in range(k)] for _ in range(r)])
+    b = ExactMatrix(k, c, order, [[entry() for _ in range(c)] for _ in range(k)])
+    if draw(st.booleans()):
+        one = Scalar.one(order)
+        a = a.kron(ExactMatrix(1, 2, order, [[one, one]]))
+        b = b.kron(ExactMatrix(2, 1, order, [[one], [-one]]))
+    return a, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_pairs())
+@example((TWO_BY_THREE, THREE_BY_ONE))
+@example((ExactMatrix.identity(3), TWO_BY_THREE.transpose()))
+def test_matrix_product_matches_triple_loop(pair):
+    a, b = pair
+    got = a * b
+    assert _is_sparse(got)
+    assert got == matrix_product_reference(a, b)
 
 
 # ---------------------------------------------------------------------------

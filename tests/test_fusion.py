@@ -207,3 +207,16 @@ def test_phi_of_dual_is_double_s_transform(presets, all_modular):
                 for i in range(alg.dim):
                     recon[i] = recon[i] + md.center_basis[j][i] * cj
             assert vec_eq([k * x for x in phi_dual], recon), (name, lbl)
+
+
+def test_multiplicities_are_read_from_numerators():
+    from qhopf.exactmath import Scalar
+    from qhopf.fusion import _as_nonneg_int
+
+    assert [_as_nonneg_int(Scalar.rational(k, order=4)) for k in (0, 1, 3)] == [0, 1, 3]
+    for value, message in [(Scalar.rational(-1), "multiplicity -1 is not"),
+                           (Scalar.rational(1, 2, order=3), "multiplicity 1/2 is not"),
+                           (Scalar.rational(-3, 2), "multiplicity -3/2 is not"),
+                           (Scalar.zeta(4), "non-rational multiplicity z")]:
+        with pytest.raises(FusionError, match=message):
+            _as_nonneg_int(value)
