@@ -38,6 +38,19 @@ negates each row's multiplier once and adds; ``solve`` is ``solve_each``
 with one target, and ``inverse`` solves for the columns of the identity
 in one elimination.
 
+``rank`` first tries to certify full rank modulo a prime.  Each field
+order m has one fixed prime p = 1 (mod m) and a primitive m-th root of
+unity omega mod p, found on first use and cached.  Then Phi_m(omega) = 0
+(mod p), so zeta_m -> omega (and zeta_d -> omega^(m/d) for an entry
+stored at a divisor order d, as embedding does) is a ring homomorphism
+into Z/p on the elements whose denominators p does not divide.  It
+sends every minor of M to the same minor of M mod p, so rank (M mod p)
+<= rank M, and rank (M mod p) = min(rows, cols) proves M has full rank.
+Any other outcome -- a lower rank mod p, a denominator divisible by p,
+or an entry whose order does not divide m -- falls back to ``_echelon``,
+so every rank below full, and every kernel and solution, comes from
+exact elimination.
+
 ``kron_combination`` builds every action matrix, c F_1[i_1] (x) ... (x)
 F_k[i_k] summed over the terms of a k-leg element, from the stored
 entries of the factor matrices; ``kron`` is its one-term case.
@@ -116,6 +129,44 @@ def _reduction_table(order: int) -> tuple[int, tuple[tuple[tuple[int, int], ...]
         if top:
             row = [r - top * c for r, c in zip(row, mod)]
     return phi, tuple(rows)
+
+
+def _is_prime(n: int) -> bool:
+    # Miller-Rabin with the first twelve prime bases, exact below 3.3e24
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while not d % 2:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@cache
+def _certificate_prime(order: int) -> tuple[int, tuple[int, ...]]:
+    """(p, powers): the least prime p = 1 (mod m) above 2^29 and the powers
+    omega^j mod p, j < m, of a primitive m-th root of unity omega mod p,
+    found from g^((p - 1) / m) for g = 2, 3, ...  Then Phi_m(omega) = 0
+    (mod p), so zeta_m -> omega is a ring map into Z/p."""
+    p = ((1 << 29) // order + 1) * order + 1
+    while not _is_prime(p):
+        p += order
+    factors = [q for q in range(2, order + 1) if order % q == 0 and _is_prime(q)]
+    g = 2
+    while any(pow(g, (p - 1) // q, p) == 1 for q in factors):
+        g += 1
+    omega = pow(g, (p - 1) // order, p)
+    return p, tuple(pow(omega, j, p) for j in range(order))
 
 
 @cache
@@ -709,7 +760,61 @@ class ExactMatrix:
                 break
         return m, pivots
 
+    def _full_rank_mod_p(self) -> bool:
+        """True when the image of M mod the order's certificate prime p has
+        rank min(rows, cols), which proves that M has full rank; False when
+        it does not, or when an entry cannot be reduced mod p."""
+        m = self.order
+        p, powers = _certificate_prime(m)
+        reduced: list[dict[int, int]] = []
+        for row in self.data:
+            out = {}
+            for j, x in row.items():
+                d = x.order
+                if m % d or not x.den % p:
+                    return False                 # not a divisor order, or p | den
+                if len(x.num) == 1:
+                    v = x.num[0]
+                else:                            # zeta_d -> omega^(m/d), as embedding does
+                    step = m // d
+                    v = sum(c * powers[k * step] for k, c in enumerate(x.num))
+                if x.den != 1:
+                    v *= pow(x.den, -1, p)
+                if v := v % p:
+                    out[j] = v
+            reduced.append(out)
+        target = min(self.rows, self.cols)
+        slack = self.cols - target               # columns that may lack a pivot
+        r = 0
+        for c in range(self.cols):
+            if r == target:
+                break
+            pivot_row = next((i for i in range(r, self.rows) if c in reduced[i]), None)
+            if pivot_row is None:
+                slack -= 1
+                if slack < 0:
+                    return False
+                continue
+            reduced[r], reduced[pivot_row] = reduced[pivot_row], reduced[r]
+            prow = reduced[r]
+            inv = pow(prow.pop(c), -1, p)
+            for row in reduced[r + 1:]:
+                if (f := row.pop(c, None)) is not None:
+                    f = f * inv % p
+                    for j, x in prow.items():
+                        if y := (row.get(j, 0) - f * x) % p:
+                            row[j] = y
+                        else:
+                            row.pop(j, None)
+            r += 1
+        return r == target
+
     def rank(self) -> int:
+        """The exact rank.  Full rank is proved modulo a prime when it can
+        be (see the module docstring); every lower rank comes from
+        ``_echelon``."""
+        if self._full_rank_mod_p():
+            return min(self.rows, self.cols)
         return len(self._echelon()[1])
 
     def kernel(self) -> list[list[Scalar]]:

@@ -1,13 +1,23 @@
 """Internal characters as central elements and the Verlinde-style
 computation of Grothendieck structure constants, cross-checked against a
 character-theoretic decomposition oracle.
+
+The oracle is an identity check: for each pair (U, V) the Verlinde
+coefficients N_uv^w must satisfy sum_w N_uv^w chi_w = chi_{U (x) V},
+with every tensor-product character built in one pass over the
+coproduct.  The simple characters are independent (``SimpleSet.validate``
+proves it first), so the identity holds exactly when N_uv is the class
+of U (x) V.  Only a pair that fails it is solved in the simple
+characters, to name the class it should have or the multiplicity that
+is not a non-negative integer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactmath import ExactMatrix, Scalar, dot, matrix_from_columns, times
+from .exactmath import (
+    ExactMatrix, Scalar, dot, matrix_from_columns, times, vec_eq, zero_vector)
 from . import tensorspace as ts
 from .tensorspace import Tensor
 from .qha import QuasiHopfAlgebra, drinfeld_element, monodromy, monodromy_core
@@ -176,11 +186,14 @@ def _as_nonneg_int(c: Scalar) -> int:
     return n
 
 
-def _character_coordinates(characters: list[list[Scalar]], simples: SimpleSet,
-                            order: int) -> list[list[Scalar] | None]:
-    """Each character in the coordinates of the simple characters (None
-    outside their span), from one elimination."""
-    return matrix_from_columns(simples.characters, order).solve_each(characters)
+def _class_of(character: list[Scalar], simples: SimpleSet, order: int) -> list[int]:
+    """The multiplicities of the simples in a character, solved in the
+    simple characters; raises FusionError outside their span or when a
+    multiplicity is not a non-negative integer."""
+    coords = matrix_from_columns(simples.characters, order).solve(character)
+    if coords is None:
+        raise FusionError("character of the module is outside the simple span")
+    return [_as_nonneg_int(c) for c in coords]
 
 
 def _tensor_characters(A: QuasiHopfAlgebra, chars: list[list[Scalar]]) -> list[list[Scalar]]:
@@ -195,10 +208,16 @@ def _tensor_characters(A: QuasiHopfAlgebra, chars: list[list[Scalar]]) -> list[l
         for iu, xu in nonzero[a] for iv, xv in nonzero[b])).dense
 
 
-def _as_class(coords: list[Scalar] | None) -> list[int]:
-    if coords is None:
-        raise FusionError("character of the module is outside the simple span")
-    return [_as_nonneg_int(c) for c in coords]
+def _class_character(coeffs: list[int], characters: list[list[Scalar]],
+                     order: int) -> list[Scalar]:
+    """sum_w N_w chi_w, the character of the class with multiplicities N;
+    a multiplicity 1, the usual one, costs no multiplication."""
+    total = zero_vector(len(characters[0]), order)
+    for c, chi in zip(coeffs, characters):
+        if c:
+            k = Scalar.rational(c, order=order)
+            total = [s + times(k, x) for s, x in zip(total, chi)]
+    return total
 
 
 def grothendieck_class(M: AModule, simples: SimpleSet) -> list[int]:
@@ -208,7 +227,7 @@ def grothendieck_class(M: AModule, simples: SimpleSet) -> list[int]:
     FusionError when the character system has no integral solution,
     which means the simple set is incomplete.
     """
-    return _as_class(_character_coordinates([_trace_functional(M)], simples, M.alg.order)[0])
+    return _class_of(_trace_functional(M), simples, M.alg.order)
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +240,11 @@ def verlinde_fusion(
     """Structure constants of the Grothendieck ring, from the expansion
     of products of the internal-character central elements.
 
-    Every coefficient must come out a non-negative integer, and (with
-    ``oracle`` on) must match the character-theoretic decomposition of
-    the corresponding tensor-product module.  Raises FusionError first if
-    the declared simples fail :meth:`SimpleSet.validate`.
+    Every coefficient must come out a non-negative integer and (with
+    ``oracle`` on) must satisfy sum_w N_uv^w chi_w = chi_{U (x) V}, an
+    identity check; only a pair that fails it is solved, for the class
+    the error names.  Raises FusionError first if the declared simples
+    fail :meth:`SimpleSet.validate`.
     """
     problems = simples.validate(A)
     if problems:
@@ -239,8 +259,7 @@ def verlinde_fusion(
     pairs = [(iu, iv) for iu in range(n) for iv in range(n)]
     expansions = cmat.solve_each([A.product(chis[iu], chis[iv]) for iu, iv in pairs])
     if oracle:
-        classes = _character_coordinates(
-            _tensor_characters(A, simples.characters), simples, A.order)
+        tensor_chars = _tensor_characters(A, simples.characters)
     table = [[[0] * n for _ in range(n)] for _ in range(n)]
     # checked pair by pair, so the first failing pair is the one reported
     for p, (iu, iv) in enumerate(pairs):
@@ -249,12 +268,12 @@ def verlinde_fusion(
             raise FusionError(
                 f"product of internal characters leaves their span at pair {where}")
         coeffs = [_as_nonneg_int(c) for c in expansions[p]]
-        if oracle:
-            expected = _as_class(classes[p])
-            if coeffs != expected:
-                raise FusionError(
-                    f"Verlinde expansion {coeffs} disagrees with the "
-                    f"character oracle {expected} at pair {where}"
-                )
+        if oracle and not vec_eq(_class_character(coeffs, simples.characters, A.order),
+                                 tensor_chars[p]):
+            expected = _class_of(tensor_chars[p], simples, A.order)
+            raise FusionError(
+                f"Verlinde expansion {coeffs} disagrees with the "
+                f"character oracle {expected} at pair {where}"
+            )
         table[iu][iv] = coeffs
     return FusionTable(list(simples.labels), table)

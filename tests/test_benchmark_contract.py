@@ -116,18 +116,22 @@ def test_generated_double_z3_report(tmp_path, monkeypatch, k):
     }
 
 
-# SHA-256 of the report bytes of two more generated inputs, run the same
-# way: D(Z/4) with k = 3 (k = 2 is not prime to 4 and fails the axioms) and
-# Q[Z/2 x Z/6], each in its identity labelling
+# SHA-256 of the report bytes of more generated inputs, run the same way:
+# D(Z/4) with k = 3 (k = 2 is not prime to 4 and fails the axioms), D(Z/5)
+# with k = 1 (over Q(zeta5), phi = 4, where the rank certificate runs at an
+# order no preset has) and Q[Z/2 x Z/6], each in its identity labelling
 GENERATED_DIGESTS = {
     "d_z4": "d222a5931674997443fbf7ee9ab86b1a7433b0fd4bc55a5103a433e751239f1e",
+    "d_z5": "223b4291c6084ea5c11a9360c7575d435f1ebcabf6b1b84911f218d8cf3ee457",
     "q_z2xz6": "1ed6e67a8757f5c5979a13dd76ca12d233004fcce1186139863f20751051bd78",
 }
+DOUBLES = {"d_z4": (4, 3), "d_z5": (5, 1)}
 
 
 def _generated(name):
-    if name == "d_z4":
-        alg, simples = INPUTS.double_cyclic(4, 3, list(range(16)))
+    if name in DOUBLES:
+        n, k = DOUBLES[name]
+        alg, simples = INPUTS.double_cyclic(n, k, list(range(n * n)))
         return INPUTS.serialize(alg, simples, comment=alg.name)
     alg = INPUTS.group_algebra((2, 6), list(range(12)))
     return INPUTS.serialize(alg, comment=alg.name)
@@ -147,7 +151,7 @@ def test_generated_report_bytes_are_pinned(tmp_path, monkeypatch, name):
 # twisted_double_Z2` and one verify_braided_hopf of that preset, freshly
 # loaded, and the products summed by exactmath.sum_of_products, which never
 # reach Scalar.__mul__; a kernel change that adds work raises one of them
-SCALAR_WORK_CEILING = {"mul": {4: 7844}, "inv": {4: 96}, "summed": {4: 1152}}
+SCALAR_WORK_CEILING = {"mul": {4: 7468}, "inv": {4: 64}, "summed": {4: 1152}}
 
 
 def test_scalar_work_does_not_grow(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from qhopf.exactmath import (
     basis_vector,
     collect,
     cyclotomic_polynomial,
+    euler_phi,
     kron_combination,
     stack_rows,
     sum_of_products,
@@ -476,6 +478,91 @@ def test_inverse_or_singular(m):
     else:
         inv = m.inverse()
         assert m * inv == ident and inv * m == ident
+
+
+# ---------------------------------------------------------------------------
+# the full-rank certificate modulo a prime
+
+CERTIFICATE_ORDERS = (1, 3, 4, 12, 16, 25)
+
+
+@pytest.mark.parametrize("order", CERTIFICATE_ORDERS)
+def test_certificate_prime_and_root(order):
+    from qhopf.exactmath import _certificate_prime
+
+    p, powers = _certificate_prime(order)
+    assert p > 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+    assert p % order == 1 % order
+    omega = powers[1 % order]                    # for m = 1, omega = omega^0 = 1
+    assert list(powers) == [pow(omega, j, p) for j in range(order)]
+    assert pow(omega, order, p) == 1
+    assert all(pow(omega, d, p) != 1 for d in range(1, order) if order % d == 0)
+    assert sum(c * pow(omega, k, p) for k, c in enumerate(cyclotomic_polynomial(order))) % p == 0
+
+
+def _random_entry(rng, order, d):
+    # zero, or an element of Q(zeta_d), stored at order d or embedded
+    if rng.random() < 0.3:
+        return Scalar.zero(order)
+    x = Scalar(d, [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                   for _ in range(euler_phi(d))])
+    return x.embed(order) if rng.random() < 0.5 else x
+
+
+def _random_matrix(rng, rows, cols, order, d):
+    return ExactMatrix(rows, cols, order, [[_random_entry(rng, order, d) for _ in range(cols)]
+                                           for _ in range(rows)])
+
+
+def _counting_echelon(monkeypatch):
+    calls = []
+    echelon = ExactMatrix._echelon
+
+    def counted(self, *args):
+        calls.append(self)
+        return echelon(self, *args)
+
+    monkeypatch.setattr(ExactMatrix, "_echelon", counted)
+    return calls
+
+
+@pytest.mark.parametrize("order", CERTIFICATE_ORDERS)
+def test_rank_certificate_matches_elimination(order, monkeypatch):
+    rng = random.Random(order)
+    cases = []
+    divisors = [d for d in range(1, order + 1) if order % d == 0]
+    for _ in range(8):
+        # the entries come from one divisor field Q(zeta_d), as the fields
+        # of two divisors need not embed into one another
+        d = rng.choice(divisors)
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        cases.append(_random_matrix(rng, r, c, order, d))
+        # a product through k < min(r, c) inner columns has rank at most k
+        k = rng.randint(1, max(1, min(r, c) - 1))
+        cases.append(_random_matrix(rng, r, k, order, d) * _random_matrix(rng, k, c, order, d))
+    ranks = [len(m._echelon()[1]) for m in cases]
+    assert any(rk == min(m.rows, m.cols) for m, rk in zip(cases, ranks))
+    assert any(rk < min(m.rows, m.cols) for m, rk in zip(cases, ranks))
+    calls = _counting_echelon(monkeypatch)
+    for m, rk in zip(cases, ranks):
+        calls.clear()
+        assert m.rank() == rk
+        # a full rank is certified without elimination; a lower one is eliminated
+        assert len(calls) == (rk < min(m.rows, m.cols))
+
+
+@pytest.mark.parametrize("order", CERTIFICATE_ORDERS)
+def test_rank_certificate_falls_back_when_p_divides(order, monkeypatch):
+    from qhopf.exactmath import _certificate_prime
+
+    p, _ = _certificate_prime(order)
+    calls = _counting_echelon(monkeypatch)
+    # determinant p: rank 1 mod p, rank 2 over Q
+    assert mat([[1, 1], [1, p + 1]], order).rank() == 2
+    # an entry with denominator p cannot be reduced mod p
+    assert ExactMatrix(2, 2, order, [[rat(1, p, order), rat(0, order=order)],
+                                     [rat(1, order=order), rat(1, order=order)]]).rank() == 2
+    assert len(calls) == 2
 
 
 def test_kron_indexing():

@@ -220,3 +220,69 @@ def test_multiplicities_are_read_from_numerators():
                            (Scalar.zeta(4), "non-rational multiplicity z")]:
         with pytest.raises(FusionError, match=message):
             _as_nonneg_int(value)
+
+
+def _oracle_with(monkeypatch, edits):
+    """Patch the oracle's tensor-product characters: edits maps a pair
+    index (U major) to a function of the simple characters giving the
+    character that pair reports instead."""
+    from qhopf import fusion
+
+    real = fusion._tensor_characters
+
+    def patched(A, chars):
+        out = real(A, chars)
+        for p, edit in edits.items():
+            out[p] = edit(chars)
+        return out
+
+    monkeypatch.setattr(fusion, "_tensor_characters", patched)
+
+
+def _half_sum(a, b):
+    from qhopf.exactmath import Scalar
+
+    half = Scalar.rational(1, 2)
+    return lambda chars: [(x + y) * half for x, y in zip(chars[a], chars[b])]
+
+
+def test_oracle_names_the_pair_it_disagrees_at(presets, monkeypatch):
+    # (x1, x2) is x3 in the Klein four ring; the oracle is told it is x0
+    p = presets["twisted_double_Z2"]
+    _oracle_with(monkeypatch, {1 * 4 + 2: lambda chars: list(chars[0])})
+    with pytest.raises(FusionError) as err:
+        verlinde_fusion(p.algebra, p.simples)
+    assert str(err.value) == ("Verlinde expansion [0, 0, 0, 1] disagrees with the "
+                              "character oracle [1, 0, 0, 0] at pair (x1, x2)")
+
+
+def test_oracle_rejects_a_fractional_class(presets, monkeypatch):
+    p = presets["twisted_double_Z2"]
+    _oracle_with(monkeypatch, {2 * 4 + 3: _half_sum(0, 1)})
+    with pytest.raises(FusionError) as err:
+        verlinde_fusion(p.algebra, p.simples)
+    assert str(err.value) == "multiplicity 1/2 is not a non-negative integer"
+
+
+def test_oracle_reports_the_earlier_of_two_bad_pairs(presets, monkeypatch):
+    # the later pair would raise the fractional-class error instead
+    p = presets["twisted_double_Z2"]
+    _oracle_with(monkeypatch, {3 * 4 + 1: _half_sum(2, 3),
+                               0 * 4 + 3: lambda chars: list(chars[1])})
+    with pytest.raises(FusionError) as err:
+        verlinde_fusion(p.algebra, p.simples)
+    assert str(err.value) == ("Verlinde expansion [0, 0, 0, 1] disagrees with the "
+                              "character oracle [0, 1, 0, 0] at pair (x0, x3)")
+
+
+def test_class_character_weights_each_simple(presets):
+    # every preset fusion ring has multiplicities 0 and 1 only, so a
+    # multiplicity 2 is checked here
+    from qhopf.fusion import _class_character
+
+    p = presets["twisted_double_Z2"]
+    chars = p.simples.characters
+    got = _class_character([2, 0, 0, 1], chars, p.algebra.order)
+    assert vec_eq(got, [x + x + y for x, y in zip(chars[0], chars[3])])
+    assert vec_eq(_class_character([0, 0, 0, 0], chars, p.algebra.order),
+                  zero_vector(p.algebra.dim, p.algebra.order))
