@@ -23,16 +23,21 @@ norm.  Only the public constructors and the read-only ``coeffs`` and
 A matrix stores row i as ``data[i]``, a dict from column index to the
 nonzero entry there; it never stores a zero, just as a ``tensorspace.Tensor``
 never does.  The constructor takes dense rows, ``from_entries`` takes
-((row, col), entry) pairs, and ``dense`` is the one dense view.  Every
-operation reads only the stored entries and sums through ``collect``,
-which sums in one pass and never stores a zero: a zero term is skipped,
-and a key whose running sum cancels is deleted at once (a later term on
-it stores it again).  The matrix product is the exception: it gathers
-the factors of the products that land on each output entry, sends a lone
-product through ``times`` (so permutation and identity factors cost no
-multiplication) and sums two or more with ``sum_of_products``, as integer
-numerators over one common denominator put in canonical form once, with
-no intermediate ``Scalar``.  Rank, kernel and the batched solve ``solve_each``
+((row, col), entry) pairs to sum, ``from_flat`` takes distinct nonzero
+entries at row-major positions, and ``dense`` is the one dense view.
+Every operation reads only the stored entries.  A plain sum goes through
+``collect``, which sums in one pass and never stores a zero: a zero term
+is skipped, and a key whose running sum cancels is deleted at once (a
+later term on it stores it again).  A sum of products goes through
+``collect_products``, which takes each product as its two factors: it
+gathers the factors that land on each key, sends a lone product through
+``times`` (so a one of the same field costs no multiplication) and sums
+two or more with ``sum_of_products``, as integer numerators over one
+common denominator put in canonical form once, with no intermediate
+``Scalar``.  The matrix product and ``kron_combination`` here, and the
+leg operations of ``tensorspace``, sum their entries that way; a product
+of matrices is declared in the larger of their fields.  Rank, kernel and
+the batched solve ``solve_each``
 use exact Gauss-Jordan elimination on sparse rows (no floats), which
 negates each row's multiplier once and adds; ``solve`` is ``solve_each``
 with one target, and ``inverse`` solves for the columns of the identity
@@ -573,6 +578,32 @@ def sum_of_products(flat: Sequence[Scalar], order: int) -> Scalar:
     return _canonical(order, poly, den)
 
 
+def collect_products(terms: Iterable[tuple[K, Scalar, Scalar]], order: int) -> dict[K, Scalar]:
+    """sum x y per key over the (key, x, y) terms, every factor in Q(zeta_m)
+    for m = order or a divisor of it, storing no zero.  The factors that
+    land on one key are gathered first: a lone product goes through
+    ``times``, so a one of the same field costs no multiplication, and two
+    or more are summed once by ``sum_of_products``, in Q(zeta_order)."""
+    # a key's first term is kept as it came, (key, x, y); a second one makes
+    # the flat factor list [x_1, y_1, x_2, y_2, ...]
+    flats: dict[K, tuple[K, Scalar, Scalar] | list[Scalar]] = {}
+    get = flats.get
+    for t in terms:
+        if (f := get(t[0])) is None:
+            flats[t[0]] = t
+        elif len(f) == 3:
+            flats[t[0]] = [f[1], f[2], t[1], t[2]]
+        else:
+            f.append(t[1])
+            f.append(t[2])
+    out: dict[K, Scalar] = {}
+    for k, f in flats.items():
+        s = times(f[1], f[2]) if len(f) == 3 else sum_of_products(f, order)
+        if s.num:
+            out[k] = s
+    return out
+
+
 def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     """sum_i u[i] v[i], skipping the zeros of u."""
     acc = Scalar.zero(u[0].order)
@@ -622,6 +653,17 @@ class ExactMatrix:
         summed and zeros are dropped."""
         data: list[Row] = [{} for _ in range(rows)]
         for (i, j), x in collect(entries).items():
+            data[i][j] = x
+        return cls._of(rows, cols, order, data)
+
+    @classmethod
+    def from_flat(cls, rows: int, cols: int, order: int,
+                  entries: Iterable[tuple[int, Scalar]]) -> "ExactMatrix":
+        """A matrix from (i * cols + j, entry) pairs, each position once and
+        no entry zero, stored as given."""
+        data: list[Row] = [{} for _ in range(rows)]
+        for ij, x in entries:
+            i, j = divmod(ij, cols)
             data[i][j] = x
         return cls._of(rows, cols, order, data)
 
@@ -684,27 +726,11 @@ class ExactMatrix:
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         assert self.cols == other.rows, f"shape mismatch {self.cols} vs {other.rows}"
-        b = other.data
+        b, cols = other.data, other.cols
         order = self.order if self.order == other.order else lcm(self.order, other.order)
-        data: list[Row] = []
-        for row in self.data:
-            # the factors of the products that land on each output column
-            flats: dict[int, list[Scalar]] = {}
-            for k, x in row.items():
-                for j, y in b[k].items():
-                    if (f := flats.get(j)) is None:
-                        flats[j] = [x, y]
-                    else:
-                        f += (x, y)
-            out: Row = {}
-            for j, f in flats.items():
-                # a lone product skips a multiplication by one (permutation
-                # and identity factors); two or more are summed once
-                s = times(f[0], f[1]) if len(f) == 2 else sum_of_products(f, order)
-                if s.num:
-                    out[j] = s
-            data.append(out)
-        return ExactMatrix._of(self.rows, other.cols, self.order, data)
+        return ExactMatrix.from_flat(self.rows, cols, order, collect_products((
+            (i * cols + j, x, y) for i, row in enumerate(self.data)
+            for k, x in row.items() for j, y in b[k].items()), order).items())
 
     def apply(self, v: Sequence[Scalar]) -> list[Scalar]:
         assert self.cols == len(v)
@@ -881,30 +907,43 @@ def matrix_from_columns(cols: Sequence[Sequence[Scalar]], order: int) -> ExactMa
 def kron_combination(terms: Iterable[tuple[Sequence[int], Scalar]],
                      factors: Sequence[Sequence[ExactMatrix]]) -> ExactMatrix:
     """sum c F_1[i_1] (x) ... (x) F_k[i_k] over the (multi-index, c) terms,
-    for lists F_m of equally shaped matrices, flattened as in ``kron``.
-    Reads only the stored entries of the matrices the terms name, each
-    matrix's entry list built on first use."""
+    for lists F_m of equally shaped matrices, flattened as in ``kron``, and
+    declared in the largest field of the matrices and coefficients.  Reads
+    only the stored entries of the matrices the terms name, each matrix's
+    entry list built on first use, and passes the product by the last
+    factor's entry to ``collect_products``."""
+    terms = [(idx, c) for idx, c in terms if c.num]
     shapes = [(f[0].rows, f[0].cols) for f in factors]
+    order = lcm(*(f[0].order for f in factors), *{c.order for _, c in terms})
     # per factor: matrix index -> the (row, col, entry) of its stored entries
     supports: list[dict[int, list[tuple[int, int, Scalar]]]] = [{} for _ in factors]
 
-    def parts():
-        for idx, c in terms:
-            if c.is_zero():
-                continue
-            part = [(0, 0, c)]
-            for f, (rows, cols), support, i in zip(factors, shapes, supports, idx):
-                nz = support.get(i)
-                if nz is None:
-                    nz = support[i] = [(r, j, x) for r, row in enumerate(f[i].data)
-                                       for j, x in row.items()]
-                part = [(r0 * rows + r, c0 * cols + j, times(p, x))
-                        for r0, c0, p in part for r, j, x in nz]
-            for r, j, p in part:
-                yield (r, j), p
+    def stored(m: int, i: int) -> list[tuple[int, int, Scalar]]:
+        nz = supports[m].get(i)
+        if nz is None:
+            nz = supports[m][i] = [(r, j, x) for r, row in enumerate(factors[m][i].data)
+                                   for j, x in row.items()]
+        return nz
 
-    return ExactMatrix.from_entries(prod(r for r, _ in shapes), prod(c for _, c in shapes),
-                                    factors[0][0].order, parts())
+    last = len(factors) - 1
+    rows, cols = shapes[last]
+    width = prod(c for _, c in shapes)
+
+    def products():
+        for idx, c in terms:
+            part = [(0, 0, c)]
+            for m in range(last):
+                fr, fc = shapes[m]
+                part = [(r0 * fr + r, c0 * fc + j, times(p, x))
+                        for r0, c0, p in part for r, j, x in stored(m, idx[m])]
+            nz = stored(last, idx[last])
+            for r0, c0, p in part:
+                base = r0 * rows * width + c0 * cols
+                for r, j, x in nz:
+                    yield base + r * width + j, p, x
+
+    return ExactMatrix.from_flat(prod(r for r, _ in shapes), width, order,
+                                 collect_products(products(), order).items())
 
 
 def common_eigenvectors(mats: Sequence[ExactMatrix], values: Sequence[Scalar]) -> list[list[Scalar]]:

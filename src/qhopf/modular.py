@@ -19,7 +19,6 @@ from .exactmath import (
     common_eigenvectors,
     dot,
     matrix_from_columns,
-    stack_rows,
 )
 from . import tensorspace as ts
 from .tensorspace import Tensor
@@ -61,8 +60,7 @@ class ModularData:
 
 def center(A: QuasiHopfAlgebra) -> list[list[Scalar]]:
     """Basis of the centre: kernel of the stacked commutator maps."""
-    mats = [A.left_mult[i] - A.right_mult[i] for i in range(A.dim)]
-    return stack_rows(mats).kernel()
+    return A.commutators.kernel()
 
 
 # ---------------------------------------------------------------------------

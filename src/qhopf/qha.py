@@ -8,7 +8,8 @@ R-matrix and its inverse, and optional ribbon data.
 The dense ``mult`` is the one stored form of the product.  The views
 derived from it and from the other structure constants are
 ``functools.cached_property`` values, built on first use: ``mult_table``,
-``left_mult`` and ``right_mult`` (both by ``_mult_matrices``),
+``left_mult`` and ``right_mult`` (both by ``_mult_matrices``), their
+stacked differences ``commutators``,
 ``cop_table``, ``antipode_inv``, the coadjoint and adjoint actions (by
 ``two_sided_action``), the element x_d, the unchecked Drinfeld triple,
 the monodromy and its coassociator conjugate phi^-1 M_12 phi, the
@@ -43,6 +44,7 @@ from .exactmath import (
     basis_vector,
     dot,
     kron_combination,
+    stack_rows,
     times,
 )
 from . import tensorspace as ts
@@ -64,6 +66,8 @@ class QuasiHopfAlgebra:
       form the tensorspace products take;
     * ``left_mult`` / ``right_mult``: the matrices of x -> e_i x and
       x -> x e_i, both built from ``mult_table`` by ``_mult_matrices``;
+    * ``commutators``: the maps x -> e_i x - x e_i stacked, so x is
+      central exactly when ``commutators`` sends it to zero;
     * ``cop_table``: the nonzero terms of each ``coproduct[i]``;
     * ``antipode_inv``: the inverse of ``antipode``;
     * ``coadjoint_action()`` and ``adjoint_action()``: both through
@@ -129,6 +133,10 @@ class QuasiHopfAlgebra:
     @cached_property
     def right_mult(self) -> list[ExactMatrix]:
         return self._mult_matrices(zip(*self.mult_table))
+
+    @cached_property
+    def commutators(self) -> ExactMatrix:
+        return stack_rows([l - r for l, r in zip(self.left_mult, self.right_mult)])
 
     @cached_property
     def antipode_inv(self) -> ExactMatrix:
@@ -231,9 +239,7 @@ class QuasiHopfAlgebra:
         return self.antipode.apply(v)
 
     def delta_of(self, v: list[Scalar]) -> Tensor:
-        return Tensor.from_entries(self.dim, 2, self.order, (
-            (idx, c * ci) for i, c in enumerate(v) if not c.is_zero()
-            for idx, ci in self.cop_table[i]))
+        return ts.coproduct_leg(Tensor.from_vector(v, self.order), 1, self.cop_table)
 
     def two_sided_action(self, t: Tensor) -> ExactMatrix:
         """Matrix of x -> sum t[i, j] e_i x e_j for a 2-leg tensor t."""

@@ -7,22 +7,29 @@ row-major order, matching the Kronecker convention of exactmath.  The one
 dense view is ``coeffs``, the row-major list of all dim^k coefficients;
 the constructor takes the same list.
 
-Every leg operation reads only the stored entries and writes its output
-through ``exactmath.collect``, which sums the terms landing on one
-multi-index and drops the sums that cancel to zero; ``ExactMatrix`` rows
-are kept the same way.
+Every leg operation reads only the stored entries.  Those that sum terms
+(``mul``, ``merge_legs``, ``leg_map``, ``coproduct_leg`` and
+``contract_leg``) hand the last product of each term to
+``exactmath.collect_products`` as its two factors, unmultiplied: the
+factors landing on one multi-index are summed once, a lone product costs
+at most one multiplication, and no zero is stored.  ``ExactMatrix``
+products are summed the same way, and ``as_matrix`` writes the entries,
+already distinct and nonzero, as they are.
 
 ``mul`` and ``merge_legs`` expand each stored entry (each pair of entries
 for ``mul``) into one term per combination of the structure constants of
-its legs.  When every leg's structure constant is a single term, as in
-any group basis, the output index and coefficient are built inline,
-skipping a multiplication by a one exactly where ``exactmath.times``
-would, that is, only at the same field order; any other entry goes
-through ``_expand``, the one general path.  ``merge_legs`` folds each
-group's basis product once per index tuple and call; while the running
-product and the next structure constant are each one term, the fold
-steps with ``exactmath.times`` and sums nothing, and any other step sums
-through ``collect``.
+its legs, in ``_products``.  A structure constant that is a one of the
+field of the running product is skipped, exactly where
+``exactmath.times`` would skip it; the factors before the last other
+one are multiplied, and that one is left for ``collect_products``.  A
+term of ``mul`` whose constants are all ones is thus the pair of tensor
+entries, and a term of ``merge_legs`` whose constants are all ones is the
+entry alone, which is added, not multiplied by a one.  The sums are
+taken in the field of the tensors and the table, read from its first
+constant.  ``merge_legs`` folds each group's basis product once per index
+tuple and call; while the running product and the next structure
+constant are each one term, the fold steps with ``exactmath.times`` and
+sums nothing, and any other step sums through ``collect``.
 
 A linear map given by a fixed element is one contraction.  The slot
 ``identity`` = sum_a e_a x e_a carries the input: in the ``merge_legs``
@@ -45,10 +52,11 @@ need the product, coproduct or counit take them as explicit arguments:
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
-from .exactmath import ExactMatrix, Scalar, collect, times
+from .exactmath import ExactMatrix, Scalar, collect, collect_products, times
 
 MultTable = list[list[list[tuple[int, Scalar]]]]
 CopTable = list[list[tuple[tuple[int, int], Scalar]]]
@@ -206,10 +214,9 @@ def as_matrix(t: Tensor, rows: int) -> ExactMatrix:
     row-major."""
     if not 0 <= rows <= t.legs:
         raise LegError(f"cannot split {t.legs} legs after leg {rows}")
-    return ExactMatrix.from_entries(
+    return ExactMatrix.from_flat(
         t.dim**rows, t.dim ** (t.legs - rows), t.order,
-        (((_row_major(idx[:rows], t.dim), _row_major(idx[rows:], t.dim)), c)
-         for idx, c in t.entries.items()))
+        ((_row_major(idx, t.dim), c) for idx, c in t.entries.items()))
 
 
 def _check_leg(t: Tensor, j: int) -> None:
@@ -237,48 +244,45 @@ def _fold_basis_product(
     return acc
 
 
-def _expand(c: Scalar, parts: Sequence[Sequence[tuple[int, Scalar]]]
-            ) -> Iterator[tuple[Index, Scalar]]:
-    # c times every combination of one (k, c_k) term per output leg
-    for combo in product(*parts):
-        idx, cc = [], c
-        for k, ck in combo:
-            idx.append(k)
-            cc = times(cc, ck)
-        yield tuple(idx), cc
+def _field(order: int, table: Iterable[Sequence[tuple[object, Scalar]]]) -> int:
+    """lcm of order and the field of a table of (index, constant) lists,
+    read from its first constant: a table lies in one field."""
+    for terms in table:
+        if terms:
+            return lcm(order, terms[0][1].order)
+    return order
 
 
-def _products(factors: Iterable[tuple[Scalar, list[Sequence[tuple[int, Scalar]]]]]
-              ) -> Iterator[tuple[Index, Scalar]]:
-    # the _expand terms of each (c, parts), built inline when every part is
-    # one term (see the module docstring)
-    for c, parts in factors:
+def _products(factors: Iterable[tuple[Scalar, Scalar, list[Sequence[tuple[int, Scalar]]]]]
+              ) -> Iterator[tuple[Index, Scalar, Scalar]]:
+    # for each (x, y, parts), x y times every combination of one (k, c_k)
+    # term per output leg, as (index, x', y') with x' y' the coefficient:
+    # the last factor that is not a one stays unmultiplied for
+    # collect_products (see the module docstring)
+    for x0, y0, parts in factors:
         try:
-            single = [term for term, in parts]
+            combos = ([term for term, in parts],)
         except ValueError:
-            yield from _expand(c, parts)
-            continue
-        idx = []
-        for k, ck in single:
-            idx.append(k)
-            if ck.order == c.order:
-                if ck.is_one():
-                    continue
-                if c.is_one():
-                    c = ck
-                    continue
-            c = c * ck
-        yield tuple(idx), c
+            combos = product(*parts)
+        for combo in combos:
+            idx, x, y = [], x0, y0
+            for k, ck in combo:
+                idx.append(k)
+                if ck.den == 1 and ck.num == (1,) and ck.order == x.order:
+                    continue                     # a one of the same field
+                x, y = times(x, y), ck
+            yield tuple(idx), x, y
 
 
 def mul(s: Tensor, t: Tensor, mult: MultTable) -> Tensor:
     """Componentwise product of s and t in the algebra A^(x k)."""
     s._check_compatible(t)
-    return s._like(collect(_products(
-        (cs * ct, [mult[a][b] for a, b in zip(is_, it)])
+    order = _field(lcm(s.order, t.order), chain.from_iterable(mult))
+    return s._like(collect_products(_products(
+        (cs, ct, [mult[a][b] for a, b in zip(is_, it)])
         for is_, cs in s.entries.items()
         for it, ct in t.entries.items()
-    )))
+    ), order))
 
 
 def mul_chain(factors: Sequence[Tensor], mult: MultTable) -> Tensor:
@@ -299,6 +303,7 @@ def merge_legs(
         raise LegError(f"groups {groups} do not partition legs 1..{t.legs}")
     zero_based = [[leg - 1 for leg in g] for g in groups]
     folded: dict[Index, list[tuple[int, Scalar]]] = {}   # one product per index tuple
+    one = Scalar.one(t.order)
 
     def factors():
         for idx, c in t.entries.items():
@@ -309,9 +314,13 @@ def merge_legs(
                 if terms is None:
                     terms = folded[key] = _fold_basis_product(key, mult, t.order)
                 parts.append(terms)
-            yield c, parts
+            # c alone is c times a one of its own field, which costs nothing
+            yield c, one if c.order == one.order else Scalar.one(c.order), parts
 
-    return t._like(collect(_products(factors())), len(groups))
+    order = t.order
+    if any(len(g) > 1 for g in groups):
+        order = _field(order, chain.from_iterable(mult))
+    return t._like(collect_products(_products(factors()), order), len(groups))
 
 
 # ---------------------------------------------------------------------------
@@ -327,21 +336,21 @@ def leg_map(t: Tensor, j: int, f: ExactMatrix) -> Tensor:
     cols: dict[int, list[tuple[int, Scalar]]] = {}
     for (r, i), m in f.nonzero():
         cols.setdefault(i, []).append((r, m))
-    return t._like(collect(
-        (idx[: j - 1] + (r,) + idx[j:], m * c)
+    return t._like(collect_products((
+        (idx[: j - 1] + (r,) + idx[j:], m, c)
         for idx, c in t.entries.items()
         for r, m in cols.get(idx[j - 1], ())
-    ))
+    ), lcm(t.order, f.order)))
 
 
 def coproduct_leg(t: Tensor, j: int, cop: CopTable) -> Tensor:
     """Apply the coproduct to leg j, giving legs (j, j+1) in the output."""
     _check_leg(t, j)
-    return t._like(collect(
-        (idx[: j - 1] + ab + idx[j:], c * cc)
+    return t._like(collect_products((
+        (idx[: j - 1] + ab + idx[j:], c, cc)
         for idx, c in t.entries.items()
         for ab, cc in cop[idx[j - 1]]
-    ), t.legs + 1)
+    ), _field(t.order, cop)), t.legs + 1)
 
 
 def counit_leg(t: Tensor, j: int, eps: Sequence[Scalar]) -> Tensor:
@@ -391,8 +400,8 @@ def tensor_product(s: Tensor, t: Tensor) -> Tensor:
 def contract_leg(t: Tensor, j: int, functional: Sequence[Scalar]) -> Tensor:
     """Contract leg j with an arbitrary functional on A."""
     _check_leg(t, j)
-    return t._like(collect(
-        (idx[: j - 1] + idx[j:], w * c)
+    return t._like(collect_products((
+        (idx[: j - 1] + idx[j:], w, c)
         for idx, c in t.entries.items()
         if not (w := functional[idx[j - 1]]).is_zero()
-    ), t.legs - 1)
+    ), lcm(t.order, *{w.order for w in functional})), t.legs - 1)

@@ -147,41 +147,79 @@ def test_generated_report_bytes_are_pinned(tmp_path, monkeypatch, name):
     assert hashlib.sha256(data).hexdigest() == GENERATED_DIGESTS[name]
 
 
-# Scalar multiplies and inverses per field order of one `report
-# twisted_double_Z2` and one verify_braided_hopf of that preset, freshly
-# loaded, and the products summed by exactmath.sum_of_products, which never
-# reach Scalar.__mul__; a kernel change that adds work raises one of them
-SCALAR_WORK_CEILING = {"mul": {4: 7468}, "inv": {4: 64}, "summed": {4: 1152}}
+# Scalar work per field order of one `report twisted_double_Z2` plus one
+# verify_braided_hopf of that preset, and of one `report` of the generated
+# D(Z/3) (k = 1, relabelling seed 1), each freshly loaded.  "work" is the
+# Scalar multiplies plus the products exactmath.sum_of_products multiplies
+# inside its one sum, which never reach Scalar.__mul__; like `times`, it
+# multiplies no pair with a zero factor or with a one of the other
+# factor's field.  So moving a product into a sum costs no more than the
+# multiply it saves, and a kernel change that adds work raises a count.
+SCALAR_WORK_CEILING = {
+    "twisted_double_Z2": {"work": {4: 6657}, "inv": {4: 64}},
+    "double_Z3": {"work": {3: 8974}, "inv": {3: 135}},
+}
 
 
-def test_scalar_work_does_not_grow(tmp_path, monkeypatch):
+def _multiplied(flat):
+    return sum(1 for x, y in zip(flat[::2], flat[1::2])
+               if x.num and y.num and not (x.order == y.order and (x.is_one() or y.is_one())))
+
+
+def _scalar_work(run):
+    """(work, inv) per field order of run(), with sum_of_products wrapped
+    at every qhopf module attribute bound to it while run() runs."""
+    import sys
     from collections import Counter
 
     from qhopf import exactmath
-    from qhopf.presets import preset
 
     summed = Counter()
     helper = exactmath.sum_of_products
 
     def counted(flat, order):
-        summed[order] += len(flat) // 2
+        summed[order] += _multiplied(flat)
         return helper(flat, order)
 
-    monkeypatch.setattr(exactmath, "sum_of_products", counted)
     tracer = _load("tracer").Tracer()
-    tracer.install()
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "qhopf":
+                for attr, value in list(vars(module).items()):
+                    if value is helper:
+                        mp.setattr(module, attr, counted)
+        tracer.install()
+        try:
+            run()
+            _, _, muls, invs = tracer.take()
+        finally:
+            tracer.uninstall()
+    return muls + summed, invs
+
+
+def test_scalar_work_does_not_grow(tmp_path):
+    from qhopf.presets import preset
+
+    def twisted_double_z2():
         result = CliRunner().invoke(
             main, ["report", "twisted_double_Z2", "--out", str(tmp_path / "report.json")])
         assert result.exit_code == 0, result.output
         assert verify_braided_hopf(preset("twisted_double_Z2").algebra).ok
-        _, _, muls, invs = tracer.take()
-    finally:
-        tracer.uninstall()
-    for kind, counts in (("mul", muls), ("inv", invs), ("summed", summed)):
-        ceiling = SCALAR_WORK_CEILING[kind]
-        assert set(counts) <= set(ceiling), (kind, counts)
-        assert all(counts[o] <= ceiling[o] for o in counts), (kind, counts, ceiling)
+
+    def double_z3():
+        alg, simples = INPUTS.double_cyclic(3, 1, INPUTS.relabelling(random.Random(1), 9))
+        path = tmp_path / "d_z3.alg"
+        path.write_text(INPUTS.serialize(alg, simples, comment=alg.name), encoding="utf-8")
+        result = CliRunner().invoke(
+            main, ["report", str(path), "--out", str(tmp_path / "d_z3.json")])
+        assert result.exit_code == 0, result.output
+
+    for name, run in (("twisted_double_Z2", twisted_double_z2), ("double_Z3", double_z3)):
+        work, invs = _scalar_work(run)
+        for kind, counts in (("work", work), ("inv", invs)):
+            ceiling = SCALAR_WORK_CEILING[name][kind]
+            assert set(counts) <= set(ceiling), (name, kind, counts)
+            assert all(counts[o] <= ceiling[o] for o in counts), (name, kind, counts, ceiling)
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -13,11 +13,13 @@ from qhopf.exactmath import (
     Scalar,
     basis_vector,
     collect,
+    collect_products,
     cyclotomic_polynomial,
     euler_phi,
     kron_combination,
     stack_rows,
     sum_of_products,
+    times,
 )
 from qhopf.tensorspace import Tensor, as_matrix
 
@@ -742,6 +744,77 @@ def test_sum_of_products_matches_chained_arithmetic(case):
     assert got == sum_of_products_reference(flat, order)
 
 
+# ---------------------------------------------------------------------------
+# collect_products, the keyed sum of products
+
+
+@st.composite
+def keyed_products(draw):
+    """(terms, order): (key, x, y) terms over a few keys at order 1, 3, 4,
+    12 or 16, each factor stored at the order or a divisor of it and drawn
+    as a value, a zero or a one: lone products, sums, sums that cancel, and
+    a key cancelled and then added again.  The two factors of a product
+    lie in one field or one in a subfield of the other's, as ``times``
+    needs."""
+    order = draw(st.sampled_from([1, 3, 4, 12, 16]))
+    divisors = [d for d in REF_PHI if order % d == 0]
+    keys = st.integers(0, 3)
+
+    def factor(d):
+        kind = draw(st.sampled_from(["value", "value", "zero", "one"]))
+        if kind == "zero":
+            return Scalar.zero(d)
+        return Scalar.one(d) if kind == "one" else Scalar(d, draw(low_degree(d)))
+
+    def factors():
+        d = draw(st.sampled_from(divisors))
+        e = draw(st.sampled_from([e for e in divisors if d % e == 0 or e % d == 0]))
+        return factor(d), factor(e)
+
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        k, (x, y) = draw(keys), factors()
+        terms.append((k, x, y))
+        kind = draw(st.sampled_from(["term", "cancel", "readd"]))
+        if kind != "term":
+            terms.append((k, -x, y))
+            if kind == "readd":
+                terms.append((k, *factors()))
+    return terms, order
+
+
+ONE_1, ONE_4 = Scalar.one(1), Scalar.one(4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(keyed_products())
+# a one from a divisor field keeps the product in the larger field
+@example(([(0, rat(1, 2), ONE_4)], 4))
+@example(([(0, ONE_1, Z4)], 4))
+@example(([(0, ONE_1, rat(1, 2, 4)), (0, ONE_4, Z4)], 4))
+@example(([(0, Scalar.zeta(16), ONE_1), (1, Scalar.zeta(8), Scalar.zeta(16))], 16))
+# a lone product, a zero factor, a sum that cancels, a key cancelled and re-added
+@example(([(0, Z3, Z3)], 3))
+@example(([(1, Scalar.zero(3), Z3), (2, rat(2), rat(0))], 3))
+@example(([(0, Z4, Z4), (0, ONE_4, ONE_4)], 4))
+@example(([(0, Z3, rat(1, 2)), (0, -Z3, rat(1, 2)), (0, rat(1, 3), Z3)], 3))
+@example(([(0, Scalar.zeta(12), Z3), (0, -Scalar.zeta(12), Z3), (0, Z4, rat(2))], 12))
+@example(([], 12))
+def test_collect_products_matches_collect_of_times(case):
+    terms, order = case
+    got = collect_products(terms, order)
+    # the reference sums in Q(zeta_order): values at orders 2 and 3 do not
+    # meet in a sum of their own
+    assert got == collect((k, times(x, y).embed(order)) for k, x, y in terms)
+    lone = {k: (x, y) for k, x, y in terms}
+    for k, c in got.items():
+        assert_canonical(c, c.order)
+        if sum(1 for key, _, _ in terms if key == k) == 1:
+            assert c.order == times(*lone[k]).order
+        else:
+            assert c.order == order
+
+
 def matrix_product_reference(a, b):
     # the dense triple loop
     out = [[Scalar.zero(a.order) for _ in range(b.cols)] for _ in range(a.rows)]
@@ -785,6 +858,20 @@ def test_matrix_product_matches_triple_loop(pair):
     got = a * b
     assert _is_sparse(got)
     assert got == matrix_product_reference(a, b)
+
+
+def test_products_are_declared_in_the_larger_field(monkeypatch):
+    # an order-1 factor no longer lowers the field of a product or a kron
+    ident = ExactMatrix.identity(2)
+    m = ExactMatrix(2, 2, 4, [[Z4, rat(1, 2, 4)], [rat(0, order=4), Z4]])
+    for got in (ident * m, m * ident, ident.kron(m), m.kron(ident)):
+        assert got.order == 4
+        assert all(x.order == 4 for row in got.dense for x in row)
+    # so full rank is certified in Q(zeta_4), without elimination
+    monkeypatch.setattr(ExactMatrix, "_echelon", lambda self, targets=(): pytest.fail(
+        "full rank was not certified"))
+    assert (ident * m).rank() == 2
+    assert ident.kron(m).rank() == 4
 
 
 # ---------------------------------------------------------------------------

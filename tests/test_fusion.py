@@ -89,6 +89,17 @@ def test_fusion_rejects_nonfactorisable(presets):
         verlinde_fusion(p.algebra, p.simples)
 
 
+def test_fusion_rejects_non_central_internal_characters(presets, monkeypatch):
+    # every input is commutative, so only a stand-in commutator stack can
+    # make the internal characters fail the centrality check
+    p = presets["double_Z2"]
+    A = p.algebra
+    monkeypatch.setattr(A, "commutators", ExactMatrix.identity(A.dim, A.order))
+    with pytest.raises(ValueError, match="^internal character is not central; "
+                                         "input data is inconsistent$"):
+        verlinde_fusion(A, p.simples)
+
+
 def test_grothendieck_class_of_simples(presets):
     for name in DOUBLES:
         p = presets[name]
