@@ -49,7 +49,14 @@ def vector_json(v) -> list[str]:
 
 
 def matrix_json(m: ExactMatrix) -> list[list[str]]:
-    return [[format_scalar(c) for c in row] for row in m.dense]
+    # only the stored entries are formatted; every other one is "0"
+    out = []
+    for row in m.data:
+        r = ["0"] * m.cols
+        for j, x in row.items():
+            r[j] = format_scalar(x)
+        out.append(r)
+    return out
 
 
 def tensor_json(t: Tensor) -> dict:

@@ -8,7 +8,9 @@ power, so ``len(num) <= euler_phi(m)``, a rational is a 1-tuple and zero is
 ``()`` over 1; ``den > 0`` and ``gcd(den, *num) == 1``.  Equality on one
 order is therefore a literal comparison.  The hash is that of the
 normalised trace Tr(x) / phi(m), which embedding does not change, so it
-agrees with ``==`` across orders.
+agrees with ``==`` across orders.  Two scalars of different orders meet in
+Q(zeta_lcm), the smallest field holding both, whether or not one order
+divides the other.
 
 A product convolves only the stored numerators, so a rational or a
 low-degree value costs no more than its degree; powers x^k with k >= phi
@@ -27,7 +29,8 @@ never does.  The constructor takes dense rows, ``from_entries`` takes
 entries at row-major positions, and ``dense`` is the one dense view.
 Every operation reads only the stored entries.  A plain sum goes through
 ``collect``, which sums in one pass and never stores a zero: a zero term
-is skipped, and a key whose running sum cancels is deleted at once (a
+is skipped before its key is read, so its field never meets the stored
+one, and a key whose running sum cancels is deleted at once (a
 later term on it stores it again).  A sum of products goes through
 ``collect_products``, which takes each product as its two factors: it
 gathers the factors that land on each key, sends a lone product through
@@ -73,7 +76,7 @@ K = TypeVar("K", bound=Hashable)
 
 
 class IncompatibleOrders(ValueError):
-    """Raised when scalars from incompatible cyclotomic fields are mixed."""
+    """Raised when a scalar is embedded into a field that does not hold it."""
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -324,15 +327,11 @@ class Scalar:
     # -- arithmetic
 
     def _coerce(self, other: "Scalar") -> tuple["Scalar", "Scalar"]:
-        # both scalars in the larger field; the callers handle equal orders
-        # inline, which saves a call on the hot path
-        if self.order % other.order == 0:
-            return self, other.embed(self.order)
-        if other.order % self.order == 0:
-            return self.embed(other.order), other
-        raise IncompatibleOrders(
-            f"incompatible cyclotomic orders {self.order} and {other.order}"
-        )
+        # both scalars in Q(zeta_lcm), the smallest field holding both; the
+        # callers handle equal orders inline, which saves a call on the hot
+        # path
+        m = lcm(self.order, other.order)
+        return self.embed(m), other.embed(m)
 
     def _combine(self, other: "Scalar", op) -> "Scalar":
         # a op b for op in (add, sub), over the common denominator
@@ -499,15 +498,16 @@ def vec_eq(u: Sequence[Scalar], v: Sequence[Scalar]) -> bool:
 
 def collect(terms: Iterable[tuple[K, Scalar]]) -> dict[K, Scalar]:
     """Sum the terms per key, in one pass that stores no zero: a zero term
-    is skipped, a key whose running sum cancels is deleted at once, and a
-    later term on that key stores it again."""
+    is skipped before its key is read, a key whose running sum cancels is
+    deleted at once, and a later term on that key stores it again."""
     acc: dict[K, Scalar] = {}
     get = acc.get
     for k, c in terms:
+        if not c.num:
+            continue
         old = get(k)
         if old is None:
-            if c.num:
-                acc[k] = c
+            acc[k] = c
         elif (c := old + c).num:
             acc[k] = c
         else:

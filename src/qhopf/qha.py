@@ -23,6 +23,16 @@ Drinfeld element and the Drinfeld twist (``_x_d``, ``_drinfeld_raw``,
 ``product`` multiplies two elements through ``mult_table`` and builds no
 matrix; ``lmult_of`` and ``rmult_of`` build one by ``kron_combination``.
 
+The Drinfeld twist's inverse is certified, not solved for.
+``_twist_inverse`` builds it in closed form (Drinfeld, "Quasi-Hopf
+algebras", Leningrad Math. J. 1, 1990, in this engine's leg conventions):
+f^-1 = Delta(S(x_1) alpha x_2) delta (S x S)(Delta^op(x_3)) with x = phi,
+delta = B_1 beta S(B_4) (x) B_2 beta S(B_3) and
+B = (id x id x Delta)(phi) (1 x phi^-1).  One product f f^-1 = 1 x 1
+certifies it, since a one-sided inverse in a finite-dimensional algebra is
+two-sided; only when that check fails does ``invert_element`` solve the
+dim^2 x dim^2 system, which also raises the error of a singular f.
+
 ``validate`` checks each defining identity as one tensor equation: the
 basis elements it quantifies over are slots (``tensorspace.identity``),
 whose index legs come first, and a failure is located at the first
@@ -84,7 +94,8 @@ class QuasiHopfAlgebra:
     * the module functions ``monodromy``, ``drinfeld_element`` and
       ``drinfeld_twist`` read the cached ``_monodromy``, ``_drinfeld``
       (``_drinfeld_raw`` once its checks pass, else ``ValueError``) and
-      ``_twist``.
+      ``_twist`` (f^-1 in certified closed form, solved only as a
+      fallback).
 
     The caches assume the structure constants are not edited after a view
     has been read; ``presets.mutate`` returns a fresh, uncached instance.
@@ -190,6 +201,8 @@ class QuasiHopfAlgebra:
 
     @cached_property
     def _twist(self) -> tuple:
+        """(f, f^-1, gamma): f^-1 is the closed form ``_twist_inverse``
+        when f f^-1 = 1 x 1, else the solve of ``invert_element``."""
         mt = self.mult_table
         x4 = ts.mul(
             ts.embed(self.phi, 4, (2, 3, 4)),
@@ -209,9 +222,12 @@ class QuasiHopfAlgebra:
             ts.mul(ts.embed(gamma, 4, (3, 4)), c, mt), ((1, 3), (2, 4)), mt
         )
 
-        f_inv = self.invert_element(f)
-        if f_inv is None:
-            raise DivisionByZero("drinfeld twist is not invertible")
+        # a one-sided inverse in a finite-dimensional algebra is two-sided
+        f_inv = _twist_inverse(self)
+        if ts.mul(f, f_inv, mt) != Tensor.unit(self.dim, 2, self.order):
+            f_inv = self.invert_element(f)
+            if f_inv is None:
+                raise DivisionByZero("drinfeld twist is not invertible")
         return f, f_inv, gamma
 
     # -- element helpers ---------------------------------------------------
@@ -520,6 +536,23 @@ def element_x_d(A: QuasiHopfAlgebra) -> Tensor:
     return A._x_d
 
 
+def _twist_inverse(A: QuasiHopfAlgebra) -> Tensor:
+    """The Drinfeld twist's inverse in the closed form of the module
+    docstring, uncertified."""
+    mt, cop, S = A.mult_table, A.cop_table, A.antipode
+    # (S(x_1) alpha x_2, x_3), then (Delta(S(x_1) alpha x_2), S(x_3'), S(x_3''))
+    t = ts.leg_map(ts.leg_map(A.phi, 1, S), 1, A.rmult_of(A.alpha))
+    t = ts.merge_legs(t, ((1, 2), (3,)), mt)
+    t = ts.coproduct_leg(ts.coproduct_leg(t, 2, cop), 1, cop)
+    t = ts.leg_map(ts.leg_map(t, 3, S), 4, S)
+    # (B_1 beta, B_2 beta, S(B_3), S(B_4)), then delta
+    b = ts.mul(ts.coproduct_leg(A.phi, 3, cop), ts.embed(A.phi_inv, 4, (2, 3, 4)), mt)
+    rbeta = A.rmult_of(A.beta)
+    b = ts.leg_map(ts.leg_map(ts.leg_map(ts.leg_map(b, 3, S), 4, S), 1, rbeta), 2, rbeta)
+    delta = ts.merge_legs(b, ((1, 4), (2, 3)), mt)
+    return ts.merge_legs(ts.tensor_product(t, delta), ((1, 5, 4), (2, 6, 3)), mt)
+
+
 def _drinfeld_u_from(A: QuasiHopfAlgebra, r: Tensor) -> list[Scalar]:
     # core (phi_1, S(phi_2 beta S(phi_3))) as a 2-leg tensor
     core = ts.leg_map(element_x_d(A), 2, A.antipode)
@@ -543,6 +576,9 @@ def drinfeld_twist(A: QuasiHopfAlgebra):
     """The invertible 2-leg element conjugating the coproduct of S(a) into
     (S x S) of the opposite coproduct, together with its gamma factor.
 
-    Returns (f, f_inv, gamma); raises DivisionByZero if f is singular.
+    f_inv is the closed form of the module docstring, certified by the one
+    product f f_inv = 1 x 1; when that check fails it is solved for
+    instead.  Returns (f, f_inv, gamma); raises DivisionByZero if f is
+    singular.
     """
     return A._twist

@@ -25,11 +25,12 @@ one are multiplied, and that one is left for ``collect_products``.  A
 term of ``mul`` whose constants are all ones is thus the pair of tensor
 entries, and a term of ``merge_legs`` whose constants are all ones is the
 entry alone, which is added, not multiplied by a one.  The sums are
-taken in the field of the tensors and the table, read from its first
-constant.  ``merge_legs`` folds each group's basis product once per index
-tuple and call; while the running product and the next structure
-constant are each one term, the fold steps with ``exactmath.times`` and
-sums nothing, and any other step sums through ``collect``.
+taken, and the result declared, in the field of the tensors and the
+table, read from its first constant.  ``merge_legs`` folds each group's
+basis product once per index tuple and call; while the running product
+and the next structure constant are each one term, the fold steps with
+``exactmath.times`` and sums nothing, and any other step sums through
+``collect``.
 
 A linear map given by a fixed element is one contraction.  The slot
 ``identity`` = sum_a e_a x e_a carries the input: in the ``merge_legs``
@@ -278,7 +279,7 @@ def mul(s: Tensor, t: Tensor, mult: MultTable) -> Tensor:
     """Componentwise product of s and t in the algebra A^(x k)."""
     s._check_compatible(t)
     order = _field(lcm(s.order, t.order), chain.from_iterable(mult))
-    return s._like(collect_products(_products(
+    return Tensor._of(s.dim, s.legs, order, collect_products(_products(
         (cs, ct, [mult[a][b] for a, b in zip(is_, it)])
         for is_, cs in s.entries.items()
         for it, ct in t.entries.items()
@@ -320,7 +321,7 @@ def merge_legs(
     order = t.order
     if any(len(g) > 1 for g in groups):
         order = _field(order, chain.from_iterable(mult))
-    return t._like(collect_products(_products(factors()), order), len(groups))
+    return Tensor._of(t.dim, len(groups), order, collect_products(_products(factors()), order))
 
 
 # ---------------------------------------------------------------------------

@@ -68,8 +68,17 @@ def test_embed_rejects_non_multiple():
 
 def test_mixed_order_arithmetic_unifies():
     assert rat(1, 2) + Scalar.zero(4) == rat(1, 2, order=4)
-    with pytest.raises(IncompatibleOrders):
-        Scalar.zeta(4) * Scalar.zeta(6)
+    # neither order divides the other: both operands meet in Q(zeta_12)
+    assert Scalar.zeta(4) * Scalar.zeta(6) == Scalar.zeta(12) ** 5
+
+
+def test_orders_that_do_not_divide_meet_in_the_lcm():
+    # zeta_3 = zeta_12^4 and zeta_4 = zeta_12^3
+    assert Scalar.zeta(3) * Scalar.zeta(4) == Scalar.zeta(12) ** 7
+    assert Scalar.zeta(3) + Scalar.zeta(4) == Scalar.zeta(12) ** 4 + Scalar.zeta(12) ** 3
+    # a rank below full is found by elimination across the two orders
+    z3, z4 = Scalar.zeta(3), Scalar.zeta(4)
+    assert ExactMatrix(2, 2, 12, [[z3, z4], [z3, z4]]).rank() == 1
 
 
 def test_inverse_of_zero_raises():
@@ -688,6 +697,12 @@ def test_collect_matches_two_pass_reference(terms):
     got = collect(terms)
     assert got == collect_reference(terms)
     assert all(not c.is_zero() for c in got.values())
+
+
+def test_collect_skips_a_zero_term_on_a_stored_key():
+    # the zero is never added, so its field does not meet the stored one
+    got = collect([("k", Scalar.one(2)), ("k", Scalar.zero(3))])
+    assert got == {"k": Scalar.one(2)} and got["k"].order == 2
 
 
 # ---------------------------------------------------------------------------

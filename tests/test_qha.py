@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhopf.exactmath import Scalar, basis_vector, vec_eq
-from qhopf import tensorspace as ts
+from qhopf.exactmath import DivisionByZero, Scalar, basis_vector, vec_eq
+from qhopf import qha, tensorspace as ts
 from qhopf.tensorspace import Tensor
 from qhopf.qha import (
+    QuasiHopfAlgebra,
     drinfeld_element,
     drinfeld_twist,
     monodromy,
@@ -90,6 +91,29 @@ def test_twist_nontrivial_for_twisted_double(presets):
     alg = presets["twisted_double_Z2"].algebra
     f, _, _ = drinfeld_twist(alg)
     assert f != Tensor.unit(alg.dim, 2, alg.order)
+
+
+def test_twist_falls_back_to_the_solve(monkeypatch):
+    # a closed form that fails its certificate hands over to the solve,
+    # which still gives f^-1 and, for a singular f, the same error
+    closed_form = qha._twist_inverse
+    alg = preset("twisted_double_Z2").algebra
+    singular = mutate(alg, ("alpha", (1,)), Scalar.rational(1, order=alg.order))
+    solve = QuasiHopfAlgebra.invert_element
+    solved = []
+
+    def counted(self, t):
+        solved.append(t.legs)
+        return solve(self, t)
+
+    monkeypatch.setattr(qha, "_twist_inverse", lambda A: Tensor.zero(A.dim, 2, A.order))
+    monkeypatch.setattr(QuasiHopfAlgebra, "invert_element", counted)
+    f, f_inv, _ = drinfeld_twist(alg)
+    assert solved == [2]
+    assert f_inv == solve(alg, f) == closed_form(alg)
+    with pytest.raises(DivisionByZero, match="^drinfeld twist is not invertible$"):
+        drinfeld_twist(singular)
+    assert solved == [2, 2]
 
 
 def test_drinfeld_element_trivial(presets):

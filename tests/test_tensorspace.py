@@ -417,8 +417,10 @@ def _expected(dim, legs, terms):
 
 def _assert_entries(got, want, order):
     assert got.entries == want
-    # a skipped multiplication by a one of another field leaves the order
+    # a skipped multiplication by a one of another field leaves the order,
+    # and the tensor is declared in the field its entries are in
     assert all(c.order == order for c in got.entries.values())
+    assert got.order == order
 
 
 ONE_1, ONE_4, HALF_4 = Scalar.one(1), Scalar.one(4), Scalar.rational(1, 2, order=4)
@@ -470,3 +472,14 @@ def test_merge_legs_matches_dense_reference(problem):
         for idx, c in t.entries.items()))
     order = math.lcm(t.order, m_order) if any(len(g) > 1 for g in groups) else t.order
     _assert_entries(ts.merge_legs(t, groups, table), want, order)
+
+
+def test_products_are_declared_in_the_field_of_the_table():
+    # an order-1 tensor times an order-4 table is an order-4 tensor, and so
+    # is its coefficient matrix
+    t = Tensor.unit(1, 1, 1)
+    table = [[[(0, ONE_4)]]]
+    for got in (ts.mul(t, t, table), ts.merge_legs(Tensor.unit(1, 2, 1), [[1, 2]], table)):
+        assert got.order == 4
+        assert got.entries == {(0,): ONE_4} and got[(0,)].order == 4
+        assert ts.as_matrix(got, 1).order == 4
