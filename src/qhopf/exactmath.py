@@ -30,16 +30,16 @@ entries at row-major positions, and ``dense`` is the one dense view.
 Every operation reads only the stored entries.  A plain sum goes through
 ``collect``, which sums in one pass and never stores a zero: a zero term
 is skipped before its key is read, so its field never meets the stored
-one, and a key whose running sum cancels is deleted at once (a
-later term on it stores it again).  A sum of products goes through
-``collect_products``, which takes each product as its two factors: it
-gathers the factors that land on each key, sends a lone product through
-``times`` (so a one of the same field costs no multiplication) and sums
-two or more with ``sum_of_products``, as integer numerators over one
-common denominator put in canonical form once, with no intermediate
-``Scalar``.  The matrix product and ``kron_combination`` here, and the
-leg operations of ``tensorspace``, sum their entries that way; a product
-of matrices is declared in the larger of their fields.  Rank, kernel and
+one, and a key whose running sum cancels is deleted at once (a later
+term on it stores it again).  Every sum of products in the engine goes
+through ``collect_products``, which takes each product as its two
+factors: it gathers the factors that land on each key, sends a lone
+product through ``times`` (so a one of the same field costs no
+multiplication) and sums two or more with ``sum_of_products``, as integer
+numerators over one common denominator put in canonical form once, with
+no intermediate ``Scalar``.  Here ``dot``, ``ExactMatrix.apply``, the
+matrix product and ``kron_combination`` sum that way, each in the lcm of
+its factors' fields, where a matrix is declared too.  Rank, kernel and
 the batched solve ``solve_each``
 use exact Gauss-Jordan elimination on sparse rows (no floats), which
 negates each row's multiplier once and adds; ``solve`` is ``solve_each``
@@ -605,12 +605,10 @@ def collect_products(terms: Iterable[tuple[K, Scalar, Scalar]], order: int) -> d
 
 
 def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-    """sum_i u[i] v[i], skipping the zeros of u."""
-    acc = Scalar.zero(u[0].order)
-    for a, b in zip(u, v):
-        if not a.is_zero():
-            acc = acc + a * b
-    return acc
+    """sum_i u[i] v[i] in the field of both, skipping the zeros of u."""
+    order = lcm(*{x.order for x in u}, *{y.order for y in v})
+    return collect_products(((0, x, y) for x, y in zip(u, v) if x.num), order).get(
+        0, Scalar.zero(order))
 
 
 Row = dict[int, Scalar]
@@ -714,15 +712,13 @@ class ExactMatrix:
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         assert self.rows == other.rows and self.cols == other.cols
-        return ExactMatrix._of(self.rows, self.cols, self.order, [
+        return ExactMatrix._of(self.rows, self.cols, lcm(self.order, other.order), [
             collect([*a.items(), *((j, -x) for j, x in b.items())])
             for a, b in zip(self.data, other.data)])
 
     def scale(self, c: Scalar) -> "ExactMatrix":
-        if c.is_zero():
-            return ExactMatrix.zeros(self.rows, self.cols, self.order)
-        return ExactMatrix._of(self.rows, self.cols, self.order,
-                               [{j: c * x for j, x in row.items()} for row in self.data])
+        return ExactMatrix._of(self.rows, self.cols, lcm(self.order, c.order), [
+            {j: c * x for j, x in row.items()} if c.num else {} for row in self.data])
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         assert self.cols == other.rows, f"shape mismatch {self.cols} vs {other.rows}"
@@ -733,10 +729,12 @@ class ExactMatrix:
             for k, x in row.items() for j, y in b[k].items()), order).items())
 
     def apply(self, v: Sequence[Scalar]) -> list[Scalar]:
+        """M v in the field of both, skipping the zeros of v."""
         assert self.cols == len(v)
-        zero = Scalar.zero(self.order)
-        return [sum((x * v[j] for j, x in row.items() if not v[j].is_zero()), zero)
-                for row in self.data]
+        order = lcm(self.order, *{y.order for y in v})
+        out = collect_products(((i, x, v[j]) for i, row in enumerate(self.data)
+                                for j, x in row.items() if v[j].num), order)
+        return [out.get(i, Scalar.zero(order)) for i in range(self.rows)]
 
     def transpose(self) -> "ExactMatrix":
         data: list[Row] = [{} for _ in range(self.cols)]
@@ -896,7 +894,7 @@ def stack_rows(mats: Sequence[ExactMatrix]) -> ExactMatrix:
     cols = mats[0].cols
     assert all(m.cols == cols for m in mats)
     data = [dict(row) for m in mats for row in m.data]
-    return ExactMatrix._of(len(data), cols, mats[0].order, data)
+    return ExactMatrix._of(len(data), cols, lcm(*{m.order for m in mats}), data)
 
 
 def matrix_from_columns(cols: Sequence[Sequence[Scalar]], order: int) -> ExactMatrix:

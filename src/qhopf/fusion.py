@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactmath import (
-    ExactMatrix, Scalar, collect_products, dot, matrix_from_columns, times, vec_eq,
-    zero_vector)
+    ExactMatrix, Scalar, collect_products, matrix_from_columns, times, vec_eq)
 from . import tensorspace as ts
 from .tensorspace import Tensor
 from .qha import QuasiHopfAlgebra, drinfeld_element, monodromy, monodromy_core
@@ -79,8 +78,9 @@ def radical_dimension(A: QuasiHopfAlgebra) -> int:
     """Nullity of the regular trace form (char-0 split criterion), with
     tr(L_i L_j) = tr(L_{e_i e_j}) = sum_k c_ij^k tr(L_k)."""
     tr = [m.trace() for m in A.left_mult]
-    rows = [[dot(A.mult[i][j], tr) for j in range(A.dim)] for i in range(A.dim)]
-    return A.dim - ExactMatrix(A.dim, A.dim, A.order, rows).rank()
+    return A.dim - ExactMatrix.from_flat(A.dim, A.dim, A.order, collect_products((
+        (i * A.dim + j, c, tr[k]) for i, row in enumerate(A.mult_table)
+        for j, terms in enumerate(row) for k, c in terms), A.order).items()).rank()
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +220,11 @@ def _class_character(coeffs: list[int], characters: list[list[Scalar]],
                      order: int) -> list[Scalar]:
     """sum_w N_w chi_w, the character of the class with multiplicities N;
     a multiplicity 1, the usual one, costs no multiplication."""
-    total = zero_vector(len(characters[0]), order)
-    for c, chi in zip(coeffs, characters):
-        if c:
-            k = Scalar.rational(c, order=order)
-            total = [s + times(k, x) for s, x in zip(total, chi)]
-    return total
+    weights = [(Scalar.rational(c, order=order), chi) for c, chi in zip(coeffs, characters) if c]
+    sums = collect_products(
+        ((i, k, x) for k, chi in weights for i, x in enumerate(chi) if x.num), order)
+    zero = Scalar.zero(order)
+    return [sums.get(i, zero) for i in range(len(characters[0]))]
 
 
 def grothendieck_class(M: AModule, simples: SimpleSet) -> list[int]:

@@ -52,10 +52,10 @@ from .exactmath import (
     ExactMatrix,
     Scalar,
     basis_vector,
+    collect_products,
     dot,
     kron_combination,
     stack_rows,
-    times,
 )
 from . import tensorspace as ts
 from .tensorspace import Tensor
@@ -414,14 +414,14 @@ def validate(A: QuasiHopfAlgebra) -> AxiomReport:
 
     # (e_i e_j) e_k = e_i (e_j e_k), straight from the table
     rep.compare("associativity", (
-        Tensor.from_entries(dim, 4, order, (
-            ((i, j, k, n), times(c, d)) for i, row in enumerate(mt)
+        Tensor._of(dim, 4, order, collect_products((
+            ((i, j, k, n), c, d) for i, row in enumerate(mt)
             for j, ij in enumerate(row) for m, c in ij
-            for k, mk in enumerate(mt[m]) for n, d in mk)),
-        Tensor.from_entries(dim, 4, order, (
-            ((i, j, k, n), times(c, d)) for j, row in enumerate(mt)
+            for k, mk in enumerate(mt[m]) for n, d in mk), order)),
+        Tensor._of(dim, 4, order, collect_products((
+            ((i, j, k, n), c, d) for j, row in enumerate(mt)
             for k, jk in enumerate(row) for m, c in jk
-            for i in range(dim) for n, d in mt[i][m]))))
+            for i in range(dim) for n, d in mt[i][m]), order))))
 
     rep.compare("counit_algebra_map", (eps[:1], [one]),
                 (ts.counit_leg(prod, 3, eps), ts.tensor_product(eps_t, eps_t)))

@@ -23,7 +23,9 @@ Index conventions, fixed once:
 
 from __future__ import annotations
 
-from .exactmath import ExactMatrix, Scalar, kron_combination, stack_rows, times
+from math import lcm
+
+from .exactmath import ExactMatrix, Scalar, collect_products, kron_combination, stack_rows
 from . import tensorspace as ts
 from .qha import (AxiomReport, QuasiHopfAlgebra, drinfeld_element, drinfeld_twist, monodromy,
                   validate)
@@ -53,10 +55,11 @@ class AModule:
         row_of_blocks = stack_rows([m.transpose() for m in self.action]).transpose()
         lhs = stack_rows(self.action) * row_of_blocks
         entries = [list(m.nonzero()) for m in self.action]
-        rhs = ExactMatrix.from_entries(n * d, n * d, A.order, (
-            ((i * d + r, j * d + s), times(c, x))
+        order = lcm(A.order, *{m.order for m in self.action})
+        rhs = ExactMatrix.from_flat(n * d, n * d, order, collect_products((
+            ((i * d + r) * n * d + j * d + s, c, x)
             for i, row in enumerate(A.mult_table) for j, terms in enumerate(row)
-            for k, c in terms for (r, s), x in entries[k]))
+            for k, c in terms for (r, s), x in entries[k]), order).items())
         if lhs == rhs:
             return True, None
         return False, min((r // d, c // d) for (r, c), _ in (lhs - rhs).nonzero())

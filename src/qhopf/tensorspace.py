@@ -25,12 +25,13 @@ one are multiplied, and that one is left for ``collect_products``.  A
 term of ``mul`` whose constants are all ones is thus the pair of tensor
 entries, and a term of ``merge_legs`` whose constants are all ones is the
 entry alone, which is added, not multiplied by a one.  The sums are
-taken, and the result declared, in the field of the tensors and the
-table, read from its first constant.  ``merge_legs`` folds each group's
-basis product once per index tuple and call; while the running product
-and the next structure constant are each one term, the fold steps with
-``exactmath.times`` and sums nothing, and any other step sums through
-``collect``.
+taken in the field of the tensors and the table, read from its first
+constant.  Every operation declares its result in the field it sums or
+multiplies in, the lcm of its operands'.  ``merge_legs`` folds each
+group's basis product once per index tuple and call; while the running
+product and the next structure constant are each one term, the fold steps
+with ``exactmath.times`` and sums nothing, and any other step sums
+through ``collect_products`` in the field of the result.
 
 A linear map given by a fixed element is one contraction.  The slot
 ``identity`` = sum_a e_a x e_a carries the input: in the ``merge_legs``
@@ -152,18 +153,17 @@ class Tensor:
 
     def __add__(self, other: "Tensor") -> "Tensor":
         self._check_compatible(other)
-        return self._like(collect(
+        return Tensor._of(self.dim, self.legs, lcm(self.order, other.order), collect(
             [*self.entries.items(), *other.entries.items()]))
 
     def __sub__(self, other: "Tensor") -> "Tensor":
         self._check_compatible(other)
-        return self._like(collect(
+        return Tensor._of(self.dim, self.legs, lcm(self.order, other.order), collect(
             [*self.entries.items(), *((idx, -c) for idx, c in other.entries.items())]))
 
     def scale(self, c: Scalar) -> "Tensor":
-        if c.is_zero():
-            return self._like({})
-        return self._like({idx: c * a for idx, a in self.entries.items()})
+        entries = {idx: c * a for idx, a in self.entries.items()} if c.num else {}
+        return Tensor._of(self.dim, self.legs, lcm(self.order, c.order), entries)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tensor):
@@ -179,10 +179,6 @@ class Tensor:
 
     def is_zero(self) -> bool:
         return not self.entries
-
-    def _like(self, entries: dict[Index, Scalar], legs: int | None = None) -> "Tensor":
-        # a tensor of this dim and order; entries must be free of zeros
-        return Tensor._of(self.dim, self.legs if legs is None else legs, self.order, entries)
 
     def _check_compatible(self, other: "Tensor") -> None:
         if self.dim != other.dim or self.legs != other.legs:
@@ -232,16 +228,16 @@ def _check_leg(t: Tensor, j: int) -> None:
 def _fold_basis_product(
     indices: Sequence[int], mult: MultTable, order: int
 ) -> list[tuple[int, Scalar]]:
-    # product e_{i_1} e_{i_2} ... expanded through the structure constants;
-    # a one-term product times a one-term constant steps without a sum
-    if len(indices) == 1:
-        return [(indices[0], Scalar.one(order))]
+    # product e_{i_1} e_{i_2} ... (two or more) expanded through the
+    # structure constants, summed in Q(zeta_order); a one-term product times
+    # a one-term constant steps without a sum
     acc = mult[indices[0]][indices[1]]
     for b in indices[2:]:
         if len(acc) == 1 and len(step := mult[acc[0][0]][b]) == 1:
             acc = [(step[0][0], times(acc[0][1], step[0][1]))]
         else:
-            acc = list(collect((k, times(c, ck)) for a, c in acc for k, ck in mult[a][b]).items())
+            acc = list(collect_products(
+                ((k, c, ck) for a, c in acc for k, ck in mult[a][b]), order).items())
     return acc
 
 
@@ -303,6 +299,9 @@ def merge_legs(
     if used != list(range(1, t.legs + 1)):
         raise LegError(f"groups {groups} do not partition legs 1..{t.legs}")
     zero_based = [[leg - 1 for leg in g] for g in groups]
+    order = t.order
+    if any(len(g) > 1 for g in groups):
+        order = _field(order, chain.from_iterable(mult))
     folded: dict[Index, list[tuple[int, Scalar]]] = {}   # one product per index tuple
     one = Scalar.one(t.order)
 
@@ -313,14 +312,12 @@ def merge_legs(
                 key = tuple([idx[i] for i in g])
                 terms = folded.get(key)
                 if terms is None:
-                    terms = folded[key] = _fold_basis_product(key, mult, t.order)
+                    terms = folded[key] = ([(key[0], one)] if len(key) == 1
+                                           else _fold_basis_product(key, mult, order))
                 parts.append(terms)
             # c alone is c times a one of its own field, which costs nothing
             yield c, one if c.order == one.order else Scalar.one(c.order), parts
 
-    order = t.order
-    if any(len(g) > 1 for g in groups):
-        order = _field(order, chain.from_iterable(mult))
     return Tensor._of(t.dim, len(groups), order, collect_products(_products(factors()), order))
 
 
@@ -337,21 +334,23 @@ def leg_map(t: Tensor, j: int, f: ExactMatrix) -> Tensor:
     cols: dict[int, list[tuple[int, Scalar]]] = {}
     for (r, i), m in f.nonzero():
         cols.setdefault(i, []).append((r, m))
-    return t._like(collect_products((
+    order = lcm(t.order, f.order)
+    return Tensor._of(t.dim, t.legs, order, collect_products((
         (idx[: j - 1] + (r,) + idx[j:], m, c)
         for idx, c in t.entries.items()
         for r, m in cols.get(idx[j - 1], ())
-    ), lcm(t.order, f.order)))
+    ), order))
 
 
 def coproduct_leg(t: Tensor, j: int, cop: CopTable) -> Tensor:
     """Apply the coproduct to leg j, giving legs (j, j+1) in the output."""
     _check_leg(t, j)
-    return t._like(collect_products((
+    order = _field(t.order, cop)
+    return Tensor._of(t.dim, t.legs + 1, order, collect_products((
         (idx[: j - 1] + ab + idx[j:], c, cc)
         for idx, c in t.entries.items()
         for ab, cc in cop[idx[j - 1]]
-    ), _field(t.order, cop)), t.legs + 1)
+    ), order))
 
 
 def counit_leg(t: Tensor, j: int, eps: Sequence[Scalar]) -> Tensor:
@@ -367,7 +366,8 @@ def permute(t: Tensor, perm: Sequence[int]) -> Tensor:
     """
     if sorted(perm) != list(range(1, t.legs + 1)):
         raise LegError(f"{perm} is not a permutation of legs 1..{t.legs}")
-    return t._like({tuple(idx[p - 1] for p in perm): c for idx, c in t.entries.items()})
+    return Tensor._of(t.dim, t.legs, t.order,
+                      {tuple(idx[p - 1] for p in perm): c for idx, c in t.entries.items()})
 
 
 def embed(t: Tensor, target_legs: int, positions: Sequence[int]) -> Tensor:
@@ -386,23 +386,23 @@ def embed(t: Tensor, target_legs: int, positions: Sequence[int]) -> Tensor:
         for p, i in zip(pos0, idx):
             oidx[p] = i
         out[tuple(oidx)] = c
-    return t._like(out, target_legs)
+    return Tensor._of(t.dim, target_legs, t.order, out)
 
 
 def tensor_product(s: Tensor, t: Tensor) -> Tensor:
     """Concatenate legs: s x t."""
     if s.dim != t.dim:
         raise LegError("tensor_product requires equal dims")
-    return s._like({i1 + i2: times(c1, c2)
-                    for i1, c1 in s.entries.items() for i2, c2 in t.entries.items()},
-                   s.legs + t.legs)
+    return Tensor._of(s.dim, s.legs + t.legs, lcm(s.order, t.order), {
+        i1 + i2: times(c1, c2) for i1, c1 in s.entries.items() for i2, c2 in t.entries.items()})
 
 
 def contract_leg(t: Tensor, j: int, functional: Sequence[Scalar]) -> Tensor:
     """Contract leg j with an arbitrary functional on A."""
     _check_leg(t, j)
-    return t._like(collect_products((
+    order = lcm(t.order, *{w.order for w in functional})
+    return Tensor._of(t.dim, t.legs - 1, order, collect_products((
         (idx[: j - 1] + idx[j:], w, c)
         for idx, c in t.entries.items()
         if not (w := functional[idx[j - 1]]).is_zero()
-    ), lcm(t.order, *{w.order for w in functional})), t.legs - 1)
+    ), order))

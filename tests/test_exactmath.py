@@ -15,6 +15,7 @@ from qhopf.exactmath import (
     collect,
     collect_products,
     cyclotomic_polynomial,
+    dot,
     euler_phi,
     kron_combination,
     stack_rows,
@@ -828,6 +829,91 @@ def test_collect_products_matches_collect_of_times(case):
             assert c.order == times(*lone[k]).order
         else:
             assert c.order == order
+
+
+def apply_reference(m, v):
+    # chained * and +, one product and one sum at a time, zeros included,
+    # in the field of the matrix and the vector
+    order = math.lcm(m.order, *(y.order for y in v))
+    out = []
+    for row in m.dense:
+        acc = Scalar.zero(order)
+        for x, y in zip(row, v):
+            acc = acc + x * y
+        out.append(acc)
+    return out
+
+
+@st.composite
+def matrix_vectors(draw):
+    """(m, v): a matrix at order 1, 3, 4 or 12 and a vector at any of those
+    orders, so the vector may lie in a larger field than the matrix or in
+    one that neither contains; entries as in product_sums, stored at the
+    order or at 1, half of them zero; sometimes each column of m repeated
+    against v's entry and its negation, so that every sum cancels."""
+    order, vorder = (draw(st.sampled_from([1, 3, 4, 12])) for _ in range(2))
+
+    def entry(o):
+        if draw(st.booleans()):
+            return Scalar.zero(o)
+        d = draw(st.sampled_from([1, o]))
+        return Scalar(d, draw(low_degree(d)))
+
+    r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    m = ExactMatrix(r, c, order, [[entry(order) for _ in range(c)] for _ in range(r)])
+    v = [entry(vorder) for _ in range(c)]
+    if draw(st.booleans()):
+        one = Scalar.one(order)
+        m = m.kron(ExactMatrix(1, 2, order, [[one, one]]))
+        v = [x for y in v for x in (y, -y)]
+    return m, v
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_vectors())
+@example((ExactMatrix(2, 2, 4, [[Z4, rat(1, 2, 4)], [rat(0, order=4), Z4]]),
+          [Scalar.zeta(12), rat(0, order=12)]))
+@example((ExactMatrix(1, 2, 3, [[Z3, rat(2, order=3)]]), [Z4, -Z4]))
+@example((ExactMatrix(1, 2, 1, [[rat(1), rat(1)]]), [rat(1, 2), rat(-1, 2)]))
+@example((ExactMatrix.zeros(2, 3, 12), [Scalar.zeta(12)] * 3))
+def test_apply_and_dot_match_chained_sums(case):
+    m, v = case
+    want = apply_reference(m, v)
+    order = math.lcm(m.order, *(y.order for y in v))
+    got = m.apply(v)
+    assert got == want
+    for i, row in enumerate(m.dense):
+        assert dot(row, v) == want[i]
+        for c in (got[i], dot(row, v)):
+            assert_canonical(c, c.order)
+            assert order % c.order == 0
+
+
+def test_apply_and_dot_lie_in_the_larger_field():
+    # a vector in a larger field than its matrix gives entries in that field
+    m = ExactMatrix(2, 2, 4, [[Z4, rat(1, 2, 4)], [rat(0, order=4), Z4]])
+    v = [Scalar.zeta(12), rat(0, order=12)]
+    assert [c.order for c in m.apply(v)] == [12, 12]
+    assert dot(m.dense[1], v).order == 12
+    assert dot([Z3, rat(1, order=3)], [Z4, Z4]).order == 12
+
+
+def test_apply_and_dot_skip_zero_factors(monkeypatch):
+    # no product with a zero of v (apply) or of u (dot) reaches the sum
+    from qhopf import exactmath
+
+    helper = exactmath.collect_products
+
+    def checked(terms, order):
+        terms = list(terms)
+        assert all(x.num and y.num for _, x, y in terms)
+        return helper(terms, order)
+
+    monkeypatch.setattr(exactmath, "collect_products", checked)
+    m = ExactMatrix(2, 3, 4, [[Z4, Z4, rat(1, order=4)], [rat(2, order=4), Z4, Z4]])
+    v = [rat(0, order=4), Z4, rat(0, order=4)]
+    assert m.apply(v) == [Z4 * Z4, Z4 * Z4]
+    assert dot(v, m.dense[0]) == Z4 * Z4
 
 
 def matrix_product_reference(a, b):

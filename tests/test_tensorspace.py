@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qhopf.exactmath import Scalar
+from qhopf.exactmath import ExactMatrix, Scalar, stack_rows
 from qhopf import tensorspace as ts
 from qhopf.tensorspace import LegError, Tensor
 from qhopf.qha import first_difference
@@ -483,3 +483,22 @@ def test_products_are_declared_in_the_field_of_the_table():
         assert got.order == 4
         assert got.entries == {(0,): ONE_4} and got[(0,)].order == 4
         assert ts.as_matrix(got, 1).order == 4
+
+
+def test_leg_operations_are_declared_in_the_field_they_sum_in():
+    # an order-1 tensor met by an order-4 map, table, functional, tensor or
+    # scalar gives an order-4 result, so a later sum is taken in Q(zeta_4)
+    one, z = Scalar.one(1), Scalar.zeta(4)
+    t = Tensor(2, 2, 1, [one] * 4)
+    f = ExactMatrix(2, 2, 4, [[z, z], [z, z]])
+    got = ts.contract_leg(ts.leg_map(t, 2, f), 2, [one, one])
+    four_z = Scalar.rational(4) * z
+    assert got.entries == {(0,): four_z, (1,): four_z}
+    t4 = Tensor(2, 2, 4, [z] * 4)
+    for got in (ts.leg_map(t, 2, f), ts.coproduct_leg(t, 1, [[((0, 0), z)], [((1, 1), z)]]),
+                ts.contract_leg(t, 2, [z, z]), ts.tensor_product(t, t4), t + t4, t - t4,
+                t.scale(z), got):
+        assert got.order == 4
+    ident = ExactMatrix.identity(2)
+    for got in (ident - f, ident.scale(z), stack_rows([ident, f])):
+        assert got.order == 4
