@@ -187,7 +187,7 @@ class _Stages:
                 "D": tensor_json(self.maps.d_tensor),
                 "W": tensor_json(self.maps.w_tensor),
                 "X_Q": tensor_json(self.maps.x_q),
-                "X_D": tensor_json(self.maps.x_d),
+                "X_D": tensor_json(self.A.x_d),
             },
         }
 

@@ -19,14 +19,7 @@ from dataclasses import dataclass
 from .exactmath import ExactMatrix, Scalar, common_eigenvectors, matrix_from_columns
 from . import tensorspace as ts
 from .tensorspace import Tensor
-from .qha import (
-    QuasiHopfAlgebra,
-    drinfeld_element,
-    drinfeld_twist,
-    element_x_d,
-    monodromy,
-    monodromy_core,
-)
+from .qha import QuasiHopfAlgebra, drinfeld_element, drinfeld_twist, monodromy
 
 
 @dataclass
@@ -43,7 +36,6 @@ class CoendMaps:
     d_tensor: Tensor
     w_tensor: Tensor
     x_q: Tensor
-    x_d: Tensor
 
 
 @dataclass
@@ -71,9 +63,10 @@ def _w_and_x_q(A: QuasiHopfAlgebra) -> tuple[Tensor, Tensor]:
     X_Q = (id x id x Delta)(phi) phi^-1_234 M_23 phi_234 (id x id x Delta)(phi^-1),
     the kernel of the monodromy bilinear map :func:`q_form`.  Both end in
     the same four factors T = core_234 (id x id x Delta)(phi^-1), with the
-    core phi^-1 M_12 phi of ``qha.monodromy_core``, so T is built once."""
+    core phi^-1 M_12 phi of ``QuasiHopfAlgebra.monodromy_core``, so T is
+    built once."""
     mt = A.mult_table
-    tail = ts.mul(ts.embed(monodromy_core(A), 4, (2, 3, 4)),
+    tail = ts.mul(ts.embed(A.monodromy_core, 4, (2, 3, 4)),
                   ts.coproduct_leg(A.phi_inv, 3, A.cop_table), mt)
     alpha_t = Tensor.from_vector(A.alpha, A.order)
     return (ts.mul(ts.embed(ts.tensor_product(alpha_t, alpha_t), 4, (2, 4)), tail, mt),
@@ -81,16 +74,10 @@ def _w_and_x_q(A: QuasiHopfAlgebra) -> tuple[Tensor, Tensor]:
 
 
 def element_d(A: QuasiHopfAlgebra) -> Tensor:
-    """The 4-leg element behind the transposed coproduct."""
-    mt = A.mult_table
-    return ts.mul_chain(
-        [
-            ts.coproduct_leg(A.phi, 3, A.cop_table),
-            ts.embed(A.phi_inv, 4, (2, 3, 4)),
-            ts.embed(Tensor.from_vector(A.beta, A.order), 4, (2,)),
-        ],
-        mt,
-    )
+    """The 4-leg element B beta_2 behind the transposed coproduct, B the
+    coassociator split by ``QuasiHopfAlgebra.phi_split``."""
+    return ts.mul(A.phi_split, ts.embed(Tensor.from_vector(A.beta, A.order), 4, (2,)),
+                  A.mult_table)
 
 
 # ---------------------------------------------------------------------------
@@ -106,20 +93,18 @@ def coend_maps(A: QuasiHopfAlgebra) -> CoendMaps:
     _, u_tilde, _ = drinfeld_element(A)
     ident = ts.identity(dim, order)
 
-    # product: the 4-leg core B; column a is the 2-leg value
-    # (S(B_2) x S(B_1)) . f . Delta(a) . (B_3 x B_4)
+    # product: the 4-leg core C = B (R_spread psi), B of ``A.phi_split``;
+    # column a is the 2-leg value (S(C_2) x S(C_1)) . f . Delta(a) . (C_3 x C_4)
     psi_t = ts.permute(ts.coproduct_leg(A.phi_inv, 3, cop), (1, 3, 4, 2))
     r_spread = ts.embed(
         ts.permute(ts.coproduct_leg(A.r_matrix, 2, cop), (2, 3, 1)), 4, (2, 3, 4)
     )
-    psi_e = ts.embed(A.phi_inv, 4, (2, 3, 4))
-    second = ts.mul_chain([psi_e, r_spread, psi_t], mt)
-    b_core = ts.mul(ts.coproduct_leg(A.phi, 3, cop), second, mt)
-    b_core = ts.permute(b_core, (2, 1, 3, 4))
-    b_core = ts.leg_map(ts.leg_map(b_core, 1, A.antipode), 2, A.antipode)
+    core = ts.mul(A.phi_split, ts.mul(r_spread, psi_t, mt), mt)
+    core = ts.permute(core, (2, 1, 3, 4))
+    core = ts.leg_map(ts.leg_map(core, 1, A.antipode), 2, A.antipode)
 
-    # column a feeds Delta(a) through the slot; f is folded into B first
-    base = ts.mul(b_core, ts.embed(f, 4, (1, 2)), mt)
+    # column a feeds Delta(a) through the slot; f is folded into C first
+    base = ts.mul(core, ts.embed(f, 4, (1, 2)), mt)
     slot = ts.coproduct_leg(ident, 2, cop)
     mu_hat = ts.as_matrix(ts.merge_legs(
         ts.tensor_product(base, slot), ((1, 6, 3), (2, 7, 4), (5,)), mt), 2)
@@ -155,7 +140,6 @@ def coend_maps(A: QuasiHopfAlgebra) -> CoendMaps:
         d_tensor=d_tensor,
         w_tensor=w_tensor,
         x_q=x_q,
-        x_d=element_x_d(A),
     )
 
 
@@ -206,7 +190,6 @@ def hopf_reduced_maps(A: QuasiHopfAlgebra) -> CoendMaps:
         d_tensor=Tensor.unit(dim, 4, order),
         w_tensor=ts.embed(m, 4, (2, 3)),
         x_q=ts.embed(m, 4, (2, 3)),
-        x_d=Tensor.unit(dim, 2, order),
     )
 
 
@@ -240,10 +223,9 @@ def q_hat(A: QuasiHopfAlgebra, x_q: Tensor) -> ExactMatrix:
 
 def copairing(A: QuasiHopfAlgebra, maps: CoendMaps) -> Tensor:
     """The 2-leg copairing S(X_2') w_1 X_2'' (x) S(X_1') w_2 X_1'' built
-    from the self-pairing element w."""
+    from the self-pairing element w, X = x_d."""
     mt = A.mult_table
-    xc = ts.coproduct_leg(ts.coproduct_leg(maps.x_d, 1, A.cop_table), 3, A.cop_table)
-    t = ts.permute(xc, (3, 4, 1, 2))
+    t = ts.permute(A.x_d_coproduct, (3, 4, 1, 2))
     t = ts.leg_map(ts.leg_map(t, 1, A.antipode), 3, A.antipode)
     t = ts.mul(ts.embed(maps.omega_hat, 4, (2, 4)), t, mt)
     return ts.merge_legs(t, ((1, 2), (3, 4)), mt)
@@ -253,19 +235,13 @@ def bt_monodromy_matrix(A: QuasiHopfAlgebra) -> Tensor:
     """The 2-leg element whose partial contraction with functionals is the
     end-valued Drinfeld map."""
     mt = A.mult_table
-    cop = A.cop_table
-    p = element_x_d(A)
-    t = ts.leg_map(A.phi, 1, A.antipode)
-    t = ts.leg_map(t, 1, A.rmult_of(A.alpha))
-    q_tilde = ts.merge_legs(t, ((1, 2), (3,)), mt)
-    q_c = ts.coproduct_leg(q_tilde, 2, cop)
     chain = ts.mul_chain(
         [
-            q_c,
+            ts.coproduct_leg(A.q_tilde, 2, A.cop_table),
             A.phi_inv,
             ts.embed(ts.permute(A.r_matrix, (2, 1)), 3, (1, 2)),
             ts.embed(A.r_matrix, 3, (1, 2)),
-            ts.embed(p, 3, (1, 2)),
+            ts.embed(A.x_d, 3, (1, 2)),
         ],
         mt,
     )
@@ -281,7 +257,7 @@ def bt_monodromy_via_tangle_element(A: QuasiHopfAlgebra) -> Tensor:
         [
             ts.embed(Tensor.from_vector(A.alpha, A.order), 4, (2,)),
             ts.coproduct_leg(A.phi, 3, A.cop_table),
-            ts.embed(monodromy_core(A), 4, (2, 3, 4)),
+            ts.embed(A.monodromy_core, 4, (2, 3, 4)),
             ts.embed(Tensor.from_vector(A.beta, A.order), 4, (3,)),
         ],
         mt,
@@ -292,12 +268,12 @@ def bt_monodromy_via_tangle_element(A: QuasiHopfAlgebra) -> Tensor:
 
 def invariant_functionals(A: QuasiHopfAlgebra) -> list[list[Scalar]]:
     """Basis of functionals fixed by the coadjoint action."""
-    return common_eigenvectors(A.coadjoint_action(), A.counit)
+    return common_eigenvectors(A.coadjoint_action, A.counit)
 
 
 def conjugation_action(A: QuasiHopfAlgebra) -> list[ExactMatrix]:
     """b: x -> sum S(b') x b'', the transposed coadjoint action."""
-    return [m.transpose() for m in A.coadjoint_action()]
+    return [m.transpose() for m in A.coadjoint_action]
 
 
 def coinvariant_elements(A: QuasiHopfAlgebra) -> list[list[Scalar]]:

@@ -27,7 +27,7 @@ from .exactmath import (
     ExactMatrix, Scalar, collect_products, matrix_from_columns, times, vec_eq)
 from . import tensorspace as ts
 from .tensorspace import Tensor
-from .qha import QuasiHopfAlgebra, drinfeld_element, monodromy, monodromy_core
+from .qha import QuasiHopfAlgebra, monodromy
 from .repcat import AModule
 
 
@@ -90,8 +90,7 @@ def radical_dimension(A: QuasiHopfAlgebra) -> int:
 def _ribbon_weight(A: QuasiHopfAlgebra) -> list[Scalar]:
     if A.ribbon is None:
         raise ValueError("internal characters require ribbon data")
-    u, _, u_inv = drinfeld_element(A)
-    return A.product(u_inv, A.ribbon)
+    return A.pivotal_element_inv
 
 
 def _trace_functional(V: AModule) -> list[Scalar]:
@@ -112,7 +111,7 @@ def _internal_character_tensor(A: QuasiHopfAlgebra) -> Tensor:
     :func:`chi_central` of V."""
     mt = A.mult_table
     w = _ribbon_weight(A)
-    t = ts.leg_map(monodromy_core(A), 2, A.rmult_of(A.beta))
+    t = ts.leg_map(A.monodromy_core, 2, A.rmult_of(A.beta))
     t = ts.leg_map(t, 2, A.antipode)
     t = ts.leg_map(t, 2, A.rmult_of(A.alpha))
     t = ts.merge_legs(t, ((1,), (2, 3)), mt)
@@ -145,12 +144,7 @@ def phi_central(A: QuasiHopfAlgebra, V: AModule, cointegral: list[Scalar]) -> li
     alpha_t = Tensor.from_vector(A.alpha, A.order)
     beta_t = Tensor.from_vector(A.beta, A.order)
 
-    t = ts.mul(
-        ts.embed(A.phi, 4, (2, 3, 4)),
-        ts.coproduct_leg(A.phi_inv, 3, A.cop_table),
-        mt,
-    )
-    t = ts.leg_map(t, 1, A.rmult_of(A.beta))
+    t = ts.leg_map(A.phi_split_inv, 1, A.rmult_of(A.beta))
     t = ts.leg_map(t, 2, A.antipode)
     t = ts.leg_map(t, 2, A.rmult_of(cointegral))
     f_tilde = ts.merge_legs(t, ((1, 2, 3), (4,)), mt)

@@ -7,17 +7,16 @@ R-matrix and its inverse, and optional ribbon data.
 
 The dense ``mult`` is the one stored form of the product.  The views
 derived from it and from the other structure constants are
-``functools.cached_property`` values, built on first use: ``mult_table``,
-``left_mult`` and ``right_mult`` (both by ``_mult_matrices``), their
-stacked differences ``commutators``,
-``cop_table``, ``antipode_inv``, the coadjoint and adjoint actions (by
-``two_sided_action``), the element x_d, the unchecked Drinfeld triple,
-the monodromy and its coassociator conjugate phi^-1 M_12 phi, the
-Drinfeld element and the Drinfeld twist (``_x_d``, ``_drinfeld_raw``,
-``_monodromy``, ``_monodromy_core``, ``_drinfeld``, ``_twist``; all but
-``_drinfeld_raw`` are read through the functions ``element_x_d``,
-``monodromy``, ``monodromy_core``, ``drinfeld_element`` and
-``drinfeld_twist``).
+``functools.cached_property`` values, built on first use, and each one is
+the only builder of its element: every module that needs one reads the
+view.  Besides the tables and matrices of the product and the coproduct,
+they are the coadjoint and adjoint actions, the monodromy and its
+coassociator conjugate phi^-1 M_12 phi, the coassociator split by the
+coproduct and its inverse, q~ = S(phi_1) alpha phi_2 (x) phi_3, x_d and
+its double coproduct, the Drinfeld elements, the pivotal element v^-1 u
+and its inverse, and the Drinfeld twist.  The monodromy, the checked
+Drinfeld elements and the twist are read through the module functions
+``monodromy``, ``drinfeld_element`` and ``drinfeld_twist``.
 :class:`QuasiHopfAlgebra` says what each view is.
 
 ``product`` multiplies two elements through ``mult_table`` and builds no
@@ -80,17 +79,27 @@ class QuasiHopfAlgebra:
       central exactly when ``commutators`` sends it to zero;
     * ``cop_table``: the nonzero terms of each ``coproduct[i]``;
     * ``antipode_inv``: the inverse of ``antipode``;
-    * ``coadjoint_action()`` and ``adjoint_action()``: both through
+    * ``coadjoint_action`` and ``adjoint_action``: the action matrices
+      (b.f)(x) = f(sum S(b') x b'') on A*, which underlie the universal
+      Hopf algebra, and b.x = sum b' x S(b'') on A, both through
       ``two_sided_action``;
-    * ``_monodromy_core``: phi^-1 M_12 phi for the monodromy M, read
-      through the module function ``monodromy_core``; the coend elements
-      w and X_q, the tangle route of the monodromy matrix and the
+    * ``monodromy_core``: phi^-1 M_12 phi for the monodromy M; the coend
+      elements w and X_q, the tangle route of the monodromy matrix and the
       internal characters all start from it;
-    * ``_x_d``: phi_1 (x) phi_2 beta S(phi_3), read through the module
-      function ``element_x_d``;
+    * ``phi_split``: B = (id x id x Delta)(phi) (1 x phi^-1), behind the
+      twist's inverse and the coend product and coproduct; and
+      ``phi_split_inv``: its inverse (1 x phi) (id x id x Delta)(phi^-1),
+      behind the twist's gamma and the class-function characters;
+    * ``q_tilde``: S(phi_1) alpha phi_2 (x) phi_3, behind the twist's
+      inverse and the monodromy matrix;
+    * ``x_d``: phi_1 (x) phi_2 beta S(phi_3), and ``x_d_coproduct``: its
+      image under Delta x Delta, behind the twist and the copairing;
     * ``_drinfeld_raw``: the triple (u, u~, u^-1) before any consistency
-      check (u^-1 is None without ribbon data); ``validate`` reads it, so
+      check (u^-1 is None without ribbon data), with the core S(x_d) and
+      x -> x alpha built once for u and u~; ``validate`` reads it, so
       a failed identity is reported rather than raised;
+    * ``pivotal_element``: g = v^-1 u, and ``pivotal_element_inv``:
+      u^-1 v; both need ribbon data, which their callers check;
     * the module functions ``monodromy``, ``drinfeld_element`` and
       ``drinfeld_twist`` read the cached ``_monodromy``, ``_drinfeld``
       (``_drinfeld_raw`` once its checks pass, else ``ValueError``) and
@@ -154,12 +163,12 @@ class QuasiHopfAlgebra:
         return self.antipode.inverse()
 
     @cached_property
-    def _coadjoint(self) -> list[ExactMatrix]:
+    def coadjoint_action(self) -> list[ExactMatrix]:
         return [self.two_sided_action(ts.leg_map(d, 1, self.antipode)).transpose()
                 for d in self.coproduct]
 
     @cached_property
-    def _adjoint(self) -> list[ExactMatrix]:
+    def adjoint_action(self) -> list[ExactMatrix]:
         return [self.two_sided_action(ts.leg_map(d, 2, self.antipode))
                 for d in self.coproduct]
 
@@ -168,20 +177,48 @@ class QuasiHopfAlgebra:
         return ts.mul(ts.permute(self.r_matrix, (2, 1)), self.r_matrix, self.mult_table)
 
     @cached_property
-    def _monodromy_core(self) -> Tensor:
+    def monodromy_core(self) -> Tensor:
         return ts.mul_chain([self.phi_inv, ts.embed(self._monodromy, 3, (1, 2)), self.phi],
                             self.mult_table)
 
     @cached_property
-    def _x_d(self) -> Tensor:
+    def phi_split(self) -> Tensor:
+        return ts.mul(ts.coproduct_leg(self.phi, 3, self.cop_table),
+                      ts.embed(self.phi_inv, 4, (2, 3, 4)), self.mult_table)
+
+    @cached_property
+    def phi_split_inv(self) -> Tensor:
+        return ts.mul(ts.embed(self.phi, 4, (2, 3, 4)),
+                      ts.coproduct_leg(self.phi_inv, 3, self.cop_table), self.mult_table)
+
+    @cached_property
+    def q_tilde(self) -> Tensor:
+        t = ts.leg_map(ts.leg_map(self.phi, 1, self.antipode), 1, self.rmult_of(self.alpha))
+        return ts.merge_legs(t, ((1, 2), (3,)), self.mult_table)
+
+    @cached_property
+    def x_d(self) -> Tensor:
         t = ts.leg_map(self.phi, 3, self.antipode)
         t = ts.leg_map(t, 2, self.rmult_of(self.beta))
         return ts.merge_legs(t, ((1,), (2, 3)), self.mult_table)
 
     @cached_property
+    def x_d_coproduct(self) -> Tensor:
+        return ts.coproduct_leg(ts.coproduct_leg(self.x_d, 1, self.cop_table), 3, self.cop_table)
+
+    @cached_property
+    def pivotal_element(self) -> list[Scalar]:
+        return self.product(self.ribbon_inv, self._drinfeld[0])
+
+    @cached_property
+    def pivotal_element_inv(self) -> list[Scalar]:
+        return self.product(self._drinfeld[2], self.ribbon)
+
+    @cached_property
     def _drinfeld_raw(self) -> tuple:
-        u = _drinfeld_u_from(self, self.r_matrix)
-        u_tilde = _drinfeld_u_from(self, self.r_inv)
+        # (phi_1, S(phi_2 beta S(phi_3))) and x -> x alpha, shared by u and u~
+        core, ralpha = ts.leg_map(self.x_d, 2, self.antipode), self.rmult_of(self.alpha)
+        u, u_tilde = (_drinfeld_u_from(self, core, ralpha, r) for r in (self.r_matrix, self.r_inv))
         u_inv = self.antipode_inv.apply(u_tilde) if self.ribbon is not None else None
         return u, u_tilde, u_inv
 
@@ -204,19 +241,12 @@ class QuasiHopfAlgebra:
         """(f, f^-1, gamma): f^-1 is the closed form ``_twist_inverse``
         when f f^-1 = 1 x 1, else the solve of ``invert_element``."""
         mt = self.mult_table
-        x4 = ts.mul(
-            ts.embed(self.phi, 4, (2, 3, 4)),
-            ts.coproduct_leg(self.phi_inv, 3, self.cop_table),
-            mt,
-        )
-        t = ts.leg_map(ts.leg_map(x4, 1, self.antipode), 2, self.antipode)
+        t = ts.leg_map(ts.leg_map(self.phi_split_inv, 1, self.antipode), 2, self.antipode)
         alpha_t = Tensor.from_vector(self.alpha, self.order)
         ins = ts.embed(ts.tensor_product(alpha_t, alpha_t), 4, (3, 4))
         gamma = ts.merge_legs(ts.mul(ins, t, mt), ((2, 3), (1, 4)), mt)
 
-        c = ts.coproduct_leg(
-            ts.coproduct_leg(element_x_d(self), 1, self.cop_table), 3, self.cop_table)
-        c = ts.permute(c, (2, 1, 3, 4))
+        c = ts.permute(self.x_d_coproduct, (2, 1, 3, 4))
         c = ts.leg_map(ts.leg_map(c, 1, self.antipode), 2, self.antipode)
         f = ts.merge_legs(
             ts.mul(ts.embed(gamma, 4, (3, 4)), c, mt), ((1, 3), (2, 4)), mt
@@ -261,15 +291,6 @@ class QuasiHopfAlgebra:
         """Matrix of x -> sum t[i, j] e_i x e_j for a 2-leg tensor t."""
         t = ts.tensor_product(t, ts.identity(self.dim, self.order))
         return ts.as_matrix(ts.merge_legs(t, ((1, 4, 2), (3,)), self.mult_table), 1)
-
-    def coadjoint_action(self) -> list[ExactMatrix]:
-        """Action matrices on A* underlying the universal Hopf algebra:
-        (b.f)(x) = f(sum S(b') x b'')."""
-        return self._coadjoint
-
-    def adjoint_action(self) -> list[ExactMatrix]:
-        """Adjoint action on A: b . x = sum b' x S(b'')."""
-        return self._adjoint
 
     def invert_element(self, t: Tensor) -> Tensor | None:
         """Two-sided inverse of t in A^(x k) by exact linear solve."""
@@ -526,39 +547,25 @@ def monodromy(A: QuasiHopfAlgebra) -> Tensor:
     return A._monodromy
 
 
-def monodromy_core(A: QuasiHopfAlgebra) -> Tensor:
-    """The 3-leg element phi^-1 M_12 phi, M the monodromy."""
-    return A._monodromy_core
-
-
-def element_x_d(A: QuasiHopfAlgebra) -> Tensor:
-    """2-leg element phi_1 (x) phi_2 beta S(phi_3)."""
-    return A._x_d
-
-
 def _twist_inverse(A: QuasiHopfAlgebra) -> Tensor:
     """The Drinfeld twist's inverse in the closed form of the module
     docstring, uncertified."""
     mt, cop, S = A.mult_table, A.cop_table, A.antipode
-    # (S(x_1) alpha x_2, x_3), then (Delta(S(x_1) alpha x_2), S(x_3'), S(x_3''))
-    t = ts.leg_map(ts.leg_map(A.phi, 1, S), 1, A.rmult_of(A.alpha))
-    t = ts.merge_legs(t, ((1, 2), (3,)), mt)
-    t = ts.coproduct_leg(ts.coproduct_leg(t, 2, cop), 1, cop)
+    # (Delta(S(x_1) alpha x_2), S(x_3'), S(x_3'')) from q~ = (S(x_1) alpha x_2, x_3)
+    t = ts.coproduct_leg(ts.coproduct_leg(A.q_tilde, 2, cop), 1, cop)
     t = ts.leg_map(ts.leg_map(t, 3, S), 4, S)
     # (B_1 beta, B_2 beta, S(B_3), S(B_4)), then delta
-    b = ts.mul(ts.coproduct_leg(A.phi, 3, cop), ts.embed(A.phi_inv, 4, (2, 3, 4)), mt)
     rbeta = A.rmult_of(A.beta)
-    b = ts.leg_map(ts.leg_map(ts.leg_map(ts.leg_map(b, 3, S), 4, S), 1, rbeta), 2, rbeta)
+    b = ts.leg_map(ts.leg_map(ts.leg_map(ts.leg_map(A.phi_split, 3, S), 4, S), 1, rbeta), 2, rbeta)
     delta = ts.merge_legs(b, ((1, 4), (2, 3)), mt)
     return ts.merge_legs(ts.tensor_product(t, delta), ((1, 5, 4), (2, 6, 3)), mt)
 
 
-def _drinfeld_u_from(A: QuasiHopfAlgebra, r: Tensor) -> list[Scalar]:
-    # core (phi_1, S(phi_2 beta S(phi_3))) as a 2-leg tensor
-    core = ts.leg_map(element_x_d(A), 2, A.antipode)
-    t4 = ts.tensor_product(core, r)
-    t4 = ts.leg_map(t4, 4, A.antipode)
-    t4 = ts.leg_map(t4, 4, A.rmult_of(A.alpha))
+def _drinfeld_u_from(A: QuasiHopfAlgebra, core: Tensor, ralpha: ExactMatrix,
+                     r: Tensor) -> list[Scalar]:
+    # the core and x -> x alpha come from _drinfeld_raw
+    t4 = ts.leg_map(ts.tensor_product(core, r), 4, A.antipode)
+    t4 = ts.leg_map(t4, 4, ralpha)
     return ts.merge_legs(t4, ((2, 4, 3, 1),), A.mult_table).to_vector()
 
 

@@ -27,8 +27,7 @@ from math import lcm
 
 from .exactmath import ExactMatrix, Scalar, collect_products, kron_combination, stack_rows
 from . import tensorspace as ts
-from .qha import (AxiomReport, QuasiHopfAlgebra, drinfeld_element, drinfeld_twist, monodromy,
-                  validate)
+from .qha import AxiomReport, QuasiHopfAlgebra, drinfeld_twist, monodromy, validate
 from .coend import CoendMaps, coend_maps
 
 
@@ -121,12 +120,12 @@ def dual_module(U: AModule) -> AModule:
 def coadjoint_module(A: QuasiHopfAlgebra) -> AModule:
     """The universal Hopf algebra object: the dual space with action
     (b.f)(x) = f(sum S(b') x b'')."""
-    return AModule(A, A.coadjoint_action(), label="L")
+    return AModule(A, A.coadjoint_action, label="L")
 
 
 def adjoint_module(A: QuasiHopfAlgebra) -> AModule:
     """The end object: A with the action b.x = sum b' x S(b'')."""
-    return AModule(A, A.adjoint_action(), label="Adj")
+    return AModule(A, A.adjoint_action, label="Adj")
 
 
 # ---------------------------------------------------------------------------
@@ -215,17 +214,14 @@ def pivotal(U: AModule) -> Morphism:
     """U -> U**, the double-dual identification twisted by v^-1 u."""
     A = U.alg
     _require_ribbon(A)
-    u, _, _ = drinfeld_element(A)
-    w = A.product(A.ribbon_inv, u)
-    return Morphism(U, dual_module(dual_module(U)), U.act(w))
+    return Morphism(U, dual_module(dual_module(U)), U.act(A.pivotal_element))
 
 
 def evaluation_right(U: AModule) -> Morphism:
     """U (x) U* -> 1, w (x) f -> f(S(alpha) v^-1 u . w)."""
     A = U.alg
     _require_ribbon(A)
-    u, _, _ = drinfeld_element(A)
-    w = A.product(A.antipode_of(A.alpha), A.product(A.ribbon_inv, u))
+    w = A.product(A.antipode_of(A.alpha), A.pivotal_element)
     m = _flattened([U.act(w).transpose()])
     return Morphism(tensor_module(U, dual_module(U)), trivial_module(A), m)
 
@@ -234,8 +230,7 @@ def coevaluation_right(U: AModule) -> Morphism:
     """1 -> U* (x) U, 1 -> sum w_i* (x) (u^-1 v S(beta) . w_i)."""
     A = U.alg
     _require_ribbon(A)
-    u, _, u_inv = drinfeld_element(A)
-    w = A.product(u_inv, A.product(A.ribbon, A.antipode_of(A.beta)))
+    w = A.product(A.pivotal_element_inv, A.antipode_of(A.beta))
     m = _flattened([U.act(w).transpose()]).transpose()
     return Morphism(trivial_module(A), tensor_module(dual_module(U), U), m)
 

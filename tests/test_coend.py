@@ -125,7 +125,7 @@ def test_copairing_from_w_directly(presets, all_maps):
         maps = all_maps[name]
         mt = alg.mult_table
         xc = ts.coproduct_leg(
-            ts.coproduct_leg(maps.x_d, 1, alg.cop_table), 3, alg.cop_table)
+            ts.coproduct_leg(alg.x_d, 1, alg.cop_table), 3, alg.cop_table)
         t_x = ts.permute(xc, (3, 4, 1, 2))
         t_w = ts.permute(maps.w_tensor, (3, 4, 1, 2))
         u = ts.mul(t_w, t_x, mt)

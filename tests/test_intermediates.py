@@ -1,8 +1,11 @@
 """The coend elements, the internal characters and the braided Hopf check
 read shared intermediates: the core phi^-1 M_12 phi, its product T with
-(id x id x Delta)(phi^-1), and element actions on L (x) L (x) L with no
-module built.  Each equals the product it replaces, written out here, on
-every preset, Sweedler's H4 and the generated D(Z/3)."""
+(id x id x Delta)(phi^-1), the elements of A that several modules use
+(each a cached view of ``QuasiHopfAlgebra``), and element actions on
+L (x) L (x) L with no module built.  Each equals the product it replaces,
+written out here, on every preset, Sweedler's H4, the generated D(Z/3) and
+the rebased ``twisted_double_Z2``, whose basis products have several
+terms."""
 
 import random
 
@@ -13,7 +16,7 @@ from qhopf.coend import coend_maps
 from qhopf.exactmath import ExactMatrix
 from qhopf.fileformat import parse_text
 from qhopf.presets import PRESET_NAMES, preset
-from qhopf.qha import monodromy, monodromy_core
+from qhopf.qha import drinfeld_element, monodromy
 from qhopf.repcat import (
     associator,
     associator_inv,
@@ -26,6 +29,7 @@ from qhopf.repcat import (
 from qhopf.tensorspace import Tensor
 
 from test_benchmark_contract import INPUTS
+from test_rebased import rebased_text
 from test_sweedler import H4
 
 
@@ -35,10 +39,12 @@ def _algebra(name):
     if name == "double_Z3":
         alg, simples = INPUTS.double_cyclic(3, 1, INPUTS.relabelling(random.Random(1), 9))
         return parse_text(INPUTS.serialize(alg, simples))[0]
+    if name == "rebased":
+        return parse_text(rebased_text())[0]
     return preset(name).algebra
 
 
-INPUT_NAMES = [*PRESET_NAMES, "H4", "double_Z3"]
+INPUT_NAMES = [*PRESET_NAMES, "H4", "double_Z3", "rebased"]
 
 
 @pytest.fixture(scope="module", params=INPUT_NAMES)
@@ -49,7 +55,7 @@ def alg(request):
 def test_core_and_five_factor_elements(alg):
     mt, cop = alg.mult_table, alg.cop_table
     m = monodromy(alg)
-    assert monodromy_core(alg) == ts.mul_chain(
+    assert alg.monodromy_core == ts.mul_chain(
         [alg.phi_inv, ts.embed(m, 3, (1, 2)), alg.phi], mt)
     alpha_t = Tensor.from_vector(alg.alpha, alg.order)
     middle = [ts.embed(alg.phi_inv, 4, (2, 3, 4)), ts.embed(m, 4, (2, 3)),
@@ -58,6 +64,38 @@ def test_core_and_five_factor_elements(alg):
     x_q = ts.mul_chain([ts.coproduct_leg(alg.phi, 3, cop), *middle], mt)
     maps = coend_maps(alg)
     assert maps.w_tensor == w and maps.x_q == x_q
+
+
+def test_views_equal_the_products_they_replace(alg):
+    mt, cop, S = alg.mult_table, alg.cop_table, alg.antipode
+    b = ts.mul(ts.coproduct_leg(alg.phi, 3, cop), ts.embed(alg.phi_inv, 4, (2, 3, 4)), mt)
+    b_inv = ts.mul(ts.embed(alg.phi, 4, (2, 3, 4)), ts.coproduct_leg(alg.phi_inv, 3, cop), mt)
+    assert alg.phi_split == b and alg.phi_split_inv == b_inv
+    unit4 = Tensor.unit(alg.dim, 4, alg.order)
+    assert ts.mul(b, b_inv, mt) == unit4 == ts.mul(b_inv, b, mt)
+    q_tilde = ts.leg_map(ts.leg_map(alg.phi, 1, S), 1, alg.rmult_of(alg.alpha))
+    assert alg.q_tilde == ts.merge_legs(q_tilde, ((1, 2), (3,)), mt)
+    x_d = ts.leg_map(ts.leg_map(alg.phi, 3, S), 2, alg.rmult_of(alg.beta))
+    x_d = ts.merge_legs(x_d, ((1,), (2, 3)), mt)
+    assert alg.x_d == x_d
+    assert alg.x_d_coproduct == ts.coproduct_leg(ts.coproduct_leg(x_d, 1, cop), 3, cop)
+
+
+def test_drinfeld_and_pivotal_elements(alg):
+    # u and u~ with the core S(x_d) and x -> x alpha built for each; every
+    # input here is ribbon, so g = v^-1 u and u^-1 v are defined
+    mt, S = alg.mult_table, alg.antipode
+
+    def u_from(r):
+        t = ts.tensor_product(ts.leg_map(alg.x_d, 2, S), r)
+        t = ts.leg_map(ts.leg_map(t, 4, S), 4, alg.rmult_of(alg.alpha))
+        return ts.merge_legs(t, ((2, 4, 3, 1),), mt).to_vector()
+
+    u, u_tilde, u_inv = drinfeld_element(alg)
+    assert u == u_from(alg.r_matrix) and u_tilde == u_from(alg.r_inv)
+    g, g_inv = alg.pivotal_element, alg.pivotal_element_inv
+    assert g == alg.product(alg.ribbon_inv, u) and g_inv == alg.product(u_inv, alg.ribbon)
+    assert alg.product(g, g_inv) == alg.unit() == alg.product(g_inv, g)
 
 
 def _kron_sum(t, modules):

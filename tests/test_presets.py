@@ -142,7 +142,7 @@ def test_mutate_after_warm_caches():
     from qhopf.qha import drinfeld_element, monodromy
 
     alg = preset("twisted_double_Z2").algebra
-    alg.mult_table, alg.left_mult, alg.coadjoint_action(), drinfeld_element(alg)
+    alg.mult_table, alg.left_mult, alg.coadjoint_action, drinfeld_element(alg)
     original_monodromy = monodromy(alg)
     one = Scalar.rational(1, order=4)
 

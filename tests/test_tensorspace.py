@@ -438,6 +438,9 @@ CHAIN_EMPTY = [[[(1, ONE_1)], []], [[], [(0, ONE_1)]]]
 SINGLE_1 = [[[(0, ONE_1)], [(1, HALF_1)]], [[(1, -ONE_1)], [(0, ONE_1)]]]
 THREE_LEGS_4 = Tensor._of(2, 3, 4, {(0, 1, 1): Scalar.zeta(4), (1, 0, 1): ONE_4,
                                     (0, 0, 0): HALF_4})
+# both groups of each entry are multi-term products under ONES_4, so each
+# entry expands into a product of two multi-term legs
+FOUR_LEGS = Tensor._of(2, 4, 1, {(0, 1, 1, 1): Scalar.rational(2, 3), (1, 1, 0, 1): ONE_1})
 
 
 @settings(max_examples=80, deadline=None)
@@ -464,6 +467,7 @@ def test_mul_matches_dense_reference(problem):
 @example((CHAIN_MULTI, Tensor.unit(2, 3, 1), [[1, 2, 3]]))
 @example((CHAIN_EMPTY, Tensor.unit(2, 4, 1), [[1, 2, 3, 4]]))
 @example((SINGLE_1, THREE_LEGS_4, [[3, 1, 2]]))
+@example((ONES_4, FOUR_LEGS, [[1, 2], [3, 4]]))
 def test_merge_legs_matches_dense_reference(problem):
     table, t, groups = problem
     dense, m_order = _dense_table(table)
