@@ -68,16 +68,16 @@ def _w_and_x_q(A: QuasiHopfAlgebra) -> tuple[Tensor, Tensor]:
     mt = A.mult_table
     tail = ts.mul(ts.embed(A.monodromy_core, 4, (2, 3, 4)),
                   ts.coproduct_leg(A.phi_inv, 3, A.cop_table), mt)
-    alpha_t = Tensor.from_vector(A.alpha, A.order)
-    return (ts.mul(ts.embed(ts.tensor_product(alpha_t, alpha_t), 4, (2, 4)), tail, mt),
+    alpha = Tensor.from_vector(A.alpha, A.order)
+    return (ts.merge_legs((tail, alpha, alpha), ((1,), (5, 2), (3,), (6, 4)), mt),
             ts.mul(ts.coproduct_leg(A.phi, 3, A.cop_table), tail, mt))
 
 
 def element_d(A: QuasiHopfAlgebra) -> Tensor:
     """The 4-leg element B beta_2 behind the transposed coproduct, B the
     coassociator split by ``QuasiHopfAlgebra.phi_split``."""
-    return ts.mul(A.phi_split, ts.embed(Tensor.from_vector(A.beta, A.order), 4, (2,)),
-                  A.mult_table)
+    return ts.merge_legs((A.phi_split, Tensor.from_vector(A.beta, A.order)),
+                         ((1,), (2, 5), (3,), (4,)), A.mult_table)
 
 
 # ---------------------------------------------------------------------------
@@ -106,25 +106,22 @@ def coend_maps(A: QuasiHopfAlgebra) -> CoendMaps:
     # column a feeds Delta(a) through the slot; f is folded into C first
     base = ts.mul(core, ts.embed(f, 4, (1, 2)), mt)
     slot = ts.coproduct_leg(ident, 2, cop)
-    mu_hat = ts.as_matrix(ts.merge_legs(
-        ts.tensor_product(base, slot), ((1, 6, 3), (2, 7, 4), (5,)), mt), 2)
+    mu_hat = ts.as_matrix(ts.merge_legs((base, slot), ((1, 6, 3), (2, 7, 4), (5,)), mt), 2)
 
     # coproduct: column (a, b) is S(D_1) b D_2 S(D_3) a D_4
     d_tensor = element_d(A)
     d_base = ts.leg_map(ts.leg_map(d_tensor, 1, A.antipode), 3, A.antipode)
     # legs 5 to 8 are the slots (a, e_a) and (b, e_b)
-    delta_hat = ts.as_matrix(ts.merge_legs(ts.tensor_product(
-        d_base, ts.tensor_product(ident, ident)), ((1, 8, 2, 3, 6, 4), (5,), (7,)), mt), 1)
+    delta_hat = ts.as_matrix(ts.merge_legs(
+        (d_base, ident, ident), ((1, 8, 2, 3, 6, 4), (5,), (7,)), mt), 1)
 
     # eta_hat(e_i) = eps(beta e_i), the counit read through left multiplication by beta
     eta_hat = A.lmult_of(A.beta).transpose().apply(A.counit)
 
     # antipode: column a is S(a R_1) u~ R_2 = S(R_1) S(a) u~ R_2
-    base = ts.tensor_product(ts.leg_map(A.r_matrix, 1, A.antipode),
-                             Tensor.from_vector(u_tilde, order))
-    slot = ts.leg_map(ident, 2, A.antipode)
-    s_hat = ts.as_matrix(ts.merge_legs(
-        ts.tensor_product(base, slot), ((1, 5, 3, 2), (4,)), mt), 1)
+    factors = (ts.leg_map(A.r_matrix, 1, A.antipode), Tensor.from_vector(u_tilde, order),
+               ts.leg_map(ident, 2, A.antipode))
+    s_hat = ts.as_matrix(ts.merge_legs(factors, ((1, 5, 3, 2), (4,)), mt), 1)
 
     w_tensor, x_q = _w_and_x_q(A)
     t = ts.leg_map(ts.leg_map(w_tensor, 3, A.antipode), 1, A.antipode)
@@ -157,12 +154,10 @@ def hopf_reduced_maps(A: QuasiHopfAlgebra) -> CoendMaps:
     base = ts.leg_map(r_spread, 1, A.antipode)
     # legs 4, 5 and 6 are the slot (a, a', a'')
     slot = ts.coproduct_leg(ident, 2, A.cop_table)
-    mu_hat = ts.as_matrix(ts.merge_legs(
-        ts.tensor_product(base, slot), ((1, 5, 2), (6, 3), (4,)), mt), 2)
+    mu_hat = ts.as_matrix(ts.merge_legs((base, slot), ((1, 5, 2), (6, 3), (4,)), mt), 2)
 
     # coproduct: column (a, b) is b a
-    delta_hat = ts.as_matrix(ts.merge_legs(
-        ts.tensor_product(ident, ident), ((4, 2), (1,), (3,)), mt), 1)
+    delta_hat = ts.as_matrix(ts.merge_legs((ident, ident), ((4, 2), (1,), (3,)), mt), 1)
 
     # the inverse of u = S(R_2) R_1
     u_inv = A.invert_element(ts.merge_legs(
@@ -171,11 +166,9 @@ def hopf_reduced_maps(A: QuasiHopfAlgebra) -> CoendMaps:
         raise ValueError("drinfeld element of the Hopf reduction is singular")
 
     # antipode: column a is S(u^-1 a R_1) R_2 = S(R_1) S(a) S(u^-1) R_2
-    base = ts.tensor_product(ts.leg_map(A.r_matrix, 1, A.antipode),
-                             ts.leg_map(u_inv, 1, A.antipode))
-    slot = ts.leg_map(ident, 2, A.antipode)
-    s_hat = ts.as_matrix(ts.merge_legs(
-        ts.tensor_product(base, slot), ((1, 5, 3, 2), (4,)), mt), 1)
+    factors = (ts.leg_map(A.r_matrix, 1, A.antipode), ts.leg_map(u_inv, 1, A.antipode),
+               ts.leg_map(ident, 2, A.antipode))
+    s_hat = ts.as_matrix(ts.merge_legs(factors, ((1, 5, 3, 2), (4,)), mt), 1)
 
     m = monodromy(A)
     omega_hat = ts.leg_map(ts.permute(m, (2, 1)), 1, A.antipode)
@@ -206,8 +199,7 @@ def q_form(A: QuasiHopfAlgebra, x_q: Tensor, a: Tensor, b: Tensor) -> Tensor:
     base = ts.leg_map(ts.leg_map(x_q, 3, A.antipode), 1, A.antipode)
     ea, eb = 4 + a.legs, 4 + a.legs + b.legs
     slots = [(first,) for first, arg in ((5, a), (ea + 1, b)) if arg.legs == 2]
-    return ts.merge_legs(ts.tensor_product(base, ts.tensor_product(a, b)),
-                         ((3, ea, 4), (1, eb, 2), *slots), A.mult_table)
+    return ts.merge_legs((base, a, b), ((3, ea, 4), (1, eb, 2), *slots), A.mult_table)
 
 
 def q_hat(A: QuasiHopfAlgebra, x_q: Tensor) -> ExactMatrix:

@@ -6,8 +6,10 @@ character-theoretic decomposition oracle.
 columns of one product, the coefficient matrix of the internal-character
 tensor times the matrix of simple characters, and checks them all central
 with one product by ``QuasiHopfAlgebra.commutators``.  ``chi_central``
-keeps the single-character route, a contraction checked by its left and
-right multiplication matrices, which the tests compare against.
+keeps the single-character route, one contraction checked central by the
+same stacked commutators, which the tests compare against.  A character
+that is not central is named, with the first basis element e_i it does
+not commute with.
 
 The oracle is an identity check: for each pair (U, V) the Verlinde
 coefficients N_uv^w must satisfy sum_w N_uv^w chi_w = chi_{U (x) V},
@@ -99,37 +101,37 @@ def _trace_functional(V: AModule) -> list[Scalar]:
 
 def _central_image(A: QuasiHopfAlgebra, t: Tensor, character: list[Scalar],
                    what: str) -> list[Scalar]:
-    """Leg 2 of t contracted with a character, checked to be central."""
+    """Leg 2 of t contracted with a character, checked to be central by
+    ``QuasiHopfAlgebra.commutators``; a failure names the first basis
+    element e_i that does not commute with it."""
     v = ts.contract_leg(t, 2, character).to_vector()
-    if A.lmult_of(v) != A.rmult_of(v):
-        raise ValueError(f"{what} is not central; input data is inconsistent")
+    if (r := next((r for r, c in enumerate(A.commutators.apply(v)) if c.num), None)) is not None:
+        raise ValueError(f"{what} is not central (it does not commute with e_{r // A.dim}); "
+                         "input data is inconsistent")
     return v
 
 
-def _internal_character_tensor(A: QuasiHopfAlgebra) -> Tensor:
-    """The 2-leg element whose leg-2 contraction with the trace of V is
-    :func:`chi_central` of V."""
-    mt = A.mult_table
-    w = _ribbon_weight(A)
-    t = ts.leg_map(A.monodromy_core, 2, A.rmult_of(A.beta))
-    t = ts.leg_map(t, 2, A.antipode)
-    t = ts.leg_map(t, 2, A.rmult_of(A.alpha))
-    t = ts.merge_legs(t, ((1,), (2, 3)), mt)
-    return ts.leg_map(t, 2, A.lmult_of(w))
+def _character_tensor(A: QuasiHopfAlgebra, core: Tensor) -> Tensor:
+    """(core_1, w S(core_2 beta) alpha core_3) for a 3-leg core, with
+    S(x beta) = S(beta) S(x) and w the ribbon weight: the 2-leg element
+    whose leg-2 contraction with a character is a central element.  The
+    monodromy core gives :func:`chi_central`."""
+    factors = [ts.leg_map(core, 2, A.antipode)] + [Tensor.from_vector(x, A.order) for x in (
+        A.antipode_of(A.beta), A.alpha, _ribbon_weight(A))]
+    return ts.merge_legs(factors, ((1,), (6, 4, 2, 5, 3)), A.mult_table)
 
 
 def chi_central(A: QuasiHopfAlgebra, V: AModule) -> list[Scalar]:
     """The central element representing the modular S-image of the class
     function of V; the coefficients of the Verlinde expansion live in the
     span of these."""
-    return _central_image(A, _internal_character_tensor(A), _trace_functional(V),
+    return _central_image(A, _character_tensor(A, A.monodromy_core), _trace_functional(V),
                           "internal character")
 
 
 def chi_central_hopf(A: QuasiHopfAlgebra, V: AModule) -> list[Scalar]:
     """Hopf-case short form: contraction of the monodromy against the
     quantum trace.  Oracle for :func:`chi_central` on Hopf inputs."""
-    mt = A.mult_table
     w = _ribbon_weight(A)
     t = ts.leg_map(monodromy(A), 2, A.antipode)
     t = ts.leg_map(t, 2, A.lmult_of(w))
@@ -140,30 +142,14 @@ def phi_central(A: QuasiHopfAlgebra, V: AModule, cointegral: list[Scalar]) -> li
     """The central element representing the class function of V itself,
     built through the cointegral."""
     mt = A.mult_table
-    w = _ribbon_weight(A)
-    alpha_t = Tensor.from_vector(A.alpha, A.order)
-    beta_t = Tensor.from_vector(A.beta, A.order)
-
-    t = ts.leg_map(A.phi_split_inv, 1, A.rmult_of(A.beta))
-    t = ts.leg_map(t, 2, A.antipode)
-    t = ts.leg_map(t, 2, A.rmult_of(cointegral))
-    f_tilde = ts.merge_legs(t, ((1, 2, 3), (4,)), mt)
-
-    g = ts.mul_chain(
-        [
-            ts.embed(alpha_t, 3, (3,)),
-            A.phi_inv,
-            ts.coproduct_leg(f_tilde, 1, A.cop_table),
-            A.phi,
-            ts.embed(beta_t, 3, (2,)),
-        ],
-        mt,
-    )
-    g = ts.leg_map(g, 2, A.antipode)
-    f = ts.merge_legs(g, ((1,), (2, 3)), mt)
-
-    f = ts.leg_map(f, 2, A.lmult_of(w))
-    return _central_image(A, f, _trace_functional(V), "class-function central element")
+    # f~ = (P_1 beta S(P_2) cointegral P_3, P_4) for P = ``A.phi_split_inv``
+    f_tilde = ts.merge_legs(
+        (ts.leg_map(A.phi_split_inv, 2, A.antipode), Tensor.from_vector(A.beta, A.order),
+         Tensor.from_vector(cointegral, A.order)), ((1, 5, 2, 6, 3), (4,)), mt)
+    # the core phi^-1 Delta(f~)_12 phi, whose alpha and beta the character tensor places
+    core = ts.mul_chain([A.phi_inv, ts.coproduct_leg(f_tilde, 1, A.cop_table), A.phi], mt)
+    return _central_image(A, _character_tensor(A, core), _trace_functional(V),
+                          "class-function central element")
 
 
 def phi_central_hopf(A: QuasiHopfAlgebra, V: AModule, cointegral: list[Scalar]) -> list[Scalar]:
@@ -253,11 +239,12 @@ def verlinde_fusion(
                           "modules: " + "; ".join(problems))
     n = len(simples.simples)
     # column s is chi_central of simple s; all are checked central at once
-    cmat = (ts.as_matrix(_internal_character_tensor(A), 1)
+    cmat = (ts.as_matrix(_character_tensor(A, A.monodromy_core), 1)
             * matrix_from_columns(simples.characters, A.order))
-    commutators = A.commutators * cmat
-    if commutators != ExactMatrix.zeros(commutators.rows, commutators.cols):
-        raise ValueError("internal character is not central; input data is inconsistent")
+    # located at the first simple whose character fails, and its first e_i
+    if bad := min(((s, r) for (r, s), _ in (A.commutators * cmat).nonzero()), default=None):
+        raise ValueError(f"internal character of {simples.labels[bad[0]]} is not central (it "
+                         f"does not commute with e_{bad[1] // A.dim}); input data is inconsistent")
     chis = cmat.transpose().dense
     if cmat.rank() != n:
         raise FusionError("internal characters are linearly dependent")

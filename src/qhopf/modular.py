@@ -22,7 +22,7 @@ from .exactmath import (
 )
 from . import tensorspace as ts
 from .tensorspace import Tensor
-from .qha import QuasiHopfAlgebra
+from .qha import QuasiHopfAlgebra, first_difference
 from .coend import CoendMaps, FactorisabilityReport, coend_maps, factorisability, q_form
 
 
@@ -146,9 +146,9 @@ def s_hat_pairing_form(A: QuasiHopfAlgebra, maps: CoendMaps, integral: list[Scal
                                              2, A.cop_table), 1, A.cop_table)
     for leg in (1, 3, 5):
         phi3 = ts.leg_map(phi3, leg, A.antipode)
-    t = ts.tensor_product(phi3, ts.tensor_product(maps.omega_hat, ts.identity(dim, order)))
     # output legs (z, x, y, a); K pairs x and y for every a
-    t = ts.merge_legs(t, ((1, 8, 2), (5, 10, 6), (3, 7, 4), (9,)), A.mult_table)
+    t = ts.merge_legs((phi3, maps.omega_hat, ts.identity(dim, order)),
+                      ((1, 8, 2), (5, 10, 6), (3, 7, 4), (9,)), A.mult_table)
     k = matrix_from_columns([maps.delta_hat.transpose().apply(integral)], order)
     return ts.as_matrix(t, 1) * k.kron(ExactMatrix.identity(dim, order))
 
@@ -165,7 +165,8 @@ def sl2z_on_center(
 
     Raises ValueError if either map fails to preserve the centre (naming
     the first failing basis vector, S before T) or if exact
-    proportionality fails; both identities are theorems, so a
+    proportionality fails (naming the first differing entry of the centre
+    matrices); both identities are theorems, so a
     failure signals corrupted input or an implementation fault.
     """
     order = A.order
@@ -188,8 +189,10 @@ def sl2z_on_center(
     lhs = st * st * st
     rhs = s_z * s_z
     lam = next((lhs[ij] / c for ij, c in rhs.nonzero()), None)
-    if lam is None or lhs != rhs.scale(lam):
-        raise ValueError("(S T)^3 is not proportional to S^2")
+    # located at the first entry off lam S^2, or of (S T)^3 when S^2 is zero
+    w = first_difference(lhs, rhs if lam is None else rhs.scale(lam))
+    if lam is None or w:
+        raise ValueError(f"(S T)^3 is not proportional to S^2 at {w}")
     return s_z, t_z, lam
 
 

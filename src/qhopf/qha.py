@@ -20,7 +20,12 @@ Drinfeld elements and the twist are read through the module functions
 :class:`QuasiHopfAlgebra` says what each view is.
 
 ``product`` multiplies two elements through ``mult_table`` and builds no
-matrix; ``lmult_of`` and ``rmult_of`` build one by ``kron_combination``.
+matrix, and an element that multiplies a leg of a tensor (alpha, beta,
+u~) enters ``tensorspace.merge_legs`` as a 1-leg factor.  ``lmult_of``
+and ``rmult_of`` build the matrix of x -> v x or x -> x v by
+``kron_combination``, only where that matrix is the result or the check:
+the Drinfeld element's S^2 identity, eta_hat, T_hat and the oracle routes
+(``validate`` and the Hopf short forms of ``fusion``).
 
 The Drinfeld twist's inverse is certified, not solved for.
 ``_twist_inverse`` builds it in closed form (Drinfeld, "Quasi-Hopf
@@ -44,7 +49,7 @@ too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 
 from .exactmath import (
     DivisionByZero,
@@ -95,8 +100,8 @@ class QuasiHopfAlgebra:
     * ``x_d``: phi_1 (x) phi_2 beta S(phi_3), and ``x_d_coproduct``: its
       image under Delta x Delta, behind the twist and the copairing;
     * ``_drinfeld_raw``: the triple (u, u~, u^-1) before any consistency
-      check (u^-1 is None without ribbon data), with the core S(x_d) and
-      x -> x alpha built once for u and u~; ``validate`` reads it, so
+      check (u^-1 is None without ribbon data), with the core S(x_d)
+      built once for u and u~; ``validate`` reads it, so
       a failed identity is reported rather than raised;
     * ``pivotal_element``: g = v^-1 u, and ``pivotal_element_inv``:
       u^-1 v; both need ribbon data, which their callers check;
@@ -193,14 +198,15 @@ class QuasiHopfAlgebra:
 
     @cached_property
     def q_tilde(self) -> Tensor:
-        t = ts.leg_map(ts.leg_map(self.phi, 1, self.antipode), 1, self.rmult_of(self.alpha))
-        return ts.merge_legs(t, ((1, 2), (3,)), self.mult_table)
+        alpha = Tensor.from_vector(self.alpha, self.order)
+        return ts.merge_legs((ts.leg_map(self.phi, 1, self.antipode), alpha),
+                             ((1, 4, 2), (3,)), self.mult_table)
 
     @cached_property
     def x_d(self) -> Tensor:
-        t = ts.leg_map(self.phi, 3, self.antipode)
-        t = ts.leg_map(t, 2, self.rmult_of(self.beta))
-        return ts.merge_legs(t, ((1,), (2, 3)), self.mult_table)
+        beta = Tensor.from_vector(self.beta, self.order)
+        return ts.merge_legs((ts.leg_map(self.phi, 3, self.antipode), beta),
+                             ((1,), (2, 4, 3)), self.mult_table)
 
     @cached_property
     def x_d_coproduct(self) -> Tensor:
@@ -216,9 +222,9 @@ class QuasiHopfAlgebra:
 
     @cached_property
     def _drinfeld_raw(self) -> tuple:
-        # (phi_1, S(phi_2 beta S(phi_3))) and x -> x alpha, shared by u and u~
-        core, ralpha = ts.leg_map(self.x_d, 2, self.antipode), self.rmult_of(self.alpha)
-        u, u_tilde = (_drinfeld_u_from(self, core, ralpha, r) for r in (self.r_matrix, self.r_inv))
+        # (phi_1, S(phi_2 beta S(phi_3))), shared by u and u~
+        core = ts.leg_map(self.x_d, 2, self.antipode)
+        u, u_tilde = (_drinfeld_u_from(self, core, r) for r in (self.r_matrix, self.r_inv))
         u_inv = self.antipode_inv.apply(u_tilde) if self.ribbon is not None else None
         return u, u_tilde, u_inv
 
@@ -242,15 +248,12 @@ class QuasiHopfAlgebra:
         when f f^-1 = 1 x 1, else the solve of ``invert_element``."""
         mt = self.mult_table
         t = ts.leg_map(ts.leg_map(self.phi_split_inv, 1, self.antipode), 2, self.antipode)
-        alpha_t = Tensor.from_vector(self.alpha, self.order)
-        ins = ts.embed(ts.tensor_product(alpha_t, alpha_t), 4, (3, 4))
-        gamma = ts.merge_legs(ts.mul(ins, t, mt), ((2, 3), (1, 4)), mt)
+        alpha = Tensor.from_vector(self.alpha, self.order)
+        gamma = ts.merge_legs((t, alpha, alpha), ((2, 5, 3), (1, 6, 4)), mt)
 
         c = ts.permute(self.x_d_coproduct, (2, 1, 3, 4))
         c = ts.leg_map(ts.leg_map(c, 1, self.antipode), 2, self.antipode)
-        f = ts.merge_legs(
-            ts.mul(ts.embed(gamma, 4, (3, 4)), c, mt), ((1, 3), (2, 4)), mt
-        )
+        f = ts.merge_legs((c, gamma), ((1, 5, 3), (2, 6, 4)), mt)
 
         # a one-sided inverse in a finite-dimensional algebra is two-sided
         f_inv = _twist_inverse(self)
@@ -289,18 +292,18 @@ class QuasiHopfAlgebra:
 
     def two_sided_action(self, t: Tensor) -> ExactMatrix:
         """Matrix of x -> sum t[i, j] e_i x e_j for a 2-leg tensor t."""
-        t = ts.tensor_product(t, ts.identity(self.dim, self.order))
-        return ts.as_matrix(ts.merge_legs(t, ((1, 4, 2), (3,)), self.mult_table), 1)
+        return ts.as_matrix(ts.merge_legs((t, ts.identity(self.dim, self.order)),
+                                          ((1, 4, 2), (3,)), self.mult_table), 1)
 
     def invert_element(self, t: Tensor) -> Tensor | None:
         """Two-sided inverse of t in A^(x k) by exact linear solve."""
         # column a = (a_1, ..., a_k) is t (e_a_1 x ... x e_a_k); slot m
         # gives legs k + 2m - 1 (a_m) and k + 2m (e_a_m) of the product
         k, ms = t.legs, range(1, t.legs + 1)
-        prod = reduce(ts.tensor_product, [ts.identity(t.dim, t.order)] * k, t)
+        factors = [t] + [ts.identity(t.dim, t.order)] * k
         groups = [(m, k + 2 * m) for m in ms] + [(k + 2 * m - 1,) for m in ms]
         unit = Tensor.unit(t.dim, k, t.order)
-        x = ts.as_matrix(ts.merge_legs(prod, groups, self.mult_table), k).solve(unit.coeffs)
+        x = ts.as_matrix(ts.merge_legs(factors, groups, self.mult_table), k).solve(unit.coeffs)
         if x is None:
             return None
         inv = Tensor(t.dim, t.legs, t.order, x)
@@ -422,16 +425,13 @@ def validate(A: QuasiHopfAlgebra) -> AxiomReport:
     unit3 = Tensor.unit(dim, 3, order)
     eps_t = Tensor.from_vector(eps, order)
 
-    def merged(groups, *factors):
-        return ts.merge_legs(reduce(ts.tensor_product, factors), groups, mt)
-
     slot = ts.identity(dim, order)                             # (a, e_a)
-    prod = merged(((1,), (3,), (2, 4)), slot, slot)            # (a, b, e_a e_b)
+    prod = ts.merge_legs((slot, slot), ((1,), (3,), (2, 4)), mt)  # (a, b, e_a e_b)
     cop_slot = ts.coproduct_leg(slot, 2, cop)                  # (a, Delta(e_a))
     s_slot = ts.leg_map(slot, 2, S)                            # (a, S(e_a))
 
-    rep.compare("unit_element", (merged(((2,), (1, 3)), unit1, slot), slot),
-                (merged(((2,), (3, 1)), unit1, slot), slot))
+    rep.compare("unit_element", (ts.merge_legs((unit1, slot), ((2,), (1, 3)), mt), slot),
+                (ts.merge_legs((unit1, slot), ((2,), (3, 1)), mt), slot))
 
     # (e_i e_j) e_k = e_i (e_j e_k), straight from the table
     rep.compare("associativity", (
@@ -448,12 +448,14 @@ def validate(A: QuasiHopfAlgebra) -> AxiomReport:
                 (ts.counit_leg(prod, 3, eps), ts.tensor_product(eps_t, eps_t)))
     rep.compare("coproduct_algebra_map", (A.coproduct[0], unit2),
                 (ts.coproduct_leg(prod, 3, cop),
-                 merged(((1,), (4,), (2, 5), (3, 6)), cop_slot, cop_slot)))
+                 ts.merge_legs((cop_slot, cop_slot), ((1,), (4,), (2, 5), (3, 6)), mt)))
     rep.compare("counitality", (ts.counit_leg(cop_slot, 2, eps), slot),
                 (ts.counit_leg(cop_slot, 3, eps), slot))
     rep.compare("quasi_coassociativity", (
-        merged(((1,), (2, 5), (3, 6), (4, 7)), ts.coproduct_leg(cop_slot, 2, cop), A.phi),
-        merged(((4,), (1, 5), (2, 6), (3, 7)), A.phi, ts.coproduct_leg(cop_slot, 3, cop))))
+        ts.merge_legs((ts.coproduct_leg(cop_slot, 2, cop), A.phi),
+                      ((1,), (2, 5), (3, 6), (4, 7)), mt),
+        ts.merge_legs((A.phi, ts.coproduct_leg(cop_slot, 3, cop)),
+                      ((4,), (1, 5), (2, 6), (3, 7)), mt)))
 
     rep.compare("coassociator_counital", (ts.counit_leg(A.phi, 2, eps), unit2))
 
@@ -467,27 +469,28 @@ def validate(A: QuasiHopfAlgebra) -> AxiomReport:
                 (ts.mul(A.phi_inv, A.phi, mt), unit3))
 
     rep.compare("antipode_anti_homomorphism", (ts.leg_map(unit1, 1, S), unit1),
-                (ts.leg_map(prod, 3, S), merged(((1,), (3,), (4, 2)), s_slot, s_slot)))
+                (ts.leg_map(prod, 3, S),
+                 ts.merge_legs((s_slot, s_slot), ((1,), (3,), (4, 2)), mt)))
 
     # S(x') alpha x'' = eps(x) alpha and x' beta S(x'') = eps(x) beta
     ralpha = A.rmult_of(A.alpha)
     rbeta = A.rmult_of(A.beta)
     rep.compare("antipode_zigzag", (
-        merged(((1,), (2, 3)), ts.leg_map(ts.leg_map(cop_slot, 2, S), 2, ralpha)),
+        ts.merge_legs(ts.leg_map(ts.leg_map(cop_slot, 2, S), 2, ralpha), ((1,), (2, 3)), mt),
         ts.tensor_product(eps_t, Tensor.from_vector(A.alpha, order))), (
-        merged(((1,), (2, 3)), ts.leg_map(ts.leg_map(cop_slot, 3, S), 2, rbeta)),
+        ts.merge_legs(ts.leg_map(ts.leg_map(cop_slot, 3, S), 2, rbeta), ((1,), (2, 3)), mt),
         ts.tensor_product(eps_t, Tensor.from_vector(A.beta, order))))
 
     t = ts.leg_map(ts.leg_map(ts.leg_map(ts.leg_map(
         A.phi, 1, S), 1, ralpha), 2, rbeta), 3, S)
-    rep.compare("coassociator_antipode_left", (merged(((1, 2, 3),), t), unit1))
+    rep.compare("coassociator_antipode_left", (ts.merge_legs(t, ((1, 2, 3),), mt), unit1))
     t = ts.leg_map(ts.leg_map(ts.leg_map(A.phi_inv, 1, rbeta), 2, S), 2, ralpha)
-    rep.compare("coassociator_antipode_right", (merged(((1, 2, 3),), t), unit1))
+    rep.compare("coassociator_antipode_right", (ts.merge_legs(t, ((1, 2, 3),), mt), unit1))
 
     # R-matrix axioms
     rep.compare("r_matrix_intertwines_coproduct", (
-        merged(((3,), (1, 4), (2, 5)), A.r_matrix, cop_slot),
-        merged(((1,), (3, 4), (2, 5)), cop_slot, A.r_matrix)))
+        ts.merge_legs((A.r_matrix, cop_slot), ((3,), (1, 4), (2, 5)), mt),
+        ts.merge_legs((cop_slot, A.r_matrix), ((1,), (3, 4), (2, 5)), mt)))
 
     hex1_rhs = ts.mul_chain(
         [ts.permute(A.phi_inv, (2, 3, 1)),
@@ -523,8 +526,8 @@ def validate(A: QuasiHopfAlgebra) -> AxiomReport:
         else:
             rep.compare("ribbon_invertible",
                         (ts.mul(vt, Tensor.from_vector(A.ribbon_inv, order), mt), unit1))
-        rep.compare("ribbon_central", (merged(((1,), (3, 2)), slot, vt),
-                                       merged(((1,), (2, 3)), slot, vt)))
+        rep.compare("ribbon_central", (ts.merge_legs((slot, vt), ((1,), (3, 2)), mt),
+                                       ts.merge_legs((slot, vt), ((1,), (2, 3)), mt)))
 
         m = monodromy(A)
         rep.compare("ribbon_monodromy",
@@ -554,19 +557,18 @@ def _twist_inverse(A: QuasiHopfAlgebra) -> Tensor:
     # (Delta(S(x_1) alpha x_2), S(x_3'), S(x_3'')) from q~ = (S(x_1) alpha x_2, x_3)
     t = ts.coproduct_leg(ts.coproduct_leg(A.q_tilde, 2, cop), 1, cop)
     t = ts.leg_map(ts.leg_map(t, 3, S), 4, S)
-    # (B_1 beta, B_2 beta, S(B_3), S(B_4)), then delta
-    rbeta = A.rmult_of(A.beta)
-    b = ts.leg_map(ts.leg_map(ts.leg_map(ts.leg_map(A.phi_split, 3, S), 4, S), 1, rbeta), 2, rbeta)
-    delta = ts.merge_legs(b, ((1, 4), (2, 3)), mt)
-    return ts.merge_legs(ts.tensor_product(t, delta), ((1, 5, 4), (2, 6, 3)), mt)
+    # (B_1, B_2, S(B_3), S(B_4)) and beta, then delta
+    b = ts.leg_map(ts.leg_map(A.phi_split, 3, S), 4, S)
+    beta = Tensor.from_vector(A.beta, A.order)
+    delta = ts.merge_legs((b, beta, beta), ((1, 5, 4), (2, 6, 3)), mt)
+    return ts.merge_legs((t, delta), ((1, 5, 4), (2, 6, 3)), mt)
 
 
-def _drinfeld_u_from(A: QuasiHopfAlgebra, core: Tensor, ralpha: ExactMatrix,
-                     r: Tensor) -> list[Scalar]:
-    # the core and x -> x alpha come from _drinfeld_raw
-    t4 = ts.leg_map(ts.tensor_product(core, r), 4, A.antipode)
-    t4 = ts.leg_map(t4, 4, ralpha)
-    return ts.merge_legs(t4, ((2, 4, 3, 1),), A.mult_table).to_vector()
+def _drinfeld_u_from(A: QuasiHopfAlgebra, core: Tensor, r: Tensor) -> list[Scalar]:
+    # the core comes from _drinfeld_raw; the product is core_2 S(r_2) alpha r_1 core_1
+    alpha = Tensor.from_vector(A.alpha, A.order)
+    return ts.merge_legs((core, ts.leg_map(r, 2, A.antipode), alpha),
+                         ((2, 4, 5, 3, 1),), A.mult_table).to_vector()
 
 
 def drinfeld_element(A: QuasiHopfAlgebra):

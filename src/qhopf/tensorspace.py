@@ -16,30 +16,31 @@ at most one multiplication, and no zero is stored.  ``ExactMatrix``
 products are summed the same way, and ``as_matrix`` writes the entries,
 already distinct and nonzero, as they are.
 
-``mul`` and ``merge_legs`` expand each stored entry (each pair of entries
-for ``mul``) into one term per combination of the structure constants of
-its legs, in ``_products``.  A structure constant that is a one of the
-field of the running product is skipped, exactly where
-``exactmath.times`` would skip it; the factors before the last other
-one are multiplied, and that one is left for ``collect_products``.  A
-term of ``mul`` whose constants are all ones is thus the pair of tensor
-entries, and a term of ``merge_legs`` whose constants are all ones is the
-entry alone, which is added, not multiplied by a one.  The sums are
-taken in the field of the tensors and the table, read from its first
-constant.  Every operation declares its result in the field it sums or
-multiplies in, the lcm of its operands'.  ``merge_legs`` folds each
-group's basis product once per index tuple and call; while the running
-product and the next structure constant are each one term, the fold steps
-with ``exactmath.times`` and sums nothing, and any other step sums
-through ``collect_products`` in the field of the result.
+``merge_legs`` is the one routine that multiplies legs, and ``mul`` is
+one call of it.  It takes one tensor or a sequence of factors, whose legs
+are numbered in turn as in their ``tensor_product``, which it never
+builds: it walks one entry per factor, taking the product of the
+coefficients but the last once per prefix.  An element thus multiplies a
+leg as a 1-leg factor (``Tensor.from_vector``) in a group.  Each
+combination expands, in ``_products``, into one term per combination of
+its groups' structure constants: a one-leg group is its basis vector, a
+two-leg group one table entry, and a longer one its basis product, folded
+once per index tuple and call.  A constant that is a one of the running
+product's field is skipped, as ``exactmath.times`` would skip it; the
+last other one is left for ``collect_products``, so an all-ones term is
+the pair of coefficients, and a group of several terms multiplies the
+pair once for all its combinations.  The result is declared in the lcm
+of the factors' fields and, once a group multiplies, the table's (read
+from its first constant); every operation declares its result in the
+field it sums or multiplies in.
 
 A linear map given by a fixed element is one contraction.  The slot
 ``identity`` = sum_a e_a x e_a carries the input: in the ``merge_legs``
 groups its second leg stands where e_a enters a product and its first leg
 is a group of its own, which keeps ``a``; ``as_matrix`` reads it as the
 column index.  x -> sum t_1 x t_2, for a 2-leg t, has the matrix
-``as_matrix(merge_legs(tensor_product(t, identity(dim, order)),
-((1, 4, 2), (3,)), mult), 1)``.  A slot can be mapped first (e.g.
+``as_matrix(merge_legs((t, identity(dim, order)), ((1, 4, 2), (3,)),
+mult), 1)``.  A slot can be mapped first (e.g.
 ``coproduct_leg(identity, 2, cop)`` feeds Delta(e_a)), and slots
 concatenate for maps of several arguments.
 
@@ -260,6 +261,11 @@ def _products(factors: Iterable[tuple[Scalar, Scalar, list[Sequence[tuple[int, S
         try:
             combos = ([term for term, in parts],)
         except ValueError:
+            if not all(parts):
+                continue                         # a zero basis product
+            # x y is shared by every combination: take it once
+            x0 = times(x0, y0)
+            y0 = Scalar.one(x0.order)
             combos = product(*parts)
         for combo in combos:
             idx, x, y = [], x0, y0
@@ -271,15 +277,15 @@ def _products(factors: Iterable[tuple[Scalar, Scalar, list[Sequence[tuple[int, S
             yield tuple(idx), x, y
 
 
+def _outer(head: Iterable[tuple[Index, Scalar]], items: Iterable[tuple[Index, Scalar]]
+           ) -> Iterator[tuple[Index, Scalar]]:
+    # the entries of head x (a tensor with these items), lazily
+    return ((i + j, times(x, c)) for i, x in head for j, c in items)
+
+
 def mul(s: Tensor, t: Tensor, mult: MultTable) -> Tensor:
     """Componentwise product of s and t in the algebra A^(x k)."""
-    s._check_compatible(t)
-    order = _field(lcm(s.order, t.order), chain.from_iterable(mult))
-    return Tensor._of(s.dim, s.legs, order, collect_products(_products(
-        (cs, ct, [mult[a][b] for a, b in zip(is_, it)])
-        for is_, cs in s.entries.items()
-        for it, ct in t.entries.items()
-    ), order))
+    return merge_legs((s, t), [(g, g + s.legs) for g in range(1, s.legs + 1)], mult)
 
 
 def mul_chain(factors: Sequence[Tensor], mult: MultTable) -> Tensor:
@@ -290,35 +296,51 @@ def mul_chain(factors: Sequence[Tensor], mult: MultTable) -> Tensor:
 
 
 def merge_legs(
-    t: Tensor, groups: Sequence[Sequence[int]], mult: MultTable
+    t: Tensor | Sequence[Tensor], groups: Sequence[Sequence[int]], mult: MultTable
 ) -> Tensor:
     """Multiply leg groups together; output leg g is the ordered product of
-    the input legs listed in groups[g].  Every input leg appears exactly once
-    across the groups (1-based leg indices)."""
-    used = sorted(leg for g in groups for leg in g)
-    if used != list(range(1, t.legs + 1)):
-        raise LegError(f"groups {groups} do not partition legs 1..{t.legs}")
-    zero_based = [[leg - 1 for leg in g] for g in groups]
-    order = t.order
-    if any(len(g) > 1 for g in groups):
+    the input legs listed in groups[g].  t is one tensor or a sequence of
+    them, whose legs are numbered in turn as in their ``tensor_product``,
+    which is never built.  Every input leg appears exactly once across the
+    groups (1-based leg indices)."""
+    factors = (t,) if isinstance(t, Tensor) else tuple(t)
+    dim, legs, order = factors[0].dim, 0, 1
+    for f in factors:
+        if f.dim != dim:
+            raise LegError("merge_legs requires equal dims")
+        legs, order = legs + f.legs, lcm(order, f.order)
+    if sorted(chain.from_iterable(groups)) != list(range(1, legs + 1)):
+        raise LegError(f"groups {groups} do not partition legs 1..{legs}")
+    one = Scalar.one(order)          # of the factors' field, as _products skips it
+    sizes = list(map(len, groups))
+    if max(sizes) > 1:
         order = _field(order, chain.from_iterable(mult))
-    folded: dict[Index, list[tuple[int, Scalar]]] = {}   # one product per index tuple
-    one = Scalar.one(t.order)
+    # a one-leg group is a basis vector; one of three or more legs is folded
+    # once per index tuple and call
+    basis = [[(i, one)] for i in range(dim)] if min(sizes) == 1 else None
+    # (size, first leg, last leg, legs) of each group, the first two 0-based
+    plan = [(n, g[0] - 1, g[-1] - 1, g) for n, g in zip(sizes, groups)]
+    folded: dict[Index, list[tuple[int, Scalar]]] = {}
 
-    def factors():
-        for idx, c in t.entries.items():
-            parts = []
-            for g in zero_based:
-                key = tuple([idx[i] for i in g])
-                terms = folded.get(key)
-                if terms is None:
-                    terms = folded[key] = ([(key[0], one)] if len(key) == 1
-                                           else _fold_basis_product(key, mult, order))
-                parts.append(terms)
-            # c alone is c times a one of its own field, which costs nothing
-            yield c, one if c.order == one.order else Scalar.one(c.order), parts
+    def fold(key: Index) -> list[tuple[int, Scalar]]:
+        if (terms := folded.get(key)) is None:
+            terms = folded[key] = _fold_basis_product(key, mult, order)
+        return terms
 
-    return Tensor._of(t.dim, len(groups), order, collect_products(_products(factors()), order))
+    # (index, product of the coefficients) over the factors but the last
+    head = factors[0].entries.items() if len(factors) > 1 else [((), one)]
+    for f in factors[1:-1]:
+        head = _outer(head, f.entries.items())
+    last = factors[-1].entries.items()
+
+    def terms():
+        for i, x in head:
+            for j, y in last:
+                idx = i + j
+                yield x, y, [mult[idx[a]][idx[b]] if n == 2 else basis[idx[a]] if n == 1
+                             else fold(tuple([idx[k - 1] for k in g])) for n, a, b, g in plan]
+
+    return Tensor._of(dim, len(groups), order, collect_products(_products(terms()), order))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
+import re
+
 import pytest
 
 from qhopf.exactmath import (
     ExactMatrix,
+    Scalar,
     matrix_from_columns,
     vec_eq,
     zero_vector,
@@ -95,9 +98,37 @@ def test_fusion_rejects_non_central_internal_characters(presets, monkeypatch):
     p = presets["double_Z2"]
     A = p.algebra
     monkeypatch.setattr(A, "commutators", ExactMatrix.identity(A.dim, A.order))
-    with pytest.raises(ValueError, match="^internal character is not central; "
-                                         "input data is inconsistent$"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"internal character of {p.simples.labels[0]} is not central (it does not "
+            "commute with e_0); input data is inconsistent")):
         verlinde_fusion(A, p.simples)
+
+
+def _stand_in_commutators(A, chis, s, i):
+    """A stacked commutator map whose only nonzero row is row 0 of block i,
+    the functional dual to chis[s] against the other characters: of the
+    characters it fails only chis[s], and only against e_i."""
+    dual = matrix_from_columns(chis, A.order).inverse().dense[s]
+    zero = [Scalar.zero(A.order)] * A.dim
+    return ExactMatrix(A.dim * A.dim, A.dim, A.order,
+                       [dual if r == i * A.dim else zero for r in range(A.dim * A.dim)])
+
+
+def test_non_central_character_names_the_simple_and_the_basis_element(presets, monkeypatch):
+    p = presets["double_Z2"]
+    A = p.algebra
+    chis = [chi_central(A, V) for V in p.simples.simples]
+    monkeypatch.setattr(A, "commutators", _stand_in_commutators(A, chis, 1, 3))
+    with pytest.raises(ValueError, match=re.escape(
+            f"internal character of {p.simples.labels[1]} is not central (it does not "
+            "commute with e_3); input data is inconsistent")):
+        verlinde_fusion(A, p.simples)
+    # the single-character route checks through the same stack
+    assert vec_eq(chi_central(A, p.simples.simples[0]), chis[0])
+    with pytest.raises(ValueError, match=re.escape(
+            "internal character is not central (it does not commute with e_3); "
+            "input data is inconsistent")):
+        chi_central(A, p.simples.simples[1])
 
 
 def test_grothendieck_class_of_simples(presets):

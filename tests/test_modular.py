@@ -272,3 +272,32 @@ def test_sl2z_on_center_names_failing_basis_vector(presets, all_modular):
         message = f"{name} does not preserve the centre at centre basis vector {k} = {shown}"
         with pytest.raises(ValueError, match=re.escape(message)):
             sl2z_on_center(alg, md.s_hat, md.t_hat, basis)
+
+
+def test_sl2z_on_center_locates_the_failed_proportionality(presets, monkeypatch):
+    # on the commutative double_Z2 every vector is central, so stand-in S
+    # and T act on the standard basis, which serves as the centre basis
+    from qhopf import modular
+
+    alg = presets["double_Z2"].algebra
+    one, zero, two = (Scalar.rational(x, order=alg.order) for x in (1, 0, 2))
+
+    def matrix(*entries):
+        rows = [[zero] * alg.dim for _ in range(alg.dim)]
+        for i, j, c in entries:
+            rows[i][j] = c
+        return ExactMatrix(alg.dim, alg.dim, alg.order, rows)
+
+    basis = [basis_vector(alg.dim, i, alg.order) for i in range(alg.dim)]
+    # S = 1 and T = diag(1, 2, 1, 1): (S T)^3 = diag(1, 8, 1, 1) and lam = 1
+    t_hat = matrix((0, 0, one), (1, 1, two), (2, 2, one), (3, 3, one))
+    monkeypatch.setattr(modular, "center", lambda A: basis)
+    s_hat = ExactMatrix.identity(alg.dim, alg.order)
+    monkeypatch.setattr(modular, "s_t_hat", lambda A, maps, integral: (s_hat, t_hat))
+    with pytest.raises(ValueError, match=re.escape("not proportional to S^2 at (1, 1)")):
+        modular.modular_data(alg)
+    # S = E_01 and T the swap of e_0 and e_1: S^2 = 0 while (S T)^3 = E_00
+    s_hat = matrix((0, 1, one))
+    t_hat = matrix((0, 1, one), (1, 0, one), (2, 2, one), (3, 3, one))
+    with pytest.raises(ValueError, match=re.escape("not proportional to S^2 at (0, 0)")):
+        sl2z_on_center(alg, s_hat, t_hat, basis)

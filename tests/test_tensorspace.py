@@ -371,13 +371,22 @@ def tensor_problems(draw):
 
 @st.composite
 def merge_problems(draw):
-    """(table, t, groups): t = s x t of a product problem, its legs
-    shuffled and cut into groups."""
+    """(table, factors, groups): the two tensors of a product problem, and
+    a 1-leg third one at one of the orders 1 and 4 when the first has at
+    most two legs; their legs, numbered in turn, are shuffled and cut into
+    groups."""
     table, s, t = draw(tensor_problems())
-    t = ts.tensor_product(s, t)
-    legs = draw(st.permutations(range(1, t.legs + 1)))
-    cuts = sorted(draw(st.sets(st.integers(1, t.legs - 1), max_size=t.legs - 1)))
-    return table, t, [legs[a:b] for a, b in zip([0, *cuts], [*cuts, t.legs])]
+    factors = [s, t]
+    if s.legs <= 2 and draw(st.booleans()):
+        order = draw(st.sampled_from([1, 4]))
+        coeff = st.sampled_from([Scalar.one(order), Scalar.rational(-1, 2, order=order),
+                                 Scalar.zeta(order)])
+        factors.append(Tensor._of(s.dim, 1, order, draw(st.dictionaries(
+            st.tuples(st.integers(0, s.dim - 1)), coeff, max_size=2))))
+    n = sum(f.legs for f in factors)
+    legs = draw(st.permutations(range(1, n + 1)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1)))
+    return table, tuple(factors), [legs[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
 
 
 def _dense_table(table):
@@ -468,14 +477,47 @@ def test_mul_matches_dense_reference(problem):
 @example((CHAIN_EMPTY, Tensor.unit(2, 4, 1), [[1, 2, 3, 4]]))
 @example((SINGLE_1, THREE_LEGS_4, [[3, 1, 2]]))
 @example((ONES_4, FOUR_LEGS, [[1, 2], [3, 4]]))
+@example((ONES_4, (TWO_LEGS, Tensor.unit(2, 1, 4), TWO_LEGS), [[5, 3, 1], [2, 4]]))
+@example((CHAIN_MULTI, (Tensor.unit(2, 1, 4), TWO_LEGS, Tensor.unit(2, 1, 1)), [[4, 2, 1, 3]]))
+@example((SINGLE_1, (THREE_LEGS_4, TWO_LEGS), [[1], [4, 2], [5], [3]]))
 def test_merge_legs_matches_dense_reference(problem):
-    table, t, groups = problem
+    # a factor sequence is merged as it stands and as the reference, its
+    # outer product tensor_product(a, tensor_product(b, c)) merged as one
+    # tensor; both must give the dense product of the reference's entries
+    table, factors, groups = problem
+    factors = (factors,) if isinstance(factors, Tensor) else factors
+    t = factors[-1]
+    for f in reversed(factors[:-1]):
+        t = ts.tensor_product(f, t)
     dense, m_order = _dense_table(table)
     want = _expected(t.dim, len(groups), (
         (c, [_dense_product(dense, [idx[leg - 1] for leg in g], t.order) for g in groups])
         for idx, c in t.entries.items()))
     order = math.lcm(t.order, m_order) if any(len(g) > 1 for g in groups) else t.order
     _assert_entries(ts.merge_legs(t, groups, table), want, order)
+    _assert_entries(ts.merge_legs(factors, groups, table), want, order)
+
+
+def test_merge_legs_of_factors_is_declared_at_the_lcm_of_their_fields():
+    # the factors' fields alone when no legs multiply, with the table's
+    # field as soon as some do
+    a, b = Tensor._of(2, 1, 1, {(1,): ONE_1}), Tensor._of(2, 1, 4, {(0,): Scalar.zeta(4)})
+    got = ts.merge_legs((a, b), [[2], [1]], SINGLE_1)
+    assert got.order == 4 and got.entries == {(0, 1): Scalar.zeta(4)}
+    swap_4 = [[[(0, ONE_4)], [(1, ONE_4)]], [[(1, ONE_4)], [(0, ONE_4)]]]
+    got = ts.merge_legs((a, a), [[1, 2]], swap_4)
+    assert got.order == 4 and got.entries == {(0,): ONE_4}
+    assert ts.as_matrix(got, 1).order == 4
+
+
+def test_merge_legs_of_factors_rejects_bad_input(z2):
+    a = Tensor.unit(2, 1)
+    for factors, groups in [((a, Tensor.unit(3, 1)), [[1], [2]]),    # dims differ
+                            ((a, a), [[1]]),                         # leg 2 unused
+                            ((a, a), [[1, 1], [2]]),                 # leg 1 twice
+                            ((a, a), [[1], [2], [3]])]:              # no leg 3
+        with pytest.raises(LegError):
+            ts.merge_legs(factors, groups, z2.mult_table)
 
 
 def test_products_are_declared_in_the_field_of_the_table():
