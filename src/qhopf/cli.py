@@ -16,8 +16,8 @@ error.  One decorator, ``_guarded``, maps exceptions to these codes.
 from __future__ import annotations
 
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 import click
 
@@ -65,6 +65,38 @@ def tensor_json(t: Tensor) -> dict:
         "legs": t.legs,
         "entries": [[list(idx), format_scalar(c)] for idx, c in t.nonzero()],
     }
+
+
+def _json_text(obj, pad: str = "\n") -> str:
+    """obj as ``json.dumps(obj, indent=2, sort_keys=True)`` writes it, for
+    the payloads of this module: str-keyed dicts, lists, tuples, str, int,
+    bool and None.  ``pad`` is the newline and indent before obj's closing
+    bracket.  Each container is one ``join`` of its items' text, so no list
+    of every chunk of the document is built."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+            for k, v in sorted(obj.items())]) + pad + "}"
+    if not obj:
+        return "[]"
+    # most items are strings (the formatted scalars) or ints (indices)
+    return "[" + inner + ("," + inner).join([
+        encode_basestring_ascii(x) if type(x) is str
+        else int.__repr__(x) if type(x) is int else _json_text(x, inner)
+        for x in obj]) + pad + "]"
 
 
 def _to_markdown(obj, title: str) -> str:
@@ -253,7 +285,7 @@ def _fusion_csv(rows: list[dict]) -> str:
 def _emit(payload, output: str, out, title: str, csv_text: str | None = None):
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     if output == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json_text(payload) + "\n"
     elif output == "csv":                     # offered by 'fusion' only
         text = csv_text
     else:

@@ -38,6 +38,7 @@ exactly; ``algebras_equal`` compares two algebras by that text.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .exactmath import ExactMatrix, Scalar, format_scalar
 from .tensorspace import Tensor
@@ -89,6 +90,17 @@ def _tokenize_scalar(text: str) -> list[tuple[str, object, int]]:
             raise ParseError(f"unexpected character {ch!r} in scalar literal", col=i)
     tokens.append(("end", None, len(text)))
     return tokens
+
+
+@cache
+def _zeta_powers(order: int) -> tuple[Scalar, ...]:
+    """zeta_order ** k for k = 0 .. order - 1, built once per field:
+    Scalars are immutable values, so every literal z^k can share one."""
+    zeta = Scalar.zeta(order)                    # rejects an order below 1
+    powers = [Scalar.one(order)]
+    for _ in range(order - 1):
+        powers.append(powers[-1] * zeta)
+    return tuple(powers)
 
 
 class _ScalarParser:
@@ -162,7 +174,7 @@ class _ScalarParser:
             if self.peek()[0] == "^":
                 self.take()
                 power = self.take("int")[1]
-            return Scalar.zeta(self.order) ** power
+            return _zeta_powers(self.order)[power % self.order]
         raise ParseError(f"unexpected {tok[0]!r} in scalar literal", col=tok[2])
 
 

@@ -21,15 +21,17 @@ one call of it.  It takes one tensor or a sequence of factors, whose legs
 are numbered in turn as in their ``tensor_product``, which it never
 builds: it walks one entry per factor, taking the product of the
 coefficients but the last once per prefix.  An element thus multiplies a
-leg as a 1-leg factor (``Tensor.from_vector``) in a group.  Each
-combination expands, in ``_products``, into one term per combination of
-its groups' structure constants: a one-leg group is its basis vector, a
-two-leg group one table entry, and a longer one its basis product, folded
-once per index tuple and call.  A constant that is a one of the running
-product's field is skipped, as ``exactmath.times`` would skip it; the
-last other one is left for ``collect_products``, so an all-ones term is
-the pair of coefficients, and a group of several terms multiplies the
-pair once for all its combinations.  The result is declared in the lcm
+leg as a 1-leg factor (``Tensor.from_vector``) in a group.  The same
+walk expands each combination of entries into one term per combination
+of its groups' structure constants: a one-leg group is its basis vector,
+a two-leg group one table entry, and a longer one its basis product,
+folded once per index tuple and call.  It steps through the groups while
+each has a single term; from the first group of several terms on, the
+product so far is taken once for all the combinations of the groups
+left.  A constant that is a one of the running product's field is
+skipped, as ``exactmath.times`` would skip it; the last other one is left
+for ``collect_products``, so an all-ones term is the pair of
+coefficients.  The result is declared in the lcm
 of the factors' fields and, once a group multiplies, the table's (read
 from its first constant); every operation declares its result in the
 field it sums or multiplies in.
@@ -251,32 +253,6 @@ def _field(order: int, table: Iterable[Sequence[tuple[object, Scalar]]]) -> int:
     return order
 
 
-def _products(factors: Iterable[tuple[Scalar, Scalar, list[Sequence[tuple[int, Scalar]]]]]
-              ) -> Iterator[tuple[Index, Scalar, Scalar]]:
-    # for each (x, y, parts), x y times every combination of one (k, c_k)
-    # term per output leg, as (index, x', y') with x' y' the coefficient:
-    # the last factor that is not a one stays unmultiplied for
-    # collect_products (see the module docstring)
-    for x0, y0, parts in factors:
-        try:
-            combos = ([term for term, in parts],)
-        except ValueError:
-            if not all(parts):
-                continue                         # a zero basis product
-            # x y is shared by every combination: take it once
-            x0 = times(x0, y0)
-            y0 = Scalar.one(x0.order)
-            combos = product(*parts)
-        for combo in combos:
-            idx, x, y = [], x0, y0
-            for k, ck in combo:
-                idx.append(k)
-                if ck.den == 1 and ck.num == (1,) and ck.order == x.order:
-                    continue                     # a one of the same field
-                x, y = times(x, y), ck
-            yield tuple(idx), x, y
-
-
 def _outer(head: Iterable[tuple[Index, Scalar]], items: Iterable[tuple[Index, Scalar]]
            ) -> Iterator[tuple[Index, Scalar]]:
     # the entries of head x (a tensor with these items), lazily
@@ -311,7 +287,7 @@ def merge_legs(
         legs, order = legs + f.legs, lcm(order, f.order)
     if sorted(chain.from_iterable(groups)) != list(range(1, legs + 1)):
         raise LegError(f"groups {groups} do not partition legs 1..{legs}")
-    one = Scalar.one(order)          # of the factors' field, as _products skips it
+    one = Scalar.one(order)          # of the factors' field, as walk() skips it
     sizes = list(map(len, groups))
     if max(sizes) > 1:
         order = _field(order, chain.from_iterable(mult))
@@ -333,14 +309,48 @@ def merge_legs(
         head = _outer(head, f.entries.items())
     last = factors[-1].entries.items()
 
-    def terms():
-        for i, x in head:
-            for j, y in last:
-                idx = i + j
-                yield x, y, [mult[idx[a]][idx[b]] if n == 2 else basis[idx[a]] if n == 1
-                             else fold(tuple([idx[k - 1] for k in g])) for n, a, b, g in plan]
+    def part(idx: Index, n: int, a: int, b: int, g: Sequence[int]) -> list[tuple[int, Scalar]]:
+        # the (k, c_k) terms of one group's product; the walk below spells
+        # this inline: a call per group would cost it a fifth of its time
+        return (mult[idx[a]][idx[b]] if n == 2 else basis[idx[a]] if n == 1
+                else fold(tuple([idx[k - 1] for k in g])))
 
-    return Tensor._of(dim, len(groups), order, collect_products(_products(terms()), order))
+    def walk() -> Iterator[tuple[Index, Scalar, Scalar]]:
+        # for each pair of entries x, y: x y times every combination of one
+        # (k, c_k) term per group, as (index, x', y') with x' y' the
+        # coefficient; the last factor that is not a one stays
+        # unmultiplied for collect_products (see the module docstring)
+        for i, x0 in head:
+            for j, y0 in last:
+                idx, key, x, y = i + j, [], x0, y0
+                for n, a, b, g in plan:
+                    terms = (mult[idx[a]][idx[b]] if n == 2 else basis[idx[a]] if n == 1
+                             else fold(tuple([idx[k - 1] for k in g])))
+                    if len(terms) != 1:
+                        break
+                    k, c = terms[0]
+                    key.append(k)
+                    if not (c.den == 1 and c.num == (1,) and c.order == x.order):
+                        x, y = times(x, y), c
+                else:
+                    yield tuple(key), x, y
+                    continue
+                # a group of no term or several: the combinations of the
+                # groups from it on share the product so far, taken once
+                rest = [terms, *(part(idx, *step) for step in plan[len(key) + 1:])]
+                if not all(rest):
+                    continue                     # a zero basis product
+                x = times(x, y)
+                y = Scalar.one(x.order)
+                for combo in product(*rest):
+                    ks, xc, yc = key.copy(), x, y
+                    for k, c in combo:
+                        ks.append(k)
+                        if not (c.den == 1 and c.num == (1,) and c.order == xc.order):
+                            xc, yc = times(xc, yc), c
+                    yield tuple(ks), xc, yc
+
+    return Tensor._of(dim, len(groups), order, collect_products(walk(), order))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from qhopf.exactmath import Scalar
 from qhopf.cli import (
     ParseError,
+    _json_text,
     algebras_equal,
     main,
     parse_scalar,
@@ -53,6 +54,14 @@ def test_scalar_literal_roundtrip():
 def test_scalar_literal_fuzz_roundtrip(coeffs):
     s = Scalar(8, [Fraction(c) for c in coeffs])
     assert parse_scalar(str(s), 8) == s
+
+
+@pytest.mark.parametrize("order", [1, 3, 4, 16])
+def test_zeta_power_literals(order):
+    # z^k is shared per field and reduced mod the order: it must still be
+    # the k-th power, past the order too
+    for k in range(2 * order + 1):
+        assert parse_scalar(f"z^{k}", order) == Scalar.zeta(order) ** k, k
 
 
 def test_scalar_literal_errors():
@@ -323,6 +332,44 @@ def test_markdown_output(runner):
     res = runner.invoke(main, ["check", "trivial", "--output", "md"])
     assert res.exit_code == 0
     assert res.output.startswith("# axiom report")
+
+
+# JSON payloads: str keys and values that need escapes, ints past 64 bits,
+# the three constants, and empty or tuple containers
+JSON_STRINGS = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'),
+                                 st.characters()))
+JSON_LEAVES = st.one_of(JSON_STRINGS, st.integers(), st.integers(2**64, 2**80).map(
+    lambda n: -n if n % 2 else n), st.booleans(), st.none())
+
+
+def _containers(items, min_size=0, max_size=4):
+    lists = st.lists(items, min_size=min_size, max_size=max_size)
+    return st.one_of(lists, lists.map(tuple), st.dictionaries(
+        JSON_STRINGS, items, min_size=min_size, max_size=max_size))
+
+
+JSON_PAYLOADS = st.recursive(JSON_LEAVES, _containers, max_leaves=20)
+# nested at least four levels deep
+DEEP_PAYLOADS = JSON_LEAVES
+for _ in range(4):
+    DEEP_PAYLOADS = _containers(DEEP_PAYLOADS, 1, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(JSON_PAYLOADS, DEEP_PAYLOADS))
+def test_json_writer_matches_json_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("args", [["report", "double_Z2"],
+                                  ["check", "double_Z2", "--output", "json"]])
+def test_stdout_and_out_file_bytes_agree(runner, tmp_path, args):
+    target = tmp_path / "payload.json"
+    printed = runner.invoke(main, args)
+    written = runner.invoke(main, [*args, "--out", str(target)])
+    assert printed.exit_code == written.exit_code == 0
+    assert written.stdout_bytes == b""
+    assert printed.stdout_bytes == target.read_bytes()
 
 
 def test_report_deterministic(runner):
