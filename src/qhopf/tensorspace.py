@@ -26,12 +26,14 @@ walk expands each combination of entries into one term per combination
 of its groups' structure constants: a one-leg group is its basis vector,
 a two-leg group one table entry, and a longer one its basis product,
 folded once per index tuple and call.  It steps through the groups while
-each has a single term; from the first group of several terms on, the
-product so far is taken once for all the combinations of the groups
-left.  A constant that is a one of the running product's field is
-skipped, as ``exactmath.times`` would skip it; the last other one is left
-for ``collect_products``, so an all-ones term is the pair of
-coefficients.  The result is declared in the lcm
+each has a single term, skipping a constant that is a one of the running
+product's field, as ``exactmath.times`` would skip it; the last other one
+is left for ``collect_products``, so an all-ones term is the pair of
+coefficients.  From the first group of no term or several on, it grows
+one list of partial terms a group at a time: each partial's product is
+taken once, and every term of the group extends it with its constant
+pending, so the combinations that share a prefix share its product.  A
+group of no term ends the entry.  The result is declared in the lcm
 of the factors' fields and, once a group multiplies, the table's (read
 from its first constant); every operation declares its result in the
 field it sums or multiplies in.
@@ -309,12 +311,6 @@ def merge_legs(
         head = _outer(head, f.entries.items())
     last = factors[-1].entries.items()
 
-    def part(idx: Index, n: int, a: int, b: int, g: Sequence[int]) -> list[tuple[int, Scalar]]:
-        # the (k, c_k) terms of one group's product; the walk below spells
-        # this inline: a call per group would cost it a fifth of its time
-        return (mult[idx[a]][idx[b]] if n == 2 else basis[idx[a]] if n == 1
-                else fold(tuple([idx[k - 1] for k in g])))
-
     def walk() -> Iterator[tuple[Index, Scalar, Scalar]]:
         # for each pair of entries x, y: x y times every combination of one
         # (k, c_k) term per group, as (index, x', y') with x' y' the
@@ -323,32 +319,27 @@ def merge_legs(
         for i, x0 in head:
             for j, y0 in last:
                 idx, key, x, y = i + j, [], x0, y0
+                grown = None         # (key, x, y) partials once a group has not one term
                 for n, a, b, g in plan:
                     terms = (mult[idx[a]][idx[b]] if n == 2 else basis[idx[a]] if n == 1
                              else fold(tuple([idx[k - 1] for k in g])))
-                    if len(terms) != 1:
-                        break
-                    k, c = terms[0]
-                    key.append(k)
-                    if not (c.den == 1 and c.num == (1,) and c.order == x.order):
-                        x, y = times(x, y), c
+                    if len(terms) == 1 and grown is None:
+                        k, c = terms[0]
+                        key.append(k)
+                        if not (c.den == 1 and c.num == (1,) and c.order == x.order):
+                            x, y = times(x, y), c
+                    elif not terms:
+                        break                    # a zero basis product
+                    else:
+                        # each partial's x y is taken once for all the terms
+                        # it grows into, each with its constant pending
+                        grown = [(ks + (k,), xy, c) for ks, p, q in grown or [(tuple(key), x, y)]
+                                 for xy in (times(p, q),) for k, c in terms]
                 else:
-                    yield tuple(key), x, y
-                    continue
-                # a group of no term or several: the combinations of the
-                # groups from it on share the product so far, taken once
-                rest = [terms, *(part(idx, *step) for step in plan[len(key) + 1:])]
-                if not all(rest):
-                    continue                     # a zero basis product
-                x = times(x, y)
-                y = Scalar.one(x.order)
-                for combo in product(*rest):
-                    ks, xc, yc = key.copy(), x, y
-                    for k, c in combo:
-                        ks.append(k)
-                        if not (c.den == 1 and c.num == (1,) and c.order == xc.order):
-                            xc, yc = times(xc, yc), c
-                    yield tuple(ks), xc, yc
+                    if grown is None:
+                        yield tuple(key), x, y
+                    else:
+                        yield from grown
 
     return Tensor._of(dim, len(groups), order, collect_products(walk(), order))
 
@@ -357,32 +348,33 @@ def merge_legs(
 # leg maps
 
 
+def _replace_leg(t: Tensor, j: int, table: Sequence[Sequence[tuple[Index, Scalar]]],
+                 legs: int, order: int) -> Tensor:
+    # leg j of each entry replaced by the (out, c) terms of table[its index],
+    # out the tuple of the new legs there, summed in Q(zeta_order)
+    return Tensor._of(t.dim, legs, order, collect_products((
+        (idx[: j - 1] + out + idx[j:], c, m)
+        for idx, c in t.entries.items()
+        for out, m in table[idx[j - 1]]
+    ), order))
+
+
 def leg_map(t: Tensor, j: int, f: ExactMatrix) -> Tensor:
     """Apply the linear map f (columns = images of basis vectors) to leg j."""
     _check_leg(t, j)
     if f.rows != t.dim or f.cols != t.dim:
         raise LegError(f"leg map must be {t.dim}x{t.dim}")
-    # column i of f as the (row, entry) pairs of its nonzeros
-    cols: dict[int, list[tuple[int, Scalar]]] = {}
+    # column i of f as the ((row,), entry) pairs of its nonzeros
+    cols: list[list[tuple[Index, Scalar]]] = [[] for _ in range(t.dim)]
     for (r, i), m in f.nonzero():
-        cols.setdefault(i, []).append((r, m))
-    order = lcm(t.order, f.order)
-    return Tensor._of(t.dim, t.legs, order, collect_products((
-        (idx[: j - 1] + (r,) + idx[j:], m, c)
-        for idx, c in t.entries.items()
-        for r, m in cols.get(idx[j - 1], ())
-    ), order))
+        cols[i].append(((r,), m))
+    return _replace_leg(t, j, cols, t.legs, lcm(t.order, f.order))
 
 
 def coproduct_leg(t: Tensor, j: int, cop: CopTable) -> Tensor:
     """Apply the coproduct to leg j, giving legs (j, j+1) in the output."""
     _check_leg(t, j)
-    order = _field(t.order, cop)
-    return Tensor._of(t.dim, t.legs + 1, order, collect_products((
-        (idx[: j - 1] + ab + idx[j:], c, cc)
-        for idx, c in t.entries.items()
-        for ab, cc in cop[idx[j - 1]]
-    ), order))
+    return _replace_leg(t, j, cop, t.legs + 1, _field(t.order, cop))
 
 
 def counit_leg(t: Tensor, j: int, eps: Sequence[Scalar]) -> Tensor:
@@ -432,9 +424,5 @@ def tensor_product(s: Tensor, t: Tensor) -> Tensor:
 def contract_leg(t: Tensor, j: int, functional: Sequence[Scalar]) -> Tensor:
     """Contract leg j with an arbitrary functional on A."""
     _check_leg(t, j)
-    order = lcm(t.order, *{w.order for w in functional})
-    return Tensor._of(t.dim, t.legs - 1, order, collect_products((
-        (idx[: j - 1] + idx[j:], w, c)
-        for idx, c in t.entries.items()
-        if not (w := functional[idx[j - 1]]).is_zero()
-    ), order))
+    return _replace_leg(t, j, [[] if w.is_zero() else [((), w)] for w in functional],
+                        t.legs - 1, lcm(t.order, *{w.order for w in functional}))

@@ -182,7 +182,7 @@ def test_twist_inverse_is_certified_without_a_solve(monkeypatch, name):
 SCALAR_WORK_CEILING = {
     "twisted_double_Z2": {"work": {4: 6307}, "inv": {4: 32}},
     "double_Z3": {"work": {3: 8611}, "inv": {3: 54}},
-    "rebased": {"work": {4: 411617}, "inv": {4: 24}},
+    "rebased": {"work": {4: 241689}, "inv": {4: 24}},
 }
 
 

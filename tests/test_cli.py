@@ -40,6 +40,7 @@ def test_scalar_literal_examples():
     assert parse_scalar("-3/4", 1).to_fraction() == Fraction(-3, 4)
     assert parse_scalar("2*3", 1).to_fraction() == 6
     assert parse_scalar("(1 + z)*(1 - z)", 4) == Scalar.rational(2, order=4)
+    assert parse_scalar("2*-z", 4) == -(Scalar.rational(2, order=4) * Scalar.zeta(4))
 
 
 def test_scalar_literal_roundtrip():
@@ -328,10 +329,61 @@ def test_csv_rejected_before_any_stage(runner, monkeypatch, command):
     assert loaded == []
 
 
+
+TRIVIAL = preset_text("trivial")
+# (definition text, first text of the offending line or None, message)
+REFUSED_FILES = [
+    (TRIVIAL.replace("mult:\n0 0 0 = 1", "mult:\n0 0 0 = 1 2", 1), "0 0 0 = 1 2",
+     "trailing 'int' in scalar literal"),
+    (TRIVIAL.replace("simple triv dim 1:", "simple triv 1:"), "simple triv 1:",
+     "malformed simple header"),
+    (TRIVIAL.replace("ribbon:", "ribon:"), "ribon:", "unknown section 'ribon'"),
+    (TRIVIAL.replace("mult:\n", "0 = 1\nmult:\n", 1), "0 = 1\nmult:",
+     "entry before any section header"),
+    (TRIVIAL.replace("mult:\n0 0 0", "mult:\n0 0 x", 1), "0 0 x",
+     "non-integer index in '0 0 x'"),
+    (TRIVIAL.replace("simple triv dim 1:\n0 0 0", "simple triv dim 1:\n0 1 0"), "0 1 0",
+     "index (0, 1, 0) out of range for simple of dim 1"),
+    (TRIVIAL.replace("mult:\n", "mult:\ngarbage\n", 1), "garbage",
+     "cannot parse line 'garbage'"),
+    ("field 1\nflags hopf\n", None, "missing 'dim' header"),
+    ("dim 1\nflags hopf\n", None, "missing 'field' header"),
+]
+
+
+@pytest.mark.parametrize("text, line, message", REFUSED_FILES)
+def test_parser_refusals_exit_two_with_a_located_error(runner, tmp_path, text, line, message):
+    path = tmp_path / "refused.alg"
+    path.write_text(text, encoding="utf-8")
+    res = runner.invoke(main, ["check", str(path)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit) and "Traceback" not in res.output
+    where = str(path) if line is None else f"{path}:{text[:text.index(line)].count(chr(10)) + 1}"
+    assert res.stderr.startswith(f"error: {where}"), res.stderr
+    assert message in res.stderr, res.stderr
+
+
 def test_markdown_output(runner):
     res = runner.invoke(main, ["check", "trivial", "--output", "md"])
     assert res.exit_code == 0
     assert res.output.startswith("# axiom report")
+
+
+
+def test_report_markdown_output(runner, tmp_path):
+    # nested sections, matrix rows and the fusion table; --out writes the
+    # bytes stdout shows
+    res = runner.invoke(main, ["report", "double_Z2", "--output", "md"])
+    assert res.exit_code == 0, res.output
+    text = res.stdout
+    assert text.startswith("# report for preset:double_Z2\n")
+    assert "\n  - **intermediates**:\n    - **D**:\n      - **dim**: `4`\n" in text
+    assert "\n  - **mu_hat**:\n    - `['1', '0', '0', '0']`\n" in text
+    assert "\n    | U | V | W | N |\n    |---|---|---|---|\n" in text
+    target = tmp_path / "report.md"
+    res = runner.invoke(main, ["report", "double_Z2", "--output", "md", "--out", str(target)])
+    assert res.exit_code == 0 and res.stdout == ""
+    assert target.read_bytes() == text.encode("utf-8")
 
 
 # JSON payloads: str keys and values that need escapes, ints past 64 bits,

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -328,3 +329,10 @@ def test_class_character_weights_each_simple(presets):
     assert vec_eq(got, [x + x + y for x, y in zip(chars[0], chars[3])])
     assert vec_eq(_class_character([0, 0, 0, 0], chars, p.algebra.order),
                   zero_vector(p.algebra.dim, p.algebra.order))
+
+
+@pytest.mark.parametrize("chi", [chi_central, chi_central_hopf])
+def test_internal_characters_refuse_an_input_without_ribbon(presets, chi):
+    alg = replace(presets["double_Z2"].algebra, ribbon=None, ribbon_inv=None)
+    with pytest.raises(ValueError, match="internal characters require ribbon data"):
+        chi(alg, trivial_module(alg))

@@ -15,6 +15,7 @@ from qhopf.modular import (
     center,
     cointegral_L,
     integral_L,
+    modular_data,
     pairing_of,
     s_hat_pairing_form,
     s_t_hat,
@@ -301,3 +302,9 @@ def test_sl2z_on_center_locates_the_failed_proportionality(presets, monkeypatch)
     t_hat = matrix((0, 1, one), (1, 0, one), (2, 2, one), (3, 3, one))
     with pytest.raises(ValueError, match=re.escape("not proportional to S^2 at (0, 0)")):
         sl2z_on_center(alg, s_hat, t_hat, basis)
+
+
+def test_modular_data_refuses_a_non_factorisable_input(presets):
+    with pytest.raises(ValueError, match=re.escape(
+            "input is not factorisable (copairing rank 1 < 2); the modular action needs it")):
+        modular_data(presets["group_Z2_trivialR"].algebra)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -367,3 +368,10 @@ def test_coadjoint_of_trivial_algebra_is_trivial(presets):
     L = coadjoint_module(alg)
     assert L.dim == 1
     assert L.action == trivial_module(alg).action
+
+
+@pytest.mark.parametrize("morphism", [ribbon_twist, pivotal, evaluation_right, coevaluation_right])
+def test_ribbon_morphisms_refuse_an_input_without_ribbon(presets, morphism):
+    alg = replace(presets["double_Z2"].algebra, ribbon=None, ribbon_inv=None)
+    with pytest.raises(ValueError, match="operation requires ribbon data"):
+        morphism(trivial_module(alg))
