@@ -148,8 +148,12 @@ def _resolve(path: str):
         return preset_path(path).read_text(encoding="utf-8"), f"preset:{path}"
     import pathlib
 
-    p = pathlib.Path(path)
-    return p.read_text(encoding="utf-8"), str(path)
+    data = pathlib.Path(path).read_bytes()
+    try:
+        return data.decode("utf-8"), str(path)
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8 text ({e.reason} at byte offset {e.start})", str(path),
+                         data[:e.start].count(b"\n") + 1) from None
 
 
 def _load(path: str, field_order: int | None):
@@ -363,7 +367,7 @@ def _run_stage(stage, title, path, output, out, field_order, **options):
         click.echo(f"{stage}: {payload}", err=True)
         sys.exit(1)
     _emit({"algebra": source, **payload}, output, out, f"{title} of {source}",
-          csv_text=_fusion_csv(payload["table"]) if stage == "fusion" else None)
+          csv_text=_fusion_csv(payload["table"]) if output == "csv" else None)
 
 
 @main.command()

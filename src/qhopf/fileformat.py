@@ -26,10 +26,14 @@ basis element 0 is the unit.
     ribbon:                    # optional
     simple NAME dim D:         # a r c = action of e_a, matrix entry (r, c)
 
-Scalar literals are sums of products of rationals ``p/q`` and powers of
-the cyclotomic generator ``z``, e.g. ``1/2*z^3 - 1``.  ``parse_text`` can
-embed the algebra into a larger cyclotomic field: each literal is parsed
-in the declared field and embedded as it is read.
+A section header fixes one bound per index (dim, or (dim, D, D) for a
+simple), and one path checks, bounds and stores the entries of every
+section.  An omitted inverse is solved for, with a note.  Scalar literals
+are sums of products of rationals ``p/q`` and powers of the cyclotomic
+generator ``z``, e.g. ``1/2*z^3 - 1``; one nested too deeply is a
+``ParseError``, as is (in ``cli``) a file that is not UTF-8.
+``parse_text`` can embed the algebra into a larger cyclotomic field:
+each literal is parsed in the declared field and embedded as it is read.
 
 ``serialize`` writes the canonical form, and ``parse_text`` reads it back
 exactly; ``algebras_equal`` compares two algebras by that text.
@@ -127,14 +131,10 @@ class _ScalarParser:
         return value
 
     def expr(self) -> Scalar:
-        sign = 1
-        tok = self.peek()
-        if tok[0] in "+-":
+        # a leading minus is factor()'s unary minus
+        if self.peek()[0] == "+":
             self.take()
-            sign = -1 if tok[0] == "-" else 1
         acc = self.term()
-        if sign < 0:
-            acc = -acc
         while self.peek()[0] in "+-":
             op = self.take()[0]
             t = self.term()
@@ -179,8 +179,12 @@ class _ScalarParser:
 
 
 def parse_scalar(text: str, order: int) -> Scalar:
-    """Parse a scalar literal in Q(zeta_order); canonical and exact."""
-    return _ScalarParser(text, order).parse()
+    """Parse a scalar literal in Q(zeta_order); canonical and exact.  A
+    literal nested past the interpreter's recursion limit is refused."""
+    try:
+        return _ScalarParser(text, order).parse()
+    except RecursionError:
+        raise ParseError("literal is nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +218,10 @@ def parse_text(text: str, source: str = "<string>", field_order: int | None = No
     order: int | None = None
     flags: list[str] = []
     sections: dict[str, list[tuple[tuple[int, ...], Scalar]]] = {}
-    simples: list[dict] = []
+    simples: list[tuple[str, int, list]] = []     # (label, D, entries)
+    # the open section: current names it in messages, and its header sets
+    # bounds (one exclusive bound per index) and entries (where they go)
     current: str | None = None
-    current_simple: dict | None = None
 
     def err(msg, line_no, col=None):
         raise ParseError(msg, source, line_no, col)
@@ -241,8 +246,7 @@ def parse_text(text: str, source: str = "<string>", field_order: int | None = No
                 continue
         if head[0] == "flags":
             flags = head[1:]
-            continue
-        if line.endswith(":"):
+        elif line.endswith(":"):
             name = line[:-1].strip()
             parts = name.split()
             is_simple = bool(parts) and parts[0] == "simple"
@@ -254,22 +258,19 @@ def parse_text(text: str, source: str = "<string>", field_order: int | None = No
             if dim is None or order is None:
                 err("sections must come after the 'dim' and 'field' header", line_no)
             if is_simple:
-                current_simple = {"label": parts[1], "dim": int(parts[3]), "entries": []}
-                simples.append(current_simple)
-                current = "simple"
+                d = int(parts[3])
+                current, bounds, entries = "simple", (dim, d, d), []
+                simples.append((parts[1], d, entries))
             else:
-                current = name
-                sections.setdefault(name, [])
-                current_simple = None
-            continue
-        if "=" in line:
+                current, bounds = name, (dim,) * _SECTION_ARITY[name]
+                entries = sections.setdefault(name, [])
+        elif "=" in line:
             if current is None:
                 err("entry before any section header", line_no)
             lhs, rhs = line.split("=", 1)
             idx_parts = lhs.split()
-            arity = 3 if current == "simple" else _SECTION_ARITY[current]
-            if len(idx_parts) != arity:
-                err(f"expected {arity} indices in section {current!r}, "
+            if len(idx_parts) != len(bounds):
+                err(f"expected {len(bounds)} indices in section {current!r}, "
                     f"got {len(idx_parts)}", line_no)
             try:
                 idx = tuple(int(p) for p in idx_parts)
@@ -279,19 +280,12 @@ def parse_text(text: str, source: str = "<string>", field_order: int | None = No
                 value = parse_scalar(rhs.strip(), declared).embed(order)
             except ParseError as e:
                 err(f"bad scalar literal {rhs.strip()!r}: {e.msg}", line_no, e.col)
-            if current == "simple":
-                d = current_simple["dim"]
-                a, r, c = idx
-                if not (0 <= a < dim and 0 <= r < d and 0 <= c < d):
-                    err(f"index {idx} out of range for simple of dim {d}", line_no)
-                current_simple["entries"].append((idx, value))
-            else:
-                for i in idx:
-                    if not 0 <= i < dim:
-                        err(f"index {i} out of range 0..{dim - 1}", line_no)
-                sections[current].append((idx, value))
-            continue
-        err(f"cannot parse line {line!r}", line_no)
+            for i, bound in zip(idx, bounds):
+                if not 0 <= i < bound:
+                    err(f"index {idx} out of range for {current} of dim {bound}", line_no)
+            entries.append((idx, value))
+        else:
+            err(f"cannot parse line {line!r}", line_no)
 
     if dim is None:
         raise ParseError("missing 'dim' header", source)
@@ -316,11 +310,16 @@ def parse_text(text: str, source: str = "<string>", field_order: int | None = No
             out[i].append((tuple(rest), c))
         return out
 
-    m = tensor_of("mult", 3)
+    # the dense mult shares one zero; its inner lists are distinct, since
+    # presets.mutate edits them in place
+    zero = Scalar.zero(order)
+    mult = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j, k), c in tensor_of("mult", 3).entries.items():
+        mult[i][j][k] = c
     alg = QuasiHopfAlgebra(
         dim=dim,
         order=order,
-        mult=[[[m[i, j, k] for k in range(dim)] for j in range(dim)] for i in range(dim)],
+        mult=mult,
         counit=vector_of("counit"),
         coproduct=[Tensor.from_entries(dim, 2, order, e)
                    for e in by_first(sections["coproduct"])],
@@ -337,35 +336,29 @@ def parse_text(text: str, source: str = "<string>", field_order: int | None = No
         name=source,
     )
 
-    # solve for the inverses that were not given; a failed solve leaves a
-    # zero placeholder so that validate() reports the problem
+    def solved_inverse(name: str, t: Tensor) -> Tensor:
+        # the inverse of an element whose inverse the file omits; a failed
+        # solve leaves a zero placeholder so that validate() reports it
+        inv = alg.invert_element(t)
+        alg.notes.append(f"{name}_inv solved from {name}" if inv is not None
+                         else f"{name} is not invertible")
+        return inv if inv is not None else Tensor.zero(dim, t.legs, order)
+
     if "phi_inv" not in sections:
-        inv = alg.invert_element(alg.phi)
-        alg.phi_inv = inv if inv is not None else Tensor.zero(dim, 3, order)
-        alg.notes.append("phi_inv solved from phi" if inv is not None
-                         else "phi is not invertible")
+        alg.phi_inv = solved_inverse("phi", alg.phi)
     if "R_inv" not in sections:
-        inv = alg.invert_element(alg.r_matrix)
-        alg.r_inv = inv if inv is not None else Tensor.zero(dim, 2, order)
-        alg.notes.append("R_inv solved from R" if inv is not None
-                         else "R is not invertible")
+        alg.r_inv = solved_inverse("R", alg.r_matrix)
     if alg.ribbon is not None:
-        inv = alg.invert_element(Tensor.from_vector(alg.ribbon, order))
-        if inv is not None:
-            alg.ribbon_inv = inv.to_vector()
-            alg.notes.append("ribbon_inv solved from ribbon")
-        else:
-            alg.ribbon_inv = [Scalar.zero(order)] * dim
-            alg.notes.append("ribbon is not invertible")
+        alg.ribbon_inv = solved_inverse("ribbon", tensor_of("ribbon", 1)).to_vector()
     alg.notes.extend(f"flag {f}" for f in flags)
     if order != declared:
         alg.notes.append(f"embedded into cyclotomic order {order}")
 
     simple_set = None
     if simples:
-        simple_set = SimpleSet.from_modules([(s["label"], AModule(alg, [
-            ExactMatrix.from_entries(s["dim"], s["dim"], order, e)
-            for e in by_first(s["entries"])], s["label"])) for s in simples])
+        simple_set = SimpleSet.from_modules([(label, AModule(alg, [
+            ExactMatrix.from_entries(d, d, order, e) for e in by_first(found)], label))
+            for label, d, found in simples])
 
     return alg, simple_set
 

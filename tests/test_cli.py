@@ -346,6 +346,10 @@ REFUSED_FILES = [
      "index (0, 1, 0) out of range for simple of dim 1"),
     (TRIVIAL.replace("mult:\n", "mult:\ngarbage\n", 1), "garbage",
      "cannot parse line 'garbage'"),
+    (TRIVIAL.replace("mult:\n0 0 0 = 1", "mult:\n0 0 0 = " + "-" * 3000 + "1", 1),
+     "0 0 0 = -", "literal is nested too deeply"),
+    (TRIVIAL.replace("mult:\n0 0 0 = 1", "mult:\n0 0 0 = " + "(" * 3000 + "1" + ")" * 3000, 1),
+     "0 0 0 = (", "literal is nested too deeply"),
     ("field 1\nflags hopf\n", None, "missing 'dim' header"),
     ("dim 1\nflags hopf\n", None, "missing 'field' header"),
 ]
@@ -361,6 +365,31 @@ def test_parser_refusals_exit_two_with_a_located_error(runner, tmp_path, text, l
     where = str(path) if line is None else f"{path}:{text[:text.index(line)].count(chr(10)) + 1}"
     assert res.stderr.startswith(f"error: {where}"), res.stderr
     assert message in res.stderr, res.stderr
+
+
+def test_a_file_that_is_not_utf8_exits_two_with_a_located_error(runner, tmp_path):
+    path = tmp_path / "latin.alg"
+    path.write_bytes(b"dim 1\nfield 1\n\xff\xfe\n")
+    res = runner.invoke(main, ["check", str(path)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit) and "Traceback" not in res.output
+    assert res.stderr == f"error: {path}:3: not UTF-8 text (invalid start byte at byte offset 14)\n"
+
+
+def test_a_simple_declared_twice_is_refused_as_dependent(runner, tmp_path):
+    # s01 again under another label: its character repeats s01's
+    text = preset_text("double_Z2")
+    start = text.index("simple s01 dim 1:")
+    section = text[start:text.index("simple s10", start)]
+    path = tmp_path / "twice.alg"
+    path.write_text(text.rstrip("\n") + "\n\n" + section.replace("s01", "s01b"),
+                    encoding="utf-8")
+    res = runner.invoke(main, ["report", str(path)])
+    assert res.exit_code == 1, res.output
+    assert res.stderr == (
+        "invalid input: declared simples are not a complete set of simple modules: "
+        "characters are linearly dependent; sum of squared dimensions is 5, expected 4 "
+        "(dim A minus the radical)\n")
 
 
 def test_markdown_output(runner):

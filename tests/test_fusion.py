@@ -105,6 +105,17 @@ def test_fusion_rejects_non_central_internal_characters(presets, monkeypatch):
         verlinde_fusion(A, p.simples)
 
 
+def test_fusion_names_the_pair_whose_product_leaves_the_span(presets, monkeypatch):
+    # s01 and s10 of double_Z2 are a set that validate() would refuse: the
+    # square of s01 is s00, outside their span
+    p = presets["double_Z2"]
+    part = SimpleSet(p.simples.labels[1:3], p.simples.simples[1:3], p.simples.characters[1:3])
+    monkeypatch.setattr(SimpleSet, "validate", lambda self, A: [])
+    with pytest.raises(FusionError, match=re.escape(
+            "product of internal characters leaves their span at pair (s01, s01)")):
+        verlinde_fusion(p.algebra, part)
+
+
 def _stand_in_commutators(A, chis, s, i):
     """A stacked commutator map whose only nonzero row is row 0 of block i,
     the functional dual to chis[s] against the other characters: of the

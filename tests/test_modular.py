@@ -9,9 +9,11 @@ from qhopf.exactmath import (
     vec_eq,
     zero_vector,
 )
-from qhopf import tensorspace as ts
+from qhopf import modular, tensorspace as ts
 from qhopf.coend import conjugation_action, invariant_functionals
 from qhopf.modular import (
+    CointegralResult,
+    IntegralResult,
     center,
     cointegral_L,
     integral_L,
@@ -308,3 +310,25 @@ def test_modular_data_refuses_a_non_factorisable_input(presets):
     with pytest.raises(ValueError, match=re.escape(
             "input is not factorisable (copairing rank 1 < 2); the modular action needs it")):
         modular_data(presets["group_Z2_trivialR"].algebra)
+
+
+# every preset has a one-dimensional integral space that pairs to one, so
+# the three later refusals are reached through stand-in results
+def test_modular_data_refuses_an_integral_space_not_of_dimension_one(presets, all_maps,
+                                                                     monkeypatch):
+    monkeypatch.setattr(modular, "integral_L", lambda A, maps: IntegralResult(None, 2, None))
+    with pytest.raises(ValueError, match=re.escape(
+            "two-sided integral space has dimension 2, not 1")):
+        modular_data(presets["double_Z2"].algebra, all_maps["double_Z2"])
+
+
+@pytest.mark.parametrize("element, message", [
+    (None, "no two-sided integral of the algebra exists"),
+    ([Scalar.one()], "integral pairs to zero against the cointegral"),
+])
+def test_modular_data_refuses_a_missing_or_unnormalised_cointegral(
+        presets, all_maps, monkeypatch, element, message):
+    monkeypatch.setattr(modular, "cointegral_L",
+                        lambda A, integral: CointegralResult(element, 1, False))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        modular_data(presets["trivial"].algebra, all_maps["trivial"])
