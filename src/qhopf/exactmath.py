@@ -33,13 +33,15 @@ is skipped before its key is read, so its field never meets the stored
 one, and a key whose running sum cancels is deleted at once (a later
 term on it stores it again).  Every sum of products in the engine goes
 through ``collect_products``, which takes each product as its two
-factors: it gathers the factors that land on each key, sends a lone
-product through ``times`` (so a one of the same field costs no
-multiplication) and sums two or more with ``sum_of_products``, as integer
-numerators over one common denominator put in canonical form once, with
-no intermediate ``Scalar``.  Here ``dot``, ``ExactMatrix.apply``, the
-matrix product and ``kron_combination`` sum that way, each in the lcm of
-its factors' fields, where a matrix is declared too.  Rank, kernel and
+factors: it gathers the factors that land on each key into one dict and
+writes each key's sum over its gathered entry there, multiplying a lone
+product as ``times`` does (so a one of the same field costs no
+multiplication) and summing two or more with ``sum_of_products``, as
+integer numerators over one common denominator put in canonical form
+once, with no intermediate ``Scalar``.  Here ``dot``,
+``ExactMatrix.apply``, the matrix product and ``kron_combination`` sum
+that way, each in the lcm of its factors' fields, where a matrix is
+declared too.  Rank, kernel and
 the batched solve ``solve_each``
 use exact Gauss-Jordan elimination on sparse rows (no floats), which
 negates each row's multiplier once and adds; ``solve`` is ``solve_each``
@@ -59,6 +61,9 @@ or an entry whose order does not divide m -- falls back to ``_echelon``,
 so every rank below full, and every kernel and solution, comes from
 exact elimination.
 
+``format_scalar`` writes the canonical literal of each distinct
+``(num, den)`` once, through a bounded memo.
+
 ``kron_combination`` builds every action matrix, c F_1[i_1] (x) ... (x)
 F_k[i_k] summed over the terms of a k-leg element, from the stored
 entries of the factor matrices; ``kron`` is its one-term case.
@@ -67,7 +72,7 @@ entries of the factor matrices; ``kron`` is its one-term case.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import gcd, lcm, prod
 from operator import add, mul, sub
 from typing import Hashable, Iterable, Iterator, Sequence, TypeVar
@@ -458,14 +463,22 @@ def _constants(order: int) -> tuple[Scalar, Scalar]:
 
 
 def format_scalar(s: Scalar) -> str:
-    """Canonical literal form, e.g. ``1/2*z^3 - 1`` (descending powers)."""
+    """Canonical literal form, e.g. ``1/2*z^3 - 1`` (descending powers).
+    The text depends only on ``(num, den)``, so each distinct pair is
+    formatted once, through a bounded memo: a payload repeats few values
+    many times."""
+    return _format(s.num, s.den)
+
+
+@lru_cache(maxsize=4096)
+def _format(num: tuple[int, ...], den: int) -> str:
     terms = []
-    for power in range(len(s.num) - 1, -1, -1):
-        n = s.num[power]
+    for power in range(len(num) - 1, -1, -1):
+        n = num[power]
         if not n:
             continue
-        g = gcd(n, s.den)
-        p, q = abs(n) // g, s.den // g
+        g = gcd(n, den)
+        p, q = abs(n) // g, den // g
         c = str(p) if q == 1 else f"{p}/{q}"
         if power > 0:
             z = "z" if power == 1 else f"z^{power}"
@@ -580,13 +593,16 @@ def sum_of_products(flat: Sequence[Scalar], order: int) -> Scalar:
 
 def collect_products(terms: Iterable[tuple[K, Scalar, Scalar]], order: int) -> dict[K, Scalar]:
     """sum x y per key over the (key, x, y) terms, every factor in Q(zeta_m)
-    for m = order or a divisor of it, storing no zero.  The factors that
-    land on one key are gathered first: a lone product goes through
-    ``times``, so a one of the same field costs no multiplication, and two
-    or more are summed once by ``sum_of_products``, in Q(zeta_order)."""
+    for m = order or a divisor of it, storing no zero, keys in order of
+    first appearance.  The factors that land on one key are gathered into
+    one dict, and each key's sum is then written over its gathered entry in
+    that same dict: a lone product is multiplied as ``times`` multiplies
+    it, so a one of the same field costs no multiplication, and two or more
+    are summed once by ``sum_of_products``, in Q(zeta_order).  The keys
+    whose sums are zero are deleted after that pass."""
     # a key's first term is kept as it came, (key, x, y); a second one makes
     # the flat factor list [x_1, y_1, x_2, y_2, ...]
-    flats: dict[K, tuple[K, Scalar, Scalar] | list[Scalar]] = {}
+    flats: dict[K, tuple[K, Scalar, Scalar] | list[Scalar] | Scalar] = {}
     get = flats.get
     for t in terms:
         if (f := get(t[0])) is None:
@@ -596,12 +612,27 @@ def collect_products(terms: Iterable[tuple[K, Scalar, Scalar]], order: int) -> d
         else:
             f.append(t[1])
             f.append(t[2])
-    out: dict[K, Scalar] = {}
+    # each key's sum is written over its gathered entry: a value may be
+    # replaced while the dict is walked, a key may not be deleted
+    zeros = []
     for k, f in flats.items():
-        s = times(f[1], f[2]) if len(f) == 3 else sum_of_products(f, order)
+        if len(f) == 3:
+            x, y = f[1], f[2]            # times, inlined on the hot path
+            if y.den == 1 and y.num == (1,) and y.order == x.order:
+                s = x
+            elif x.den == 1 and x.num == (1,) and x.order == y.order:
+                s = y
+            else:
+                s = x * y
+        else:
+            s = sum_of_products(f, order)
         if s.num:
-            out[k] = s
-    return out
+            flats[k] = s
+        else:
+            zeros.append(k)
+    for k in zeros:
+        del flats[k]
+    return flats
 
 
 def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:

@@ -34,6 +34,10 @@ generator ``z``, e.g. ``1/2*z^3 - 1``; one nested too deeply is a
 ``ParseError``, as is (in ``cli``) a file that is not UTF-8.
 ``parse_text`` can embed the algebra into a larger cyclotomic field:
 each literal is parsed in the declared field and embedded as it is read.
+Within one call each distinct literal text is parsed and embedded once,
+and every entry with that text shares the resulting ``Scalar``.  A
+refused literal is located by line and by its column in that line, and
+its message repeats only the start of a long literal.
 
 ``serialize`` writes the canonical form, and ``parse_text`` reads it back
 exactly; ``algebras_equal`` compares two algebras by that text.
@@ -180,11 +184,13 @@ class _ScalarParser:
 
 def parse_scalar(text: str, order: int) -> Scalar:
     """Parse a scalar literal in Q(zeta_order); canonical and exact.  A
-    literal nested past the interpreter's recursion limit is refused."""
+    literal nested past the interpreter's recursion limit is refused at the
+    token the parser had reached."""
+    parser = _ScalarParser(text, order)
     try:
-        return _ScalarParser(text, order).parse()
+        return parser.parse()
     except RecursionError:
-        raise ParseError("literal is nested too deeply") from None
+        raise ParseError("literal is nested too deeply", col=parser.peek()[2]) from None
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +209,7 @@ _SECTION_ARITY = {
     "R_inv": 2,
     "ribbon": 1,
 }
+_ECHO = 24               # characters of a refused literal its message repeats
 _MANDATORY = ("mult", "counit", "coproduct", "antipode", "phi", "alpha", "beta", "R")
 
 
@@ -222,6 +229,9 @@ def parse_text(text: str, source: str = "<string>", field_order: int | None = No
     # the open section: current names it in messages, and its header sets
     # bounds (one exclusive bound per index) and entries (where they go)
     current: str | None = None
+    # each distinct literal text, parsed and embedded once; a Scalar is an
+    # immutable value, so every entry with that text shares it
+    literals: dict[str, Scalar] = {}
 
     def err(msg, line_no, col=None):
         raise ParseError(msg, source, line_no, col)
@@ -276,10 +286,17 @@ def parse_text(text: str, source: str = "<string>", field_order: int | None = No
                 idx = tuple(int(p) for p in idx_parts)
             except ValueError:
                 err(f"non-integer index in {lhs.strip()!r}", line_no)
-            try:
-                value = parse_scalar(rhs.strip(), declared).embed(order)
-            except ParseError as e:
-                err(f"bad scalar literal {rhs.strip()!r}: {e.msg}", line_no, e.col)
+            literal = rhs.strip()
+            value = literals.get(literal)
+            if value is None:
+                try:
+                    value = literals[literal] = parse_scalar(literal, declared).embed(order)
+                except ParseError as e:
+                    # the column, counted from 1 in the raw line, locates the
+                    # fault, so the message echoes only a long literal's start
+                    col = len(raw) - len(raw.lstrip()) + len(line) - len(rhs.lstrip()) + e.col + 1
+                    shown = repr(literal) if len(literal) <= _ECHO else f"{literal[:_ECHO]!r}..."
+                    err(f"bad scalar literal {shown}: {e.msg}", line_no, col)
             for i, bound in zip(idx, bounds):
                 if not 0 <= i < bound:
                     err(f"index {idx} out of range for {current} of dim {bound}", line_no)

@@ -137,7 +137,7 @@ class QuasiHopfAlgebra:
     @cached_property
     def mult_table(self) -> ts.MultTable:
         return [
-            [[(k, c) for k, c in enumerate(self.mult[i][j]) if not c.is_zero()]
+            [[(k, c) for k, c in enumerate(self.mult[i][j]) if c.num]
              for j in range(self.dim)]
             for i in range(self.dim)
         ]

@@ -124,8 +124,54 @@ def test_parse_reports_bad_index():
 
 def test_parse_reports_bad_literal_with_line():
     text = preset_text("trivial").replace("mult:\n0 0 0 = 1", "mult:\n0 0 0 = 1%", 1)
-    with pytest.raises(ParseError, match="scalar literal"):
+    with pytest.raises(ParseError, match="scalar literal") as e:
         parse_text(text)
+    # the column counts from 1 in the line, not in the literal
+    assert (e.value.line, e.value.col) == (text[:text.index("0 0 0 = 1%")].count("\n") + 1, 10)
+
+
+def _counted_parse_scalar(monkeypatch):
+    # the texts fileformat.parse_scalar is called on, in order
+    import qhopf.fileformat as fileformat
+
+    calls, helper = [], fileformat.parse_scalar
+
+    def counted(text, order):
+        calls.append(text)
+        return helper(text, order)
+
+    monkeypatch.setattr(fileformat, "parse_scalar", counted)
+    return calls
+
+
+def test_parse_parses_each_distinct_literal_once(monkeypatch):
+    import random
+    from test_benchmark_contract import INPUTS
+
+    alg, simples = INPUTS.double_cyclic(3, 1, INPUTS.relabelling(random.Random(1), 9))
+    text = INPUTS.serialize(alg, simples)
+    literals = [line.split("=", 1)[1].strip() for line in text.splitlines() if "=" in line]
+    calls = _counted_parse_scalar(monkeypatch)
+    assert serialize(*parse_text(text)) == text
+    assert sorted(calls) == sorted(set(literals)) and len(calls) < len(literals)
+
+
+def test_parse_shares_no_literal_across_calls(monkeypatch):
+    # the same text under two declared fields gives a value in each field
+    calls = _counted_parse_scalar(monkeypatch)
+    rational = parse_text(TRIVIAL)[0].counit[0]
+    cyclotomic = parse_text(TRIVIAL.replace("field 1", "field 4", 1))[0].counit[0]
+    assert (rational.order, cyclotomic.order) == (1, 4) and calls == ["1", "1"]
+
+
+def test_parse_reports_a_repeated_bad_literal_at_its_first_line(monkeypatch):
+    calls = _counted_parse_scalar(monkeypatch)
+    text = TRIVIAL.replace("counit:\n0 = 1", "counit:\n0 = 1%", 1).replace(
+        "alpha:\n0 = 1", "alpha:\n0 = 1%", 1)
+    with pytest.raises(ParseError, match="unexpected character") as e:
+        parse_text(text)
+    assert e.value.line == text[:text.index("0 = 1%")].count("\n") + 1
+    assert calls == ["1", "1%"]
 
 
 def test_parse_solves_missing_inverses():
@@ -365,6 +411,23 @@ def test_parser_refusals_exit_two_with_a_located_error(runner, tmp_path, text, l
     where = str(path) if line is None else f"{path}:{text[:text.index(line)].count(chr(10)) + 1}"
     assert res.stderr.startswith(f"error: {where}"), res.stderr
     assert message in res.stderr, res.stderr
+
+
+@pytest.mark.parametrize("text, line", [row[:2] for row in REFUSED_FILES
+                                        if "nested too deeply" in row[2]],
+                         ids=["minus", "parentheses"])
+def test_a_deep_literal_is_echoed_in_short(runner, tmp_path, text, line):
+    # the 3,000-character literal is cut to its start; the line and the
+    # column inside it locate the fault
+    path = tmp_path / "deep.alg"
+    path.write_text(text, encoding="utf-8")
+    res = runner.invoke(main, ["check", str(path)])
+    assert res.exit_code == 2, res.output
+    where = f"error: {path}:{text[:text.index(line)].count(chr(10)) + 1}:"
+    assert res.stderr.startswith(where) and len(res.stderr) < len(where) + 100, res.stderr
+    col, rest = res.stderr[len(where):].split(":", 1)
+    assert int(col) > len("0 0 0 = ")
+    assert rest == f" bad scalar literal {line[-1] * 24!r}...: literal is nested too deeply\n"
 
 
 def test_a_file_that_is_not_utf8_exits_two_with_a_located_error(runner, tmp_path):

@@ -831,6 +831,40 @@ def test_collect_products_matches_collect_of_times(case):
             assert c.order == order
 
 
+def collect_products_reference(terms, order):
+    # a plain running sum of x * y per key, in Q(zeta_order), keys in
+    # order of first appearance, the zero sums dropped at the end
+    acc = {}
+    for k, x, y in terms:
+        acc[k] = acc.get(k, Scalar.zero(order)) + (x * y).embed(order)
+    return {k: c for k, c in acc.items() if c.num}
+
+
+@settings(max_examples=200, deadline=None)
+@given(keyed_products())
+# a key whose terms cancel, between two surviving keys
+@example(([(2, Z3, Z3), (0, Z3, rat(1, 2)), (1, rat(1, 2), Z3), (0, -Z3, rat(1, 2)),
+           (1, Z3, Z3)], 3))
+@example(([(3, Z4, Z4), (1, rat(0), Z4), (0, ONE_4, Z4)], 4))
+# a lone product with a one of another field
+@example(([(1, ONE_1, Z4), (0, rat(1, 2), ONE_4), (2, Z4, ONE_4)], 4))
+def test_collect_products_matches_a_running_sum_per_key(case):
+    terms, order = case
+    got = collect_products(terms, order)
+    want = collect_products_reference(terms, order)
+    assert list(got) == list(want) and got == want
+    assert all(c.num for c in got.values())
+    for k, x, y in terms:
+        if sum(1 for key, _, _ in terms if key == k) == 1 and k in got:
+            # as times: a one of the other factor's field is skipped, and a
+            # one of another field still lifts the product into the larger
+            assert got[k].order == (x * y).order
+            if y.is_one() and y.order == x.order:
+                assert got[k] is x
+            elif x.is_one() and x.order == y.order:
+                assert got[k] is y
+
+
 def apply_reference(m, v):
     # chained * and +, one product and one sum at a time, zeros included,
     # in the field of the matrix and the vector
