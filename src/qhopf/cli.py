@@ -4,7 +4,9 @@ Each subcommand reads a definition file or a preset through
 ``fileformat.parse_text`` and writes a JSON (or csv, or markdown) payload
 that carries ``schema_version``.  ``report`` checks the axioms, then runs
 every stage of ``STAGES`` in order; a stage command runs one of them and
-prints exactly that section of the report.  The parser and serialiser
+prints exactly that section of the report.  Every command takes the same
+options, ``--output``, ``--out`` and ``--field-order``; none changes what
+a stage computes or writes.  The parser and serialiser
 live in ``fileformat``; their names are imported here too, so
 ``cli.parse_text``, ``cli.serialize`` and the rest keep working.
 
@@ -176,15 +178,22 @@ def _check_payload(A: QuasiHopfAlgebra, strict: bool) -> dict:
 # the stages of ``report`` after ``check``, in order; each names a builder of ``_Stages``
 STAGES = ("derived", "coend", "factorisability", "modular", "fusion")
 
+# the modular payload's note on the normalisation of the integral and lambda
+LAM_NOTE = (
+    "integral fixed by echelon normalisation of the two-sided solution "
+    "space (defined up to sign and scale); the projective constant "
+    "rescales linearly with it"
+)
+
 
 class _Stages:
-    """The stage builders on one validated algebra, under the click options
-    of the command.  Each returns the stage's payload, or a string: the
-    reason the input cannot have that stage.  The coend maps and the
-    factorisability verdict are built once, on first use."""
+    """The stage builders on one validated algebra.  Each returns the
+    stage's payload, or a string: the reason the input cannot have that
+    stage.  The coend maps and the factorisability verdict are built once,
+    on first use."""
 
-    def __init__(self, A: QuasiHopfAlgebra, simples, options: dict):
-        self.A, self.simples, self.options = A, simples, options
+    def __init__(self, A: QuasiHopfAlgebra, simples):
+        self.A, self.simples = A, simples
 
     @functools.cached_property
     def maps(self):
@@ -246,7 +255,7 @@ class _Stages:
         from .modular import modular_data
 
         md = modular_data(self.A, self.maps, self.fact)
-        payload = {
+        return {
             "center_basis": [vector_json(z) for z in md.center_basis],
             "integral": vector_json(md.integral),
             "pairing_value": format_scalar(md.pairing_value),
@@ -256,10 +265,8 @@ class _Stages:
             "S_Z": matrix_json(md.s_z),
             "T_Z": matrix_json(md.t_z),
             "lambda": format_scalar(md.lam),
+            "normalisation_note": LAM_NOTE,
         }
-        if not self.options["projective"]:
-            payload["normalisation_note"] = md.lam_note
-        return payload
 
     def fusion(self) -> dict | str:
         if self.simples is None:
@@ -270,7 +277,7 @@ class _Stages:
             return "requires ribbon data"
         from .fusion import verlinde_fusion
 
-        table = verlinde_fusion(self.A, self.simples, oracle=self.options["oracle"])
+        table = verlinde_fusion(self.A, self.simples)
         return {
             "labels": table.labels,
             "table": [
@@ -355,14 +362,14 @@ def check(path, output, out, field_order):
 
 
 @_guarded
-def _run_stage(stage, title, path, output, out, field_order, **options):
+def _run_stage(stage, title, path, output, out, field_order):
     """One stage of ``report``: exit 1 with its skip reason on stderr when
     the input cannot have it."""
     A, simples, source = _load(path, field_order)
     if stage == "fusion" and simples is None:
         raise ParseError("fusion requires a 'simple' section", source)
     _check_payload(A, strict=True)
-    payload = getattr(_Stages(A, simples, options), stage)()
+    payload = getattr(_Stages(A, simples), stage)()
     if isinstance(payload, str):
         click.echo(f"{stage}: {payload}", err=True)
         sys.exit(1)
@@ -393,28 +400,22 @@ def factorisable(path, output, out, field_order):
 
 @main.command()
 @_common_options
-@click.option("--projective", is_flag=True,
-              help="omit the normalisation notes from the output")
-def modular(path, output, out, field_order, projective):
+def modular(path, output, out, field_order):
     """Centre, integral, cointegral and the modular S/T action."""
-    _run_stage("modular", "modular data", path, output, out, field_order, projective=projective)
+    _run_stage("modular", "modular data", path, output, out, field_order)
 
 
 @main.command()
 @functools.partial(_common_options, formats=("json", "csv", "md"))
-@click.option("--oracle/--no-oracle", default=True, show_default=True,
-              help="cross-check against the character decomposition")
-def fusion(path, output, out, field_order, oracle):
+def fusion(path, output, out, field_order):
     """Verlinde fusion table from internal characters."""
-    _run_stage("fusion", "fusion table", path, output, out, field_order, oracle=oracle)
+    _run_stage("fusion", "fusion table", path, output, out, field_order)
 
 
 @main.command()
 @_common_options
-@click.option("--projective", is_flag=True)
-@click.option("--oracle/--no-oracle", default=True, show_default=True)
 @_guarded
-def report(path, output, out, field_order, **options):
+def report(path, output, out, field_order):
     """Everything in one document."""
     A, simples, source = _load(path, field_order)
     doc = {"algebra": source, "dim": A.dim, "field_order": A.order,
@@ -422,7 +423,7 @@ def report(path, output, out, field_order, **options):
     if not doc["check"]["ok"]:
         _emit(doc, output, out, f"report for {source}")
         sys.exit(1)
-    stages = _Stages(A, simples, options)
+    stages = _Stages(A, simples)
     for stage in STAGES:
         payload = getattr(stages, stage)()
         if isinstance(payload, str):

@@ -273,10 +273,8 @@ def coinvariant_elements(A: QuasiHopfAlgebra) -> list[list[Scalar]]:
     return common_eigenvectors(conjugation_action(A), A.counit)
 
 
-def factorisability(A: QuasiHopfAlgebra, maps: CoendMaps | None = None) -> FactorisabilityReport:
+def factorisability(A: QuasiHopfAlgebra, maps: CoendMaps) -> FactorisabilityReport:
     """Run all three non-degeneracy tests and report their agreement."""
-    if maps is None:
-        maps = coend_maps(A)
     d_hat = copairing(A, maps)
     rank_d = ts.as_matrix(d_hat, 1).rank()
 

@@ -26,12 +26,15 @@ basis element 0 is the unit.
     ribbon:                    # optional
     simple NAME dim D:         # a r c = action of e_a, matrix entry (r, c)
 
-A section header fixes one bound per index (dim, or (dim, D, D) for a
-simple), and one path checks, bounds and stores the entries of every
-section.  An omitted inverse is solved for, with a note.  Scalar literals
-are sums of products of rationals ``p/q`` and powers of the cyclotomic
-generator ``z``, e.g. ``1/2*z^3 - 1``; one nested too deeply is a
-``ParseError``, as is (in ``cli``) a file that is not UTF-8.
+The ``dim`` and ``field`` headers each appear once.  Every number in a
+header, an index or a literal is ASCII digits only (``str.isdigit`` and
+``int`` accept more: superscripts, other scripts' digits, '+0' and
+'1_0').  A section header fixes one bound per index (dim, or (dim, D, D)
+for a simple), and one path checks, bounds and stores the entries of
+every section.  An omitted inverse is solved for, with a note.  Scalar
+literals are sums of products of rationals ``p/q`` and powers of the
+cyclotomic generator ``z``, e.g. ``1/2*z^3 - 1``; one nested too deeply
+is a ``ParseError``, as is (in ``cli``) a file that is not UTF-8.
 ``parse_text`` can embed the algebra into a larger cyclotomic field:
 each literal is parsed in the declared field and embedded as it is read.
 Within one call each distinct literal text is parsed and embedded once,
@@ -75,6 +78,11 @@ class ParseError(Exception):
 # scalar literals
 
 
+def _is_digits(text: str) -> bool:
+    # str.isdigit also accepts superscripts and other scripts' digits
+    return text.isascii() and text.isdigit()
+
+
 def _tokenize_scalar(text: str) -> list[tuple[str, object, int]]:
     tokens = []
     i = 0
@@ -85,9 +93,9 @@ def _tokenize_scalar(text: str) -> list[tuple[str, object, int]]:
         elif ch in "+-*/^()":
             tokens.append((ch, ch, i))
             i += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("int", int(text[i:j]), i))
             i = j
@@ -241,11 +249,14 @@ def parse_text(text: str, source: str = "<string>", field_order: int | None = No
         if not line:
             continue
         head = line.split()
-        if dim is None or order is None:
-            if head[0] == "dim" and len(head) == 2 and head[1].isdigit():
+        if head[0] in ("dim", "field"):
+            if len(head) != 2 or not _is_digits(head[1]):
+                err(f"malformed {head[0]} header {line!r} (expected '{head[0]} N')", line_no)
+            if (dim if head[0] == "dim" else declared) is not None:
+                err(f"repeated {head[0]!r} header", line_no)
+            if head[0] == "dim":
                 dim = int(head[1])
-                continue
-            if head[0] == "field" and len(head) == 2 and head[1].isdigit():
+            else:
                 declared = int(head[1])
                 if declared == 0:
                     err("field order must be positive, got 0", line_no)
@@ -253,14 +264,13 @@ def parse_text(text: str, source: str = "<string>", field_order: int | None = No
                 if order < 1 or order % declared != 0:
                     err(f"field order {field_order} is not a positive multiple "
                         f"of declared {declared}", line_no)
-                continue
-        if head[0] == "flags":
+        elif head[0] == "flags":
             flags = head[1:]
         elif line.endswith(":"):
             name = line[:-1].strip()
             parts = name.split()
             is_simple = bool(parts) and parts[0] == "simple"
-            if is_simple and (len(parts) != 4 or parts[2] != "dim" or not parts[3].isdigit()):
+            if is_simple and (len(parts) != 4 or parts[2] != "dim" or not _is_digits(parts[3])):
                 err(f"malformed simple header {line!r} "
                     "(expected 'simple NAME dim D:')", line_no)
             if not is_simple and name not in _SECTION_ARITY:
@@ -282,10 +292,9 @@ def parse_text(text: str, source: str = "<string>", field_order: int | None = No
             if len(idx_parts) != len(bounds):
                 err(f"expected {len(bounds)} indices in section {current!r}, "
                     f"got {len(idx_parts)}", line_no)
-            try:
-                idx = tuple(int(p) for p in idx_parts)
-            except ValueError:
+            if not all(map(_is_digits, idx_parts)):
                 err(f"non-integer index in {lhs.strip()!r}", line_no)
+            idx = tuple(map(int, idx_parts))
             literal = rhs.strip()
             value = literals.get(literal)
             if value is None:

@@ -2,14 +2,13 @@
 computation of Grothendieck structure constants, cross-checked against a
 character-theoretic decomposition oracle.
 
-``verlinde_fusion`` builds the internal characters of all simples as the
-columns of one product, the coefficient matrix of the internal-character
-tensor times the matrix of simple characters, and checks them all central
-with one product by ``QuasiHopfAlgebra.commutators``.  ``chi_central``
-keeps the single-character route, one contraction checked central by the
-same stacked commutators, which the tests compare against.  A character
-that is not central is named, with the first basis element e_i it does
-not commute with.
+One builder, ``_central_elements``, makes the central elements of a list
+of characters as the columns of one product: the coefficient matrix of a
+character tensor times the matrix of the characters.  It checks them all
+central with one product by ``QuasiHopfAlgebra.commutators``, and names
+the first module whose element is not central, with the first basis
+element e_i it does not commute with.  ``verlinde_fusion`` calls it on
+all simples at once; ``chi_central`` and ``phi_central`` on one module.
 
 The oracle is an identity check: for each pair (U, V) the Verlinde
 coefficients N_uv^w must satisfy sum_w N_uv^w chi_w = chi_{U (x) V},
@@ -99,18 +98,6 @@ def _trace_functional(V: AModule) -> list[Scalar]:
     return [V.action[i].trace() for i in range(V.alg.dim)]
 
 
-def _central_image(A: QuasiHopfAlgebra, t: Tensor, character: list[Scalar],
-                   what: str) -> list[Scalar]:
-    """Leg 2 of t contracted with a character, checked to be central by
-    ``QuasiHopfAlgebra.commutators``; a failure names the first basis
-    element e_i that does not commute with it."""
-    v = ts.contract_leg(t, 2, character).to_vector()
-    if (r := next((r for r, c in enumerate(A.commutators.apply(v)) if c.num), None)) is not None:
-        raise ValueError(f"{what} is not central (it does not commute with e_{r // A.dim}); "
-                         "input data is inconsistent")
-    return v
-
-
 def _character_tensor(A: QuasiHopfAlgebra, core: Tensor) -> Tensor:
     """(core_1, w S(core_2 beta) alpha core_3) for a 3-leg core, with
     S(x beta) = S(beta) S(x) and w the ribbon weight: the 2-leg element
@@ -121,12 +108,27 @@ def _character_tensor(A: QuasiHopfAlgebra, core: Tensor) -> Tensor:
     return ts.merge_legs(factors, ((1,), (6, 4, 2, 5, 3)), A.mult_table)
 
 
+def _central_elements(A: QuasiHopfAlgebra, core: Tensor, characters: list[list[Scalar]],
+                      labels: list[str], what: str) -> ExactMatrix:
+    """Column s is leg 2 of the character tensor of ``core`` contracted with
+    characters[s]: one product by the characters' matrix.  All columns are
+    checked central with one product by ``QuasiHopfAlgebra.commutators``; a
+    failure names the first label whose element fails and the first basis
+    element e_i it does not commute with."""
+    cmat = (ts.as_matrix(_character_tensor(A, core), 1)
+            * matrix_from_columns(characters, A.order))
+    if bad := min(((s, r) for (r, s), _ in (A.commutators * cmat).nonzero()), default=None):
+        raise ValueError(f"{what} of {labels[bad[0]]} is not central (it does not commute "
+                         f"with e_{bad[1] // A.dim}); input data is inconsistent")
+    return cmat
+
+
 def chi_central(A: QuasiHopfAlgebra, V: AModule) -> list[Scalar]:
     """The central element representing the modular S-image of the class
     function of V; the coefficients of the Verlinde expansion live in the
     span of these."""
-    return _central_image(A, _character_tensor(A, A.monodromy_core), _trace_functional(V),
-                          "internal character")
+    return _central_elements(A, A.monodromy_core, [_trace_functional(V)], [V.label],
+                             "internal character").transpose().dense[0]
 
 
 def chi_central_hopf(A: QuasiHopfAlgebra, V: AModule) -> list[Scalar]:
@@ -138,18 +140,22 @@ def chi_central_hopf(A: QuasiHopfAlgebra, V: AModule) -> list[Scalar]:
     return ts.contract_leg(t, 2, _trace_functional(V)).to_vector()
 
 
-def phi_central(A: QuasiHopfAlgebra, V: AModule, cointegral: list[Scalar]) -> list[Scalar]:
-    """The central element representing the class function of V itself,
-    built through the cointegral."""
+def _class_function_core(A: QuasiHopfAlgebra, cointegral: list[Scalar]) -> Tensor:
+    """The core phi^-1 Delta(f~)_12 phi of :func:`phi_central`, whose alpha
+    and beta the character tensor places."""
     mt = A.mult_table
     # f~ = (P_1 beta S(P_2) cointegral P_3, P_4) for P = ``A.phi_split_inv``
     f_tilde = ts.merge_legs(
         (ts.leg_map(A.phi_split_inv, 2, A.antipode), Tensor.from_vector(A.beta, A.order),
          Tensor.from_vector(cointegral, A.order)), ((1, 5, 2, 6, 3), (4,)), mt)
-    # the core phi^-1 Delta(f~)_12 phi, whose alpha and beta the character tensor places
-    core = ts.mul_chain([A.phi_inv, ts.coproduct_leg(f_tilde, 1, A.cop_table), A.phi], mt)
-    return _central_image(A, _character_tensor(A, core), _trace_functional(V),
-                          "class-function central element")
+    return ts.mul_chain([A.phi_inv, ts.coproduct_leg(f_tilde, 1, A.cop_table), A.phi], mt)
+
+
+def phi_central(A: QuasiHopfAlgebra, V: AModule, cointegral: list[Scalar]) -> list[Scalar]:
+    """The central element representing the class function of V itself,
+    built through the cointegral."""
+    return _central_elements(A, _class_function_core(A, cointegral), [_trace_functional(V)],
+                             [V.label], "class-function central element").transpose().dense[0]
 
 
 def phi_central_hopf(A: QuasiHopfAlgebra, V: AModule, cointegral: list[Scalar]) -> list[Scalar]:
@@ -221,37 +227,29 @@ def grothendieck_class(M: AModule, simples: SimpleSet) -> list[int]:
 # the Verlinde table
 
 
-def verlinde_fusion(
-    A: QuasiHopfAlgebra, simples: SimpleSet, oracle: bool = True
-) -> FusionTable:
+def verlinde_fusion(A: QuasiHopfAlgebra, simples: SimpleSet) -> FusionTable:
     """Structure constants of the Grothendieck ring, from the expansion
     of products of the internal-character central elements.
 
-    Every coefficient must come out a non-negative integer and (with
-    ``oracle`` on) must satisfy sum_w N_uv^w chi_w = chi_{U (x) V}, an
-    identity check; only a pair that fails it is solved, for the class
-    the error names.  Raises FusionError first if the declared simples
-    fail :meth:`SimpleSet.validate`.
+    Every coefficient must come out a non-negative integer and must
+    satisfy sum_w N_uv^w chi_w = chi_{U (x) V}, an identity check; only a
+    pair that fails it is solved, for the class the error names.  Raises
+    FusionError first if the declared simples fail :meth:`SimpleSet.validate`.
     """
     problems = simples.validate(A)
     if problems:
         raise FusionError("declared simples are not a complete set of simple "
                           "modules: " + "; ".join(problems))
     n = len(simples.simples)
-    # column s is chi_central of simple s; all are checked central at once
-    cmat = (ts.as_matrix(_character_tensor(A, A.monodromy_core), 1)
-            * matrix_from_columns(simples.characters, A.order))
-    # located at the first simple whose character fails, and its first e_i
-    if bad := min(((s, r) for (r, s), _ in (A.commutators * cmat).nonzero()), default=None):
-        raise ValueError(f"internal character of {simples.labels[bad[0]]} is not central (it "
-                         f"does not commute with e_{bad[1] // A.dim}); input data is inconsistent")
+    # column s is chi_central of simple s
+    cmat = _central_elements(A, A.monodromy_core, simples.characters, simples.labels,
+                             "internal character")
     chis = cmat.transpose().dense
     if cmat.rank() != n:
         raise FusionError("internal characters are linearly dependent")
     pairs = [(iu, iv) for iu in range(n) for iv in range(n)]
     expansions = cmat.solve_each([A.product(chis[iu], chis[iv]) for iu, iv in pairs])
-    if oracle:
-        tensor_chars = _tensor_characters(A, simples.characters)
+    tensor_chars = _tensor_characters(A, simples.characters)
     table = [[[0] * n for _ in range(n)] for _ in range(n)]
     # checked pair by pair, so the first failing pair is the one reported
     for p, (iu, iv) in enumerate(pairs):
@@ -260,8 +258,7 @@ def verlinde_fusion(
             raise FusionError(
                 f"product of internal characters leaves their span at pair {where}")
         coeffs = [_as_nonneg_int(c) for c in expansions[p]]
-        if oracle and not vec_eq(_class_character(coeffs, simples.characters, A.order),
-                                 tensor_chars[p]):
+        if not vec_eq(_class_character(coeffs, simples.characters, A.order), tensor_chars[p]):
             expected = _class_of(tensor_chars[p], simples, A.order)
             raise FusionError(
                 f"Verlinde expansion {coeffs} disagrees with the "

@@ -23,7 +23,7 @@ from .exactmath import (
 from . import tensorspace as ts
 from .tensorspace import Tensor
 from .qha import QuasiHopfAlgebra, first_difference
-from .coend import CoendMaps, FactorisabilityReport, coend_maps, factorisability, q_form
+from .coend import CoendMaps, FactorisabilityReport, q_form
 
 
 @dataclass
@@ -51,7 +51,6 @@ class ModularData:
     s_z: ExactMatrix                   # in center_basis coordinates
     t_z: ExactMatrix
     lam: Scalar
-    lam_note: str
 
 
 # ---------------------------------------------------------------------------
@@ -97,21 +96,19 @@ def pairing_of(f: list[Scalar], g: list[Scalar], omega_hat: Tensor) -> Scalar:
     return dot(g, ts.contract_leg(omega_hat, 2, f).to_vector())
 
 
-def cointegral_L(A: QuasiHopfAlgebra, integral: list[Scalar] | None = None) -> CointegralResult:
+def cointegral_L(A: QuasiHopfAlgebra, integral: list[Scalar]) -> CointegralResult:
     """Two-sided integral of A, which spans the cointegrals of the
-    universal Hopf algebra; normalised against the integral if given."""
+    universal Hopf algebra, scaled so that the integral pairs to 1 with it
+    where that pairing is not zero."""
     both = common_eigenvectors(A.left_mult + A.right_mult, A.counit + A.counit)
     if len(both) == 0:
         return CointegralResult(None, 0, False)
     c = both[0]
-    normalized = False
-    if integral is not None:
-        val = dot(integral, c)
-        if not val.is_zero():
-            inv = val.inverse()
-            c = [inv * x for x in c]
-            normalized = True
-    return CointegralResult(c, len(both), normalized)
+    val = dot(integral, c)
+    if val.is_zero():
+        return CointegralResult(c, len(both), False)
+    inv = val.inverse()
+    return CointegralResult([inv * x for x in c], len(both), True)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +154,7 @@ def sl2z_on_center(
     A: QuasiHopfAlgebra,
     s_hat: ExactMatrix,
     t_hat: ExactMatrix,
-    center_basis: list[list[Scalar]] | None = None,
+    center_basis: list[list[Scalar]],
 ):
     """The restrictions S_Z and T_Z of S_hat and T_hat to the centre, in
     centre coordinates, together with the projective constant from
@@ -170,8 +167,6 @@ def sl2z_on_center(
     failure signals corrupted input or an implementation fault.
     """
     order = A.order
-    if center_basis is None:
-        center_basis = center(A)
     # one elimination solves every column; S z and T z alternate, so the
     # first basis vector that fails is reported, with S checked before T
     coords = matrix_from_columns(center_basis, order).solve_each(
@@ -196,22 +191,11 @@ def sl2z_on_center(
     return s_z, t_z, lam
 
 
-LAM_NOTE = (
-    "integral fixed by echelon normalisation of the two-sided solution "
-    "space (defined up to sign and scale); the projective constant "
-    "rescales linearly with it"
-)
-
-
-def modular_data(A: QuasiHopfAlgebra, maps: CoendMaps | None = None,
-                 fact: FactorisabilityReport | None = None) -> ModularData:
+def modular_data(A: QuasiHopfAlgebra, maps: CoendMaps,
+                 fact: FactorisabilityReport) -> ModularData:
     """Full modular pipeline; requires a factorisable ribbon input.  The
     copairing rank is read from ``fact``, the verdict of
-    :func:`coend.factorisability`, which is built here when not given."""
-    if maps is None:
-        maps = coend_maps(A)
-    if fact is None:
-        fact = factorisability(A, maps)
+    :func:`coend.factorisability` on ``maps``."""
     if fact.rank_D != A.dim:
         raise ValueError(f"input is not factorisable (copairing rank {fact.rank_D} < {A.dim}); "
                          "the modular action needs it")
@@ -238,5 +222,4 @@ def modular_data(A: QuasiHopfAlgebra, maps: CoendMaps | None = None,
         s_z=s_z,
         t_z=t_z,
         lam=lam,
-        lam_note=LAM_NOTE,
     )

@@ -314,11 +314,9 @@ def hopf_tangle(X: AModule, Y: AModule) -> Morphism:
 # the braided Hopf structure, as morphisms
 
 
-def dualised_structure(A: QuasiHopfAlgebra, maps: CoendMaps | None = None):
+def dualised_structure(A: QuasiHopfAlgebra, maps: CoendMaps):
     """Module-level structure morphisms of the universal Hopf algebra,
     obtained from the transposed maps by transpose plus pair flip."""
-    if maps is None:
-        maps = coend_maps(A)
     L = coadjoint_module(A)
     LL = tensor_module(L, L)
     one_mod = trivial_module(A)
@@ -334,7 +332,7 @@ def dualised_structure(A: QuasiHopfAlgebra, maps: CoendMaps | None = None):
     return L, mu, delta, eta, eps, s_l, omega
 
 
-def verify_braided_hopf(A: QuasiHopfAlgebra, maps: CoendMaps | None = None) -> AxiomReport:
+def verify_braided_hopf(A: QuasiHopfAlgebra) -> AxiomReport:
     """Check, as exact matrix identities in the module category, that the
     dualised structure maps make the universal Hopf algebra object a Hopf
     algebra with a self-pairing whose product/coproduct and unit/counit
@@ -346,7 +344,7 @@ def verify_braided_hopf(A: QuasiHopfAlgebra, maps: CoendMaps | None = None) -> A
     ``validate`` report is returned instead, each failure located.  The
     error is raised again if ``validate`` passes."""
     try:
-        L, mu, delta, eta, eps, s_l, omega = dualised_structure(A, maps)
+        L, mu, delta, eta, eps, s_l, omega = dualised_structure(A, coend_maps(A))
     except (ValueError, ZeroDivisionError):
         rep = validate(A)
         if rep.ok:

@@ -1,7 +1,7 @@
 import pytest
 
 from qhopf.presets import PRESET_NAMES, preset
-from qhopf.coend import coend_maps
+from qhopf.coend import coend_maps, factorisability
 from qhopf.modular import modular_data
 
 FACTORISABLE = ("trivial", "double_Z2", "twisted_double_Z2")
@@ -19,8 +19,13 @@ def all_maps(presets):
 
 
 @pytest.fixture(scope="session")
-def all_modular(presets, all_maps):
+def all_fact(presets, all_maps):
+    return {name: factorisability(p.algebra, all_maps[name]) for name, p in presets.items()}
+
+
+@pytest.fixture(scope="session")
+def all_modular(presets, all_maps, all_fact):
     return {
-        name: modular_data(presets[name].algebra, all_maps[name])
+        name: modular_data(presets[name].algebra, all_maps[name], all_fact[name])
         for name in FACTORISABLE
     }

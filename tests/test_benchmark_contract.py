@@ -19,7 +19,7 @@ import pytest
 from click.testing import CliRunner
 
 from qhopf.cli import main, parse_text
-from qhopf.coend import coend_maps, hopf_reduced_maps
+from qhopf.coend import coend_maps, factorisability, hopf_reduced_maps
 from qhopf.modular import modular_data, s_hat_pairing_form
 from qhopf.presets import PRESET_NAMES, preset
 from qhopf.qha import QuasiHopfAlgebra, drinfeld_twist
@@ -272,7 +272,7 @@ def test_generated_double_z3_oracles(k):
     alg, simples = INPUTS.double_cyclic(3, k, INPUTS.relabelling(random.Random(k), 9))
     alg, _ = parse_text(INPUTS.serialize(alg, simples))
     maps = coend_maps(alg)
-    md = modular_data(alg, maps)
+    md = modular_data(alg, maps, factorisability(alg, maps))
     assert s_hat_pairing_form(alg, maps, md.integral) == md.s_hat
     short = hopf_reduced_maps(alg)
     assert short.mu_hat == maps.mu_hat

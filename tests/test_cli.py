@@ -268,11 +268,13 @@ def test_factorisable_command(runner):
 
 
 def test_modular_command_with_projective(runner):
+    # the note is always written; --projective is no option
     res = runner.invoke(main, ["modular", "double_Z2"])
     assert res.exit_code == 0
     assert "normalisation_note" in json.loads(res.output)
-    res = runner.invoke(main, ["modular", "double_Z2", "--projective"])
-    assert "normalisation_note" not in json.loads(res.output)
+    for command in ("modular", "report"):
+        res = runner.invoke(main, [command, "double_Z2", "--projective"])
+        assert res.exit_code == 2 and "No such option '--projective'" in res.stderr
 
 
 def test_modular_rejects_nonfactorisable(runner):
@@ -293,8 +295,11 @@ def test_fusion_csv_group_law(runner):
 
 
 def test_fusion_no_oracle(runner):
-    res = runner.invoke(main, ["fusion", "twisted_double_Z2", "--no-oracle"])
-    assert res.exit_code == 0
+    # the character oracle always runs; --no-oracle and --oracle are no options
+    for command in ("fusion", "report"):
+        for flag in ("--no-oracle", "--oracle"):
+            res = runner.invoke(main, [command, "twisted_double_Z2", flag])
+            assert res.exit_code == 2 and f"No such option '{flag}'" in res.stderr
 
 
 def test_fusion_without_simples_exit_two(runner, tmp_path, presets):
@@ -377,31 +382,53 @@ def test_csv_rejected_before_any_stage(runner, monkeypatch, command):
 
 
 TRIVIAL = preset_text("trivial")
-# (definition text, first text of the offending line or None, message)
-REFUSED_FILES = [
-    (TRIVIAL.replace("mult:\n0 0 0 = 1", "mult:\n0 0 0 = 1 2", 1), "0 0 0 = 1 2",
-     "trailing 'int' in scalar literal"),
-    (TRIVIAL.replace("simple triv dim 1:", "simple triv 1:"), "simple triv 1:",
-     "malformed simple header"),
-    (TRIVIAL.replace("ribbon:", "ribon:"), "ribon:", "unknown section 'ribon'"),
-    (TRIVIAL.replace("mult:\n", "0 = 1\nmult:\n", 1), "0 = 1\nmult:",
-     "entry before any section header"),
-    (TRIVIAL.replace("mult:\n0 0 0", "mult:\n0 0 x", 1), "0 0 x",
-     "non-integer index in '0 0 x'"),
-    (TRIVIAL.replace("simple triv dim 1:\n0 0 0", "simple triv dim 1:\n0 1 0"), "0 1 0",
-     "index (0, 1, 0) out of range for simple of dim 1"),
-    (TRIVIAL.replace("mult:\n", "mult:\ngarbage\n", 1), "garbage",
-     "cannot parse line 'garbage'"),
-    (TRIVIAL.replace("mult:\n0 0 0 = 1", "mult:\n0 0 0 = " + "-" * 3000 + "1", 1),
-     "0 0 0 = -", "literal is nested too deeply"),
-    (TRIVIAL.replace("mult:\n0 0 0 = 1", "mult:\n0 0 0 = " + "(" * 3000 + "1" + ")" * 3000, 1),
-     "0 0 0 = (", "literal is nested too deeply"),
-    ("field 1\nflags hopf\n", None, "missing 'dim' header"),
-    ("dim 1\nflags hopf\n", None, "missing 'field' header"),
-]
+# id -> (definition text, first text of the offending line or None, message)
+REFUSED_FILES = {
+    "trailing-int": (TRIVIAL.replace("mult:\n0 0 0 = 1", "mult:\n0 0 0 = 1 2", 1), "0 0 0 = 1 2",
+                     "trailing 'int' in scalar literal"),
+    "simple-header": (TRIVIAL.replace("simple triv dim 1:", "simple triv 1:"), "simple triv 1:",
+                      "malformed simple header"),
+    "unknown-section": (TRIVIAL.replace("ribbon:", "ribon:"), "ribon:",
+                        "unknown section 'ribon'"),
+    "entry-before-section": (TRIVIAL.replace("mult:\n", "0 = 1\nmult:\n", 1), "0 = 1\nmult:",
+                             "entry before any section header"),
+    "index-letter": (TRIVIAL.replace("mult:\n0 0 0", "mult:\n0 0 x", 1), "0 0 x",
+                     "non-integer index in '0 0 x'"),
+    "index-range": (TRIVIAL.replace("simple triv dim 1:\n0 0 0", "simple triv dim 1:\n0 1 0"),
+                    "0 1 0", "index (0, 1, 0) out of range for simple of dim 1"),
+    "garbage": (TRIVIAL.replace("mult:\n", "mult:\ngarbage\n", 1), "garbage",
+                "cannot parse line 'garbage'"),
+    "deep-minus": (TRIVIAL.replace("mult:\n0 0 0 = 1", "mult:\n0 0 0 = " + "-" * 3000 + "1", 1),
+                   "0 0 0 = -", "literal is nested too deeply"),
+    "deep-parentheses": (TRIVIAL.replace(
+        "mult:\n0 0 0 = 1", "mult:\n0 0 0 = " + "(" * 3000 + "1" + ")" * 3000, 1),
+        "0 0 0 = (", "literal is nested too deeply"),
+    "no-dim": ("field 1\nflags hopf\n", None, "missing 'dim' header"),
+    "no-field": ("dim 1\nflags hopf\n", None, "missing 'field' header"),
+    # str.isdigit and int() accept more than the ASCII digits the format has
+    "dim-superscript": (TRIVIAL.replace("dim 1", "dim \u00b2", 1), "dim \u00b2",
+                        "malformed dim header 'dim \u00b2'"),
+    "field-superscript": (TRIVIAL.replace("field 1", "field \u00b2", 1), "field \u00b2",
+                          "malformed field header 'field \u00b2'"),
+    "simple-dim-superscript": (TRIVIAL.replace("simple triv dim 1:", "simple triv dim \u00b2:"),
+                               "simple triv dim", "malformed simple header"),
+    "literal-superscript": (TRIVIAL.replace("mult:\n0 0 0 = 1", "mult:\n0 0 0 = 1\u00b2", 1),
+                            "0 0 0 = 1\u00b2", "unexpected character '\u00b2' in scalar literal"),
+    "literal-arabic-digit": (TRIVIAL.replace("mult:\n0 0 0 = 1", "mult:\n0 0 0 = \u0663", 1),
+                             "0 0 0 = \u0663", "unexpected character '\u0663' in scalar literal"),
+    "index-underscore": (TRIVIAL.replace("mult:\n0 0 0", "mult:\n0 0 0_0", 1), "0 0 0_0",
+                         "non-integer index in '0 0 0_0'"),
+    "index-plus": (TRIVIAL.replace("mult:\n0 0 0", "mult:\n0 0 +0", 1), "0 0 +0",
+                   "non-integer index in '0 0 +0'"),
+    # a second header is refused before the pair is complete and after it
+    "repeated-dim": (TRIVIAL.replace("dim 1", "dim 3\ndim 1", 1), "dim 1",
+                     "repeated 'dim' header"),
+    "repeated-field": (TRIVIAL.replace("flags", "field 1\nflags", 1), "field 1\nflags",
+                       "repeated 'field' header"),
+}
 
 
-@pytest.mark.parametrize("text, line, message", REFUSED_FILES)
+@pytest.mark.parametrize("text, line, message", REFUSED_FILES.values(), ids=list(REFUSED_FILES))
 def test_parser_refusals_exit_two_with_a_located_error(runner, tmp_path, text, line, message):
     path = tmp_path / "refused.alg"
     path.write_text(text, encoding="utf-8")
@@ -413,8 +440,8 @@ def test_parser_refusals_exit_two_with_a_located_error(runner, tmp_path, text, l
     assert message in res.stderr, res.stderr
 
 
-@pytest.mark.parametrize("text, line", [row[:2] for row in REFUSED_FILES
-                                        if "nested too deeply" in row[2]],
+@pytest.mark.parametrize("text, line", [REFUSED_FILES[k][:2] for k in ("deep-minus",
+                                                                       "deep-parentheses")],
                          ids=["minus", "parentheses"])
 def test_a_deep_literal_is_echoed_in_short(runner, tmp_path, text, line):
     # the 3,000-character literal is cut to its start; the line and the

@@ -10,6 +10,9 @@ from qhopf.exactmath import (
     vec_eq,
     zero_vector,
 )
+from qhopf.cli import parse_text
+from qhopf.coend import coend_maps, factorisability
+from qhopf.modular import modular_data
 from qhopf.repcat import AModule, dual_module, regular_module, trivial_module
 from qhopf.fusion import (
     FusionError,
@@ -138,8 +141,8 @@ def test_non_central_character_names_the_simple_and_the_basis_element(presets, m
     # the single-character route checks through the same stack
     assert vec_eq(chi_central(A, p.simples.simples[0]), chis[0])
     with pytest.raises(ValueError, match=re.escape(
-            "internal character is not central (it does not commute with e_3); "
-            "input data is inconsistent")):
+            f"internal character of {p.simples.labels[1]} is not central (it does not "
+            "commute with e_3); input data is inconsistent")):
         chi_central(A, p.simples.simples[1])
 
 
@@ -207,8 +210,7 @@ def test_fusion_is_klein_four_group(presets):
 
 def test_fusion_unit_row(presets):
     for name in DOUBLES:
-        table = verlinde_fusion(
-            presets[name].algebra, presets[name].simples, oracle=False)
+        table = verlinde_fusion(presets[name].algebra, presets[name].simples)
         for v in range(4):
             assert table.table[0][v] == [1 if w == v else 0 for w in range(4)]
 
@@ -261,6 +263,42 @@ def test_phi_of_dual_is_double_s_transform(presets, all_modular):
                 for i in range(alg.dim):
                     recon[i] = recon[i] + md.center_basis[j][i] * cj
             assert vec_eq([k * x for x in phi_dual], recon), (name, lbl)
+
+
+def _rebased():
+    from test_rebased import rebased_text
+
+    return parse_text(rebased_text())
+
+
+def _double_z3(k):
+    import random
+
+    from test_benchmark_contract import INPUTS
+
+    alg, simples = INPUTS.double_cyclic(3, k, INPUTS.relabelling(random.Random(k), 9))
+    # parsing solves for the inverse ribbon element, which T_hat needs
+    return parse_text(INPUTS.serialize(alg, simples))
+
+
+@pytest.mark.parametrize("build", [_rebased, lambda: _double_z3(1), lambda: _double_z3(2)],
+                         ids=["rebased", "d_z3_k1", "d_z3_k2"])
+def test_chi_is_s_transform_of_phi_for_all_simples_at_once(build):
+    # chi_V = S_Z(phi_V) for every simple V as one matrix identity: with Z
+    # the centre basis as columns, chis = Z S_Z Z^-1 phis
+    from qhopf.fusion import _central_elements, _class_function_core
+
+    A, simples = build()
+    maps = coend_maps(A)
+    md = modular_data(A, maps, factorisability(A, maps))
+    chars, labels = simples.characters, simples.labels
+    chis = _central_elements(A, A.monodromy_core, chars, labels, "internal character")
+    phis = _central_elements(A, _class_function_core(A, md.cointegral), chars, labels,
+                             "class-function central element")
+    z = matrix_from_columns(md.center_basis, A.order)
+    coords = z.solve_each(phis.transpose().dense)
+    assert None not in coords
+    assert chis == z * md.s_z * matrix_from_columns(coords, A.order)
 
 
 def test_multiplicities_are_read_from_numerators():

@@ -72,15 +72,15 @@ def test_hopf_right_integral_short_form(presets, all_maps):
             assert vec_eq(acc, expected), (name, a)
 
 
-def test_trivial_cointegral(presets):
+def test_trivial_cointegral(presets, all_maps):
     alg = presets["trivial"].algebra
-    res = cointegral_L(alg)
+    res = cointegral_L(alg, integral_L(alg, all_maps["trivial"]).functional)
     assert vec_eq(res.element, alg.unit())
 
 
-def test_group_z2_cointegral_is_group_sum(presets):
+def test_group_z2_cointegral_is_group_sum(presets, all_maps):
     alg = presets["group_Z2_trivialR"].algebra
-    res = cointegral_L(alg)
+    res = cointegral_L(alg, integral_L(alg, all_maps["group_Z2_trivialR"]).functional)
     assert res.dim_two_sided == 1
     c = res.element
     assert c[0] == c[1] and not c[0].is_zero()
@@ -226,8 +226,8 @@ def test_lambda_rescales_with_integral(presets, all_maps):
     res = integral_L(alg, maps)
     t = Scalar.rational(3)
     scaled = [t * x for x in res.functional]
-    _, _, lam1 = sl2z_on_center(alg, *s_t_hat(alg, maps, res.functional))
-    _, _, lam2 = sl2z_on_center(alg, *s_t_hat(alg, maps, scaled))
+    _, _, lam1 = sl2z_on_center(alg, *s_t_hat(alg, maps, res.functional), center(alg))
+    _, _, lam2 = sl2z_on_center(alg, *s_t_hat(alg, maps, scaled), center(alg))
     assert lam2 == t * lam1
 
 
@@ -277,7 +277,8 @@ def test_sl2z_on_center_names_failing_basis_vector(presets, all_modular):
             sl2z_on_center(alg, md.s_hat, md.t_hat, basis)
 
 
-def test_sl2z_on_center_locates_the_failed_proportionality(presets, monkeypatch):
+def test_sl2z_on_center_locates_the_failed_proportionality(presets, all_maps, all_fact,
+                                                          monkeypatch):
     # on the commutative double_Z2 every vector is central, so stand-in S
     # and T act on the standard basis, which serves as the centre basis
     from qhopf import modular
@@ -298,7 +299,7 @@ def test_sl2z_on_center_locates_the_failed_proportionality(presets, monkeypatch)
     s_hat = ExactMatrix.identity(alg.dim, alg.order)
     monkeypatch.setattr(modular, "s_t_hat", lambda A, maps, integral: (s_hat, t_hat))
     with pytest.raises(ValueError, match=re.escape("not proportional to S^2 at (1, 1)")):
-        modular.modular_data(alg)
+        modular.modular_data(alg, all_maps["double_Z2"], all_fact["double_Z2"])
     # S = E_01 and T the swap of e_0 and e_1: S^2 = 0 while (S T)^3 = E_00
     s_hat = matrix((0, 1, one))
     t_hat = matrix((0, 1, one), (1, 0, one), (2, 2, one), (3, 3, one))
@@ -306,20 +307,21 @@ def test_sl2z_on_center_locates_the_failed_proportionality(presets, monkeypatch)
         sl2z_on_center(alg, s_hat, t_hat, basis)
 
 
-def test_modular_data_refuses_a_non_factorisable_input(presets):
+def test_modular_data_refuses_a_non_factorisable_input(presets, all_maps, all_fact):
     with pytest.raises(ValueError, match=re.escape(
             "input is not factorisable (copairing rank 1 < 2); the modular action needs it")):
-        modular_data(presets["group_Z2_trivialR"].algebra)
+        modular_data(presets["group_Z2_trivialR"].algebra, all_maps["group_Z2_trivialR"],
+                     all_fact["group_Z2_trivialR"])
 
 
 # every preset has a one-dimensional integral space that pairs to one, so
 # the three later refusals are reached through stand-in results
 def test_modular_data_refuses_an_integral_space_not_of_dimension_one(presets, all_maps,
-                                                                     monkeypatch):
+                                                                     all_fact, monkeypatch):
     monkeypatch.setattr(modular, "integral_L", lambda A, maps: IntegralResult(None, 2, None))
     with pytest.raises(ValueError, match=re.escape(
             "two-sided integral space has dimension 2, not 1")):
-        modular_data(presets["double_Z2"].algebra, all_maps["double_Z2"])
+        modular_data(presets["double_Z2"].algebra, all_maps["double_Z2"], all_fact["double_Z2"])
 
 
 @pytest.mark.parametrize("element, message", [
@@ -327,8 +329,8 @@ def test_modular_data_refuses_an_integral_space_not_of_dimension_one(presets, al
     ([Scalar.one()], "integral pairs to zero against the cointegral"),
 ])
 def test_modular_data_refuses_a_missing_or_unnormalised_cointegral(
-        presets, all_maps, monkeypatch, element, message):
+        presets, all_maps, all_fact, monkeypatch, element, message):
     monkeypatch.setattr(modular, "cointegral_L",
                         lambda A, integral: CointegralResult(element, 1, False))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        modular_data(presets["trivial"].algebra, all_maps["trivial"])
+        modular_data(presets["trivial"].algebra, all_maps["trivial"], all_fact["trivial"])

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from qhopf.exactmath import format_scalar
 from qhopf.cli import main, parse_text
 from qhopf.qha import validate
-from qhopf.coend import factorisability
+from qhopf.coend import coend_maps, factorisability
 
 
 def _fmt_matrix(m):
@@ -117,7 +117,7 @@ def test_hand_authored_sign_braiding_file(tmp_path):
     assert any("ribbon_inv solved" in n for n in alg.notes)
     # triangular: the R-matrix is its own flip-inverse, so the monodromy
     # degenerates and all three tests say non-factorisable
-    fact = factorisability(alg)
+    fact = factorisability(alg, coend_maps(alg))
     assert not fact.is_factorisable and fact.tests_agree
     assert simples is not None and simples.validate(alg) == []
 
@@ -149,8 +149,9 @@ def test_field_embedding_preserves_everything(presets):
     text = preset_path("twisted_double_Z2").read_text(encoding="utf-8")
     big, big_simples = parse_text(text, field_order=8)
     assert validate(big).ok
-    md_small = modular_data(p.algebra, coend_maps(p.algebra))
-    md_big = modular_data(big, coend_maps(big))
+    maps_small, maps_big = coend_maps(p.algebra), coend_maps(big)
+    md_small = modular_data(p.algebra, maps_small, factorisability(p.algebra, maps_small))
+    md_big = modular_data(big, maps_big, factorisability(big, maps_big))
     assert format_scalar(md_big.lam) == format_scalar(md_small.lam)
     assert md_big.pairing_value == md_small.pairing_value.embed(8)
     table_big = verlinde_fusion(big, big_simples)

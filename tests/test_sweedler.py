@@ -151,7 +151,7 @@ def test_h4_oracles(h4):
 
 
 def test_h4_not_factorisable(h4):
-    fact = factorisability(h4)
+    fact = factorisability(h4, coend_maps(h4))
     assert (fact.rank_D, fact.rank_BT) == (1, 1)
     assert (fact.invariants_dim, fact.coinvariants_dim) == (2, 1)
     assert not fact.is_factorisable
@@ -162,7 +162,8 @@ def test_h4_not_semisimple_not_unimodular(h4):
     assert radical_dimension(h4) == 2
     assert len(center(h4)) == 1
     # the left and right integrals of H4 differ, so no two-sided one exists
-    assert cointegral_L(h4).dim_two_sided == 0
+    integral = integral_L(h4, coend_maps(h4)).functional
+    assert cointegral_L(h4, integral).dim_two_sided == 0
 
 
 # every single-entry mutation (delta 1) of these sites, with its index count
