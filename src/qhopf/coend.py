@@ -265,12 +265,12 @@ def invariant_functionals(A: QuasiHopfAlgebra) -> list[list[Scalar]]:
 
 def conjugation_action(A: QuasiHopfAlgebra) -> list[ExactMatrix]:
     """b: x -> sum S(b') x b'', the transposed coadjoint action."""
-    return [m.transpose() for m in A.coadjoint_action]
+    return A.conjugation_action
 
 
 def coinvariant_elements(A: QuasiHopfAlgebra) -> list[list[Scalar]]:
     """Basis of elements r with sum S(b') r b'' = eps(b) r for all b."""
-    return common_eigenvectors(conjugation_action(A), A.counit)
+    return common_eigenvectors(A.conjugation_action, A.counit)
 
 
 def factorisability(A: QuasiHopfAlgebra, maps: CoendMaps) -> FactorisabilityReport:
@@ -283,13 +283,9 @@ def factorisability(A: QuasiHopfAlgebra, maps: CoendMaps) -> FactorisabilityRepo
 
     invs = invariant_functionals(A)
     coinvs = coinvariant_elements(A)
-    if invs:
-        images = [
-            ts.contract_leg(maps.omega_hat, 2, s).to_vector() for s in invs
-        ]
-        omega_rank = matrix_from_columns(images, A.order).rank()
-    else:
-        omega_rank = 0
+    # omega with its second leg restricted to the invariants, one column each
+    omega_rank = (ts.as_matrix(maps.omega_hat, 1)
+                  * matrix_from_columns(invs, A.order)).rank() if invs else 0
     # a valid algebra always has a nonzero invariant (the transposed unit),
     # so the vacuous zero-space case counts as degenerate
     omega_iso = len(invs) > 0 and omega_rank == len(invs) == len(coinvs)

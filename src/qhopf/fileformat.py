@@ -29,9 +29,11 @@ basis element 0 is the unit.
 The ``dim`` and ``field`` headers each appear once.  Every number in a
 header, an index or a literal is ASCII digits only (``str.isdigit`` and
 ``int`` accept more: superscripts, other scripts' digits, '+0' and
-'1_0').  A section header fixes one bound per index (dim, or (dim, D, D)
-for a simple), and one path checks, bounds and stores the entries of
-every section.  An omitted inverse is solved for, with a note.  Scalar
+'1_0'), and one longer than Python's integer string conversion limit
+(``sys.get_int_max_str_digits``) is a ``ParseError`` at its line.  A
+section header fixes one bound per index (dim, or (dim, D, D) for a
+simple), and one path checks, bounds and stores the entries of every
+section.  An omitted inverse is solved for, with a note.  Scalar
 literals are sums of products of rationals ``p/q`` and powers of the
 cyclotomic generator ``z``, e.g. ``1/2*z^3 - 1``; one nested too deeply
 is a ``ParseError``, as is (in ``cli``) a file that is not UTF-8.
@@ -48,6 +50,7 @@ exactly; ``algebras_equal`` compares two algebras by that text.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import cache
 
@@ -83,6 +86,16 @@ def _is_digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+def _int_of(digits: str, source: str = "<string>", line: int | None = None,
+            col: int | None = None) -> int:
+    # int() refuses a string of ASCII digits only past the conversion limit
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"number of {len(digits)} digits exceeds the limit of "
+                         f"{sys.get_int_max_str_digits()}", source, line, col) from None
+
+
 def _tokenize_scalar(text: str) -> list[tuple[str, object, int]]:
     tokens = []
     i = 0
@@ -97,7 +110,7 @@ def _tokenize_scalar(text: str) -> list[tuple[str, object, int]]:
             j = i
             while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            tokens.append(("int", _int_of(text[i:j], col=i), i))
             i = j
         elif ch == "z":
             tokens.append(("z", "z", i))
@@ -255,9 +268,9 @@ def parse_text(text: str, source: str = "<string>", field_order: int | None = No
             if (dim if head[0] == "dim" else declared) is not None:
                 err(f"repeated {head[0]!r} header", line_no)
             if head[0] == "dim":
-                dim = int(head[1])
+                dim = _int_of(head[1], source, line_no)
             else:
-                declared = int(head[1])
+                declared = _int_of(head[1], source, line_no)
                 if declared == 0:
                     err("field order must be positive, got 0", line_no)
                 order = declared if field_order is None else field_order
@@ -278,7 +291,7 @@ def parse_text(text: str, source: str = "<string>", field_order: int | None = No
             if dim is None or order is None:
                 err("sections must come after the 'dim' and 'field' header", line_no)
             if is_simple:
-                d = int(parts[3])
+                d = _int_of(parts[3], source, line_no)
                 current, bounds, entries = "simple", (dim, d, d), []
                 simples.append((parts[1], d, entries))
             else:
@@ -294,7 +307,7 @@ def parse_text(text: str, source: str = "<string>", field_order: int | None = No
                     f"got {len(idx_parts)}", line_no)
             if not all(map(_is_digits, idx_parts)):
                 err(f"non-integer index in {lhs.strip()!r}", line_no)
-            idx = tuple(map(int, idx_parts))
+            idx = tuple(_int_of(p, source, line_no) for p in idx_parts)
             literal = rhs.strip()
             value = literals.get(literal)
             if value is None:

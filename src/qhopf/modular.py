@@ -4,6 +4,10 @@ S_Z and T_Z are the restrictions to the centre of S_hat and T_hat on A;
 ``s_hat_pairing_form`` derives S_hat a second way, as its oracle.  No map
 is built by a loop over basis indices.
 
+The integral (:func:`integral_L`) and the cointegral (:func:`cointegral_L`)
+are plain vectors; each function raises its own refusal when the value
+it solves for does not exist or is not unique.
+
 No square roots are ever taken: the pairing value of the integral is
 carried along and all modular relations are asserted in their exactly
 scaled forms (see the invariants exercised in the test suite).
@@ -24,20 +28,6 @@ from . import tensorspace as ts
 from .tensorspace import Tensor
 from .qha import QuasiHopfAlgebra, first_difference
 from .coend import CoendMaps, FactorisabilityReport, q_form
-
-
-@dataclass
-class IntegralResult:
-    functional: list[Scalar] | None   # two-sided solution, echelon-normalised
-    space_dim: int
-    pairing_value: Scalar | None      # <lam x lam, omega>
-
-
-@dataclass
-class CointegralResult:
-    element: list[Scalar] | None
-    dim_two_sided: int
-    normalized: bool                   # scaled so the integral pairs to 1
 
 
 @dataclass
@@ -66,15 +56,17 @@ def center(A: QuasiHopfAlgebra) -> list[list[Scalar]]:
 # integral of the universal Hopf algebra
 
 
-def integral_L(A: QuasiHopfAlgebra, maps: CoendMaps) -> IntegralResult:
-    """Solve the two-sided invariance conditions for a functional on A.
+def integral_L(A: QuasiHopfAlgebra, maps: CoendMaps) -> list[Scalar]:
+    """The two-sided integral of the universal Hopf algebra, a functional
+    on A, echelon-normalised.
 
     Contracting either output leg of the transposed product against the
     functional gives the evaluation element times the functional:
     P_j lam = Q_j lam = alpha_j lam for the slices P_j[a, k] = mu[(j, k), a]
     and Q_j[a, k] = mu[(k, j), a].  The integral is unique up to scale,
     so the space has dimension 1 on valid inputs whether or not they are
-    factorisable (only :func:`coend.factorisability` decides that).
+    factorisable (only :func:`coend.factorisability` decides that);
+    raises ValueError for any other dimension.
     """
     dim, order = A.dim, A.order
     slices: list[list] = [[] for _ in range(2 * dim)]   # P_0 .. P_dim-1, Q_0 .. Q_dim-1
@@ -85,10 +77,8 @@ def integral_L(A: QuasiHopfAlgebra, maps: CoendMaps) -> IntegralResult:
     sols = common_eigenvectors(
         [ExactMatrix.from_entries(dim, dim, order, t) for t in slices], A.alpha + A.alpha)
     if len(sols) != 1:
-        return IntegralResult(None, len(sols), None)
-    lam = sols[0]
-    k = pairing_of(lam, lam, maps.omega_hat)
-    return IntegralResult(lam, 1, k)
+        raise ValueError(f"two-sided integral space has dimension {len(sols)}, not 1")
+    return sols[0]
 
 
 def pairing_of(f: list[Scalar], g: list[Scalar], omega_hat: Tensor) -> Scalar:
@@ -96,19 +86,20 @@ def pairing_of(f: list[Scalar], g: list[Scalar], omega_hat: Tensor) -> Scalar:
     return dot(g, ts.contract_leg(omega_hat, 2, f).to_vector())
 
 
-def cointegral_L(A: QuasiHopfAlgebra, integral: list[Scalar]) -> CointegralResult:
+def cointegral_L(A: QuasiHopfAlgebra, integral: list[Scalar]) -> list[Scalar]:
     """Two-sided integral of A, which spans the cointegrals of the
-    universal Hopf algebra, scaled so that the integral pairs to 1 with it
-    where that pairing is not zero."""
+    universal Hopf algebra, scaled so that the integral pairs to 1 with it.
+
+    Raises ValueError when A has no two-sided integral (A is not
+    unimodular) or when the integral pairs to zero against it."""
     both = common_eigenvectors(A.left_mult + A.right_mult, A.counit + A.counit)
-    if len(both) == 0:
-        return CointegralResult(None, 0, False)
-    c = both[0]
-    val = dot(integral, c)
+    if not both:
+        raise ValueError("no two-sided integral of the algebra exists")
+    val = dot(integral, both[0])
     if val.is_zero():
-        return CointegralResult(c, len(both), False)
+        raise ValueError("integral pairs to zero against the cointegral")
     inv = val.inverse()
-    return CointegralResult([inv * x for x in c], len(both), True)
+    return [inv * x for x in both[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -195,28 +186,21 @@ def modular_data(A: QuasiHopfAlgebra, maps: CoendMaps,
                  fact: FactorisabilityReport) -> ModularData:
     """Full modular pipeline; requires a factorisable ribbon input.  The
     copairing rank is read from ``fact``, the verdict of
-    :func:`coend.factorisability` on ``maps``."""
+    :func:`coend.factorisability` on ``maps``; every later refusal is
+    raised by the stage that finds it."""
     if fact.rank_D != A.dim:
         raise ValueError(f"input is not factorisable (copairing rank {fact.rank_D} < {A.dim}); "
                          "the modular action needs it")
     integral = integral_L(A, maps)
-    if integral.functional is None:
-        raise ValueError(
-            f"two-sided integral space has dimension {integral.space_dim}, not 1"
-        )
-    coint = cointegral_L(A, integral.functional)
-    if coint.element is None:
-        raise ValueError("no two-sided integral of the algebra exists")
-    if not coint.normalized:
-        raise ValueError("integral pairs to zero against the cointegral")
-    s_hat, t_hat = s_t_hat(A, maps, integral.functional)
+    cointegral = cointegral_L(A, integral)
+    s_hat, t_hat = s_t_hat(A, maps, integral)
     basis = center(A)
     s_z, t_z, lam = sl2z_on_center(A, s_hat, t_hat, basis)
     return ModularData(
         center_basis=basis,
-        integral=integral.functional,
-        pairing_value=integral.pairing_value,
-        cointegral=coint.element,
+        integral=integral,
+        pairing_value=pairing_of(integral, integral, maps.omega_hat),
+        cointegral=cointegral,
         s_hat=s_hat,
         t_hat=t_hat,
         s_z=s_z,

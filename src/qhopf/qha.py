@@ -10,9 +10,10 @@ derived from it and from the other structure constants are
 ``functools.cached_property`` values, built on first use, and each one is
 the only builder of its element: every module that needs one reads the
 view.  Besides the tables and matrices of the product and the coproduct,
-they are the coadjoint and adjoint actions, the monodromy and its
-coassociator conjugate phi^-1 M_12 phi, the coassociator split by the
-coproduct and its inverse, q~ = S(phi_1) alpha phi_2 (x) phi_3, x_d and
+they are the conjugation action and its transpose, the coadjoint action,
+the adjoint action, the monodromy and its coassociator conjugate
+phi^-1 M_12 phi, the coassociator split by the coproduct and its
+inverse, q~ = S(phi_1) alpha phi_2 (x) phi_3, x_d and
 its double coproduct, the Drinfeld elements, the pivotal element v^-1 u
 and its inverse, and the Drinfeld twist.  The monodromy, the checked
 Drinfeld elements and the twist are read through the module functions
@@ -84,10 +85,11 @@ class QuasiHopfAlgebra:
       central exactly when ``commutators`` sends it to zero;
     * ``cop_table``: the nonzero terms of each ``coproduct[i]``;
     * ``antipode_inv``: the inverse of ``antipode``;
-    * ``coadjoint_action`` and ``adjoint_action``: the action matrices
-      (b.f)(x) = f(sum S(b') x b'') on A*, which underlie the universal
-      Hopf algebra, and b.x = sum b' x S(b'') on A, both through
-      ``two_sided_action``;
+    * ``conjugation_action``: the matrices of x -> sum S(b') x b'' on A,
+      and ``coadjoint_action``: their transposes, the action
+      (b.f)(x) = f(sum S(b') x b'') on A* that underlies the universal
+      Hopf algebra; ``adjoint_action``: b.x = sum b' x S(b'') on A; the
+      conjugation and adjoint actions are built by ``two_sided_action``;
     * ``monodromy_core``: phi^-1 M_12 phi for the monodromy M; the coend
       elements w and X_q, the tangle route of the monodromy matrix and the
       internal characters all start from it;
@@ -168,9 +170,12 @@ class QuasiHopfAlgebra:
         return self.antipode.inverse()
 
     @cached_property
+    def conjugation_action(self) -> list[ExactMatrix]:
+        return [self.two_sided_action(ts.leg_map(d, 1, self.antipode)) for d in self.coproduct]
+
+    @cached_property
     def coadjoint_action(self) -> list[ExactMatrix]:
-        return [self.two_sided_action(ts.leg_map(d, 1, self.antipode)).transpose()
-                for d in self.coproduct]
+        return [m.transpose() for m in self.conjugation_action]
 
     @cached_property
     def adjoint_action(self) -> list[ExactMatrix]:

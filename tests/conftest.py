@@ -1,8 +1,14 @@
+import random
+from typing import NamedTuple
+
 import pytest
 
 from qhopf.presets import PRESET_NAMES, preset
 from qhopf.coend import coend_maps, factorisability
+from qhopf.fileformat import parse_text
+from qhopf.fusion import SimpleSet
 from qhopf.modular import modular_data
+from qhopf.qha import QuasiHopfAlgebra
 
 FACTORISABLE = ("trivial", "double_Z2", "twisted_double_Z2")
 HOPF = ("trivial", "group_Z2_trivialR", "double_Z2")
@@ -29,3 +35,23 @@ def all_modular(presets, all_maps, all_fact):
         name: modular_data(presets[name].algebra, all_maps[name], all_fact[name])
         for name in FACTORISABLE
     }
+
+
+class Definition(NamedTuple):
+    text: str                  # the serialised definition file
+    algebra: QuasiHopfAlgebra  # parsed from text, so the inverse ribbon is solved
+    simples: SimpleSet
+
+
+@pytest.fixture(scope="session")
+def double_z3():
+    """The generated D(Z/3) with k = 1 and k = 2, each in the basis order
+    relabelling(Random(k)) of the benchmark's inputs, keyed by k."""
+    from test_benchmark_contract import INPUTS
+
+    out = {}
+    for k in (1, 2):
+        alg, simples = INPUTS.double_cyclic(3, k, INPUTS.relabelling(random.Random(k), 9))
+        text = INPUTS.serialize(alg, simples)
+        out[k] = Definition(text, *parse_text(text))
+    return out

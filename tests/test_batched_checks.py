@@ -16,7 +16,6 @@ from qhopf.fusion import _tensor_characters
 from qhopf.presets import PRESET_NAMES, preset
 from qhopf.repcat import AModule, regular_module
 
-from test_benchmark_contract import INPUTS
 from test_sweedler import H4
 
 
@@ -42,16 +41,11 @@ def tensor_characters_reference(A, chars):
             for cu in chars for cv in chars]
 
 
-def _double_z3():
-    alg, simples = INPUTS.double_cyclic(3, 1, INPUTS.relabelling(random.Random(1), 9))
-    return parse_text(INPUTS.serialize(alg, simples))
-
-
-def _modules(name):
+def _modules(name, double_z3):
     if name == "H4":
         return [regular_module(parse_text(H4, source="H4")[0])]
     if name == "double_Z3":
-        return _double_z3()[1].simples
+        return double_z3[1].simples.simples
     return preset(name).simples.simples
 
 
@@ -71,9 +65,9 @@ def _mutant(module, rng):
 
 @pytest.mark.parametrize("name,seed", [("twisted_double_Z2", 11), ("double_Z3", 12),
                                        ("H4", 13)])
-def test_batched_representation_check_matches_pairwise_loop(name, seed):
+def test_batched_representation_check_matches_pairwise_loop(double_z3, name, seed):
     rng = random.Random(seed)
-    modules = _modules(name)
+    modules = _modules(name, double_z3)
     outcomes = []
     for module in modules:
         assert module.check_representation() == (True, None)
@@ -91,9 +85,9 @@ SIMPLE_PRESETS = [name for name in PRESET_NAMES if preset(name).simples is not N
 
 
 @pytest.mark.parametrize("name", [*SIMPLE_PRESETS, "double_Z3"])
-def test_tensor_characters_match_contract_route(name):
+def test_tensor_characters_match_contract_route(double_z3, name):
     if name == "double_Z3":
-        alg, simples = _double_z3()
+        alg, simples = double_z3[1].algebra, double_z3[1].simples
     else:
         alg, simples = preset(name).algebra, preset(name).simples
     chars = simples.characters

@@ -144,12 +144,8 @@ def _counted_parse_scalar(monkeypatch):
     return calls
 
 
-def test_parse_parses_each_distinct_literal_once(monkeypatch):
-    import random
-    from test_benchmark_contract import INPUTS
-
-    alg, simples = INPUTS.double_cyclic(3, 1, INPUTS.relabelling(random.Random(1), 9))
-    text = INPUTS.serialize(alg, simples)
+def test_parse_parses_each_distinct_literal_once(monkeypatch, double_z3):
+    text = double_z3[1].text
     literals = [line.split("=", 1)[1].strip() for line in text.splitlines() if "=" in line]
     calls = _counted_parse_scalar(monkeypatch)
     assert serialize(*parse_text(text)) == text
@@ -425,6 +421,14 @@ REFUSED_FILES = {
                      "repeated 'dim' header"),
     "repeated-field": (TRIVIAL.replace("flags", "field 1\nflags", 1), "field 1\nflags",
                        "repeated 'field' header"),
+    # int() refuses more than 4,300 digits; the long dim is refused before
+    # any section could be built at that size
+    "long-dim": (TRIVIAL.replace("dim 1", "dim " + "1" * 5000, 1), "dim 1",
+                 "number of 5000 digits exceeds the limit"),
+    "long-index": (TRIVIAL.replace("mult:\n0 0 0", "mult:\n0 0 " + "0" * 5000, 1), "0 0 00",
+                   "number of 5000 digits exceeds the limit"),
+    "long-literal": (TRIVIAL.replace("mult:\n0 0 0 = 1", "mult:\n0 0 0 = " + "1" * 5000, 1),
+                     "0 0 0 = 11", "number of 5000 digits exceeds the limit"),
 }
 
 

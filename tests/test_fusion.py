@@ -271,24 +271,14 @@ def _rebased():
     return parse_text(rebased_text())
 
 
-def _double_z3(k):
-    import random
-
-    from test_benchmark_contract import INPUTS
-
-    alg, simples = INPUTS.double_cyclic(3, k, INPUTS.relabelling(random.Random(k), 9))
-    # parsing solves for the inverse ribbon element, which T_hat needs
-    return parse_text(INPUTS.serialize(alg, simples))
-
-
-@pytest.mark.parametrize("build", [_rebased, lambda: _double_z3(1), lambda: _double_z3(2)],
-                         ids=["rebased", "d_z3_k1", "d_z3_k2"])
-def test_chi_is_s_transform_of_phi_for_all_simples_at_once(build):
+@pytest.mark.parametrize("k", [None, 1, 2], ids=["rebased", "d_z3_k1", "d_z3_k2"])
+def test_chi_is_s_transform_of_phi_for_all_simples_at_once(double_z3, k):
     # chi_V = S_Z(phi_V) for every simple V as one matrix identity: with Z
-    # the centre basis as columns, chis = Z S_Z Z^-1 phis
+    # the centre basis as columns, chis = Z S_Z Z^-1 phis; k = None is the
+    # rebased twisted_double_Z2, else the generated D(Z/3)
     from qhopf.fusion import _central_elements, _class_function_core
 
-    A, simples = build()
+    A, simples = _rebased() if k is None else (double_z3[k].algebra, double_z3[k].simples)
     maps = coend_maps(A)
     md = modular_data(A, maps, factorisability(A, maps))
     chars, labels = simples.characters, simples.labels

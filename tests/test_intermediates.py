@@ -7,8 +7,6 @@ written out here, on every preset, Sweedler's H4, the generated D(Z/3) and
 the rebased ``twisted_double_Z2``, whose basis products have several
 terms."""
 
-import random
-
 import pytest
 
 from qhopf import tensorspace as ts
@@ -28,28 +26,22 @@ from qhopf.repcat import (
 )
 from qhopf.tensorspace import Tensor
 
-from test_benchmark_contract import INPUTS
 from test_rebased import rebased_text
 from test_sweedler import H4
-
-
-def _algebra(name):
-    if name == "H4":
-        return parse_text(H4, source="H4")[0]
-    if name == "double_Z3":
-        alg, simples = INPUTS.double_cyclic(3, 1, INPUTS.relabelling(random.Random(1), 9))
-        return parse_text(INPUTS.serialize(alg, simples))[0]
-    if name == "rebased":
-        return parse_text(rebased_text())[0]
-    return preset(name).algebra
 
 
 INPUT_NAMES = [*PRESET_NAMES, "H4", "double_Z3", "rebased"]
 
 
 @pytest.fixture(scope="module", params=INPUT_NAMES)
-def alg(request):
-    return _algebra(request.param)
+def alg(request, double_z3):
+    if request.param == "H4":
+        return parse_text(H4, source="H4")[0]
+    if request.param == "double_Z3":
+        return double_z3[1].algebra
+    if request.param == "rebased":
+        return parse_text(rebased_text())[0]
+    return preset(request.param).algebra
 
 
 def test_core_and_five_factor_elements(alg):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 import re
 
 import pytest
@@ -6,14 +7,13 @@ from qhopf.exactmath import (
     ExactMatrix,
     Scalar,
     basis_vector,
+    common_eigenvectors,
     vec_eq,
     zero_vector,
 )
 from qhopf import modular, tensorspace as ts
 from qhopf.coend import conjugation_action, invariant_functionals
 from qhopf.modular import (
-    CointegralResult,
-    IntegralResult,
     center,
     cointegral_L,
     integral_L,
@@ -25,6 +25,11 @@ from qhopf.modular import (
 )
 
 FACTORISABLE = ("trivial", "double_Z2", "twisted_double_Z2")
+
+
+def two_sided_integrals(alg):
+    """Basis of the two-sided integrals of A, which cointegral_L scales."""
+    return common_eigenvectors(alg.left_mult + alg.right_mult, alg.counit + alg.counit)
 
 
 def test_center_dimensions(presets):
@@ -42,17 +47,16 @@ def test_center_vectors_commute(presets):
 
 def test_trivial_integral_is_counit(presets, all_maps):
     alg = presets["trivial"].algebra
-    res = integral_L(alg, all_maps["trivial"])
-    assert res.space_dim == 1
-    assert vec_eq(res.functional, list(alg.counit))
-    assert res.pairing_value.is_one()
+    lam = integral_L(alg, all_maps["trivial"])
+    assert vec_eq(lam, list(alg.counit))
+    assert pairing_of(lam, lam, all_maps["trivial"].omega_hat).is_one()
 
 
 def test_double_integral_one_dimensional(presets, all_maps):
+    # integral_L refuses a space of any other dimension
     for name in ("double_Z2", "twisted_double_Z2"):
-        res = integral_L(presets[name].algebra, all_maps[name])
-        assert res.space_dim == 1, name
-        assert not res.pairing_value.is_zero(), name
+        lam = integral_L(presets[name].algebra, all_maps[name])
+        assert not pairing_of(lam, lam, all_maps[name].omega_hat).is_zero(), name
 
 
 def test_hopf_right_integral_short_form(presets, all_maps):
@@ -60,9 +64,7 @@ def test_hopf_right_integral_short_form(presets, all_maps):
     # classical right-cointegral condition on the coproduct
     for name in ("trivial", "group_Z2_trivialR", "double_Z2"):
         alg = presets[name].algebra
-        res = integral_L(alg, all_maps[name])
-        lam = res.functional
-        assert lam is not None, name
+        lam = integral_L(alg, all_maps[name])
         for a in range(alg.dim):
             acc = zero_vector(alg.dim, alg.order)
             for (j, k), c in alg.cop_table[a]:
@@ -74,27 +76,25 @@ def test_hopf_right_integral_short_form(presets, all_maps):
 
 def test_trivial_cointegral(presets, all_maps):
     alg = presets["trivial"].algebra
-    res = cointegral_L(alg, integral_L(alg, all_maps["trivial"]).functional)
-    assert vec_eq(res.element, alg.unit())
+    c = cointegral_L(alg, integral_L(alg, all_maps["trivial"]))
+    assert vec_eq(c, alg.unit())
 
 
 def test_group_z2_cointegral_is_group_sum(presets, all_maps):
     alg = presets["group_Z2_trivialR"].algebra
-    res = cointegral_L(alg, integral_L(alg, all_maps["group_Z2_trivialR"]).functional)
-    assert res.dim_two_sided == 1
-    c = res.element
+    assert len(two_sided_integrals(alg)) == 1
+    c = cointegral_L(alg, integral_L(alg, all_maps["group_Z2_trivialR"]))
     assert c[0] == c[1] and not c[0].is_zero()
 
 
 def test_double_cointegral_pairs_with_integral(presets, all_maps):
     for name in ("double_Z2", "twisted_double_Z2"):
         alg = presets[name].algebra
-        res = integral_L(alg, all_maps[name])
-        co = cointegral_L(alg, res.functional)
-        assert co.dim_two_sided == 1, name
-        assert co.normalized, name
+        assert len(two_sided_integrals(alg)) == 1, name
+        lam = integral_L(alg, all_maps[name])
+        c = cointegral_L(alg, lam)
         paired = sum(
-            (res.functional[i] * co.element[i] for i in range(alg.dim)),
+            (lam[i] * c[i] for i in range(alg.dim)),
             Scalar.zero(alg.order),
         )
         assert paired.is_one(), name
@@ -223,10 +223,10 @@ def test_lambda_rescales_with_integral(presets, all_maps):
     # scaling the integral by t scales the projective constant by t
     alg = presets["double_Z2"].algebra
     maps = all_maps["double_Z2"]
-    res = integral_L(alg, maps)
+    integral = integral_L(alg, maps)
     t = Scalar.rational(3)
-    scaled = [t * x for x in res.functional]
-    _, _, lam1 = sl2z_on_center(alg, *s_t_hat(alg, maps, res.functional), center(alg))
+    scaled = [t * x for x in integral]
+    _, _, lam1 = sl2z_on_center(alg, *s_t_hat(alg, maps, integral), center(alg))
     _, _, lam2 = sl2z_on_center(alg, *s_t_hat(alg, maps, scaled), center(alg))
     assert lam2 == t * lam1
 
@@ -314,23 +314,23 @@ def test_modular_data_refuses_a_non_factorisable_input(presets, all_maps, all_fa
                      all_fact["group_Z2_trivialR"])
 
 
-# every preset has a one-dimensional integral space that pairs to one, so
-# the three later refusals are reached through stand-in results
 def test_modular_data_refuses_an_integral_space_not_of_dimension_one(presets, all_maps,
-                                                                     all_fact, monkeypatch):
-    monkeypatch.setattr(modular, "integral_L", lambda A, maps: IntegralResult(None, 2, None))
-    with pytest.raises(ValueError, match=re.escape(
-            "two-sided integral space has dimension 2, not 1")):
-        modular_data(presets["double_Z2"].algebra, all_maps["double_Z2"], all_fact["double_Z2"])
+                                                                     all_fact):
+    # with a zero transposed product every slice of integral_L is zero, so
+    # alpha_0 = 1 forces lam = 0 and the space is {0}
+    alg = presets["double_Z2"].algebra
+    dim, order = alg.dim, alg.order
+    maps = replace(all_maps["double_Z2"], mu_hat=ExactMatrix.zeros(dim * dim, dim, order))
+    with pytest.raises(ValueError, match="^two-sided integral space has dimension 0, not 1$"):
+        modular_data(alg, maps, all_fact["double_Z2"])
 
 
-@pytest.mark.parametrize("element, message", [
-    (None, "no two-sided integral of the algebra exists"),
-    ([Scalar.one()], "integral pairs to zero against the cointegral"),
-])
-def test_modular_data_refuses_a_missing_or_unnormalised_cointegral(
-        presets, all_maps, all_fact, monkeypatch, element, message):
-    monkeypatch.setattr(modular, "cointegral_L",
-                        lambda A, integral: CointegralResult(element, 1, False))
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        modular_data(presets["trivial"].algebra, all_maps["trivial"], all_fact["trivial"])
+def test_cointegral_refuses_an_integral_that_pairs_to_zero(presets):
+    with pytest.raises(ValueError, match="^integral pairs to zero against the cointegral$"):
+        cointegral_L(presets["trivial"].algebra, [Scalar.zero()])
+
+
+def test_s_t_hat_refuses_an_input_without_ribbon_data(presets, all_maps, all_modular):
+    alg = replace(presets["double_Z2"].algebra, ribbon=None, ribbon_inv=None)
+    with pytest.raises(ValueError, match="^modular transformations require ribbon data$"):
+        s_t_hat(alg, all_maps["double_Z2"], all_modular["double_Z2"].integral)

@@ -22,7 +22,7 @@ from click.testing import CliRunner
 
 from qhopf.cli import main, parse_text, serialize
 from qhopf.coend import coend_maps, factorisability, hopf_reduced_maps
-from qhopf.exactmath import Scalar
+from qhopf.exactmath import Scalar, common_eigenvectors
 from qhopf.fusion import radical_dimension
 from qhopf.modular import center, cointegral_L, integral_L, s_hat_pairing_form, s_t_hat
 from qhopf.presets import mutate
@@ -143,11 +143,10 @@ def test_h4_oracles(h4):
     maps, short = coend_maps(h4), hopf_reduced_maps(h4)
     for name in ("mu_hat", "delta_hat", "eta_hat", "eps_hat", "s_hat_L", "omega_hat"):
         assert getattr(maps, name) == getattr(short, name), name
-    integral = integral_L(h4, maps)
-    assert integral.space_dim == 1
-    s_hat, _ = s_t_hat(h4, maps, integral.functional)
+    integral = integral_L(h4, maps)      # refuses a space not of dimension 1
+    s_hat, _ = s_t_hat(h4, maps, integral)
     assert s_hat.rank() == 1      # degenerate, as H4 is not factorisable
-    assert s_hat_pairing_form(h4, maps, integral.functional) == s_hat
+    assert s_hat_pairing_form(h4, maps, integral) == s_hat
 
 
 def test_h4_not_factorisable(h4):
@@ -162,8 +161,10 @@ def test_h4_not_semisimple_not_unimodular(h4):
     assert radical_dimension(h4) == 2
     assert len(center(h4)) == 1
     # the left and right integrals of H4 differ, so no two-sided one exists
-    integral = integral_L(h4, coend_maps(h4)).functional
-    assert cointegral_L(h4, integral).dim_two_sided == 0
+    assert common_eigenvectors(h4.left_mult + h4.right_mult, h4.counit + h4.counit) == []
+    integral = integral_L(h4, coend_maps(h4))
+    with pytest.raises(ValueError, match="^no two-sided integral of the algebra exists$"):
+        cointegral_L(h4, integral)
 
 
 # every single-entry mutation (delta 1) of these sites, with its index count
