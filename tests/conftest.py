@@ -55,3 +55,13 @@ def double_z3():
         text = INPUTS.serialize(alg, simples)
         out[k] = Definition(text, *parse_text(text))
     return out
+
+
+@pytest.fixture(scope="session")
+def h4():
+    """Sweedler's H4, the one input that is not unimodular."""
+    from test_sweedler import H4
+
+    alg, simples = parse_text(H4, source="H4")
+    assert simples is None
+    return alg

@@ -12,7 +12,7 @@ from qhopf.exactmath import (
     zero_vector,
 )
 from qhopf import modular, tensorspace as ts
-from qhopf.coend import conjugation_action, invariant_functionals
+from qhopf.coend import coend_maps, conjugation_action, factorisability, invariant_functionals
 from qhopf.modular import (
     center,
     cointegral_L,
@@ -325,9 +325,23 @@ def test_modular_data_refuses_an_integral_space_not_of_dimension_one(presets, al
         modular_data(alg, maps, all_fact["double_Z2"])
 
 
-def test_cointegral_refuses_an_integral_that_pairs_to_zero(presets):
-    with pytest.raises(ValueError, match="^integral pairs to zero against the cointegral$"):
-        cointegral_L(presets["trivial"].algebra, [Scalar.zero()])
+# modular_data trusts the factorisability verdict it is handed, so past a
+# passed gate the cointegral stage refuses on its own: H4 is not unimodular,
+# and the integral `element` kills the group sum, the cointegral of C[Z/2]
+@pytest.mark.parametrize("element, message", [
+    (None, "no two-sided integral of the algebra exists"),
+    ([Scalar.one(), -Scalar.one()], "integral pairs to zero against the cointegral"),
+])
+def test_modular_data_refuses_a_missing_or_unnormalised_cointegral(
+        presets, all_maps, h4, monkeypatch, element, message):
+    if element is None:
+        alg, maps = h4, coend_maps(h4)
+    else:
+        alg, maps = presets["group_Z2_trivialR"].algebra, all_maps["group_Z2_trivialR"]
+        monkeypatch.setattr(modular, "integral_L", lambda A, maps: element)
+    fact = replace(factorisability(alg, maps), rank_D=alg.dim)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        modular_data(alg, maps, fact)
 
 
 def test_s_t_hat_refuses_an_input_without_ribbon_data(presets, all_maps, all_modular):

@@ -90,13 +90,6 @@ ribbon:
 """
 
 
-@pytest.fixture(scope="module")
-def h4():
-    alg, simples = parse_text(H4, source="H4")
-    assert simples is None
-    return alg
-
-
 def test_h4_passes_check(h4):
     rep = validate(h4)
     assert rep.ok, rep.failures()
