@@ -263,11 +263,6 @@ def invariant_functionals(A: QuasiHopfAlgebra) -> list[list[Scalar]]:
     return common_eigenvectors(A.coadjoint_action, A.counit)
 
 
-def conjugation_action(A: QuasiHopfAlgebra) -> list[ExactMatrix]:
-    """b: x -> sum S(b') x b'', the transposed coadjoint action."""
-    return A.conjugation_action
-
-
 def coinvariant_elements(A: QuasiHopfAlgebra) -> list[list[Scalar]]:
     """Basis of elements r with sum S(b') r b'' = eps(b) r for all b."""
     return common_eigenvectors(A.conjugation_action, A.counit)

@@ -46,7 +46,9 @@ the batched solve ``solve_each``
 use exact Gauss-Jordan elimination on sparse rows (no floats), which
 negates each row's multiplier once and adds; ``solve`` is ``solve_each``
 with one target, and ``inverse`` solves for the columns of the identity
-in one elimination.
+in one elimination.  ``common_eigenvectors`` copies the stacked rows of
+M_b - c_b 1 straight from each matrix's stored rows, shifting only the
+diagonal entry and dropping one that cancels, and takes one kernel.
 
 ``rank`` first tries to certify full rank modulo a prime.  Each field
 order m has one fixed prime p = 1 (mod m) and a primitive m-th root of
@@ -977,6 +979,22 @@ def kron_combination(terms: Iterable[tuple[Sequence[int], Scalar]],
 
 def common_eigenvectors(mats: Sequence[ExactMatrix], values: Sequence[Scalar]) -> list[list[Scalar]]:
     """Basis of the vectors v with M v = c v for every pair (M, c), the
-    kernel of the stacked matrices M - c 1."""
-    ident = ExactMatrix.identity(mats[0].rows, mats[0].order)
-    return stack_rows([m - ident.scale(c) for m, c in zip(mats, values)]).kernel()
+    kernel of the stacked matrices M - c 1.  The stacked rows are copied
+    from each M's stored rows with only the diagonal entry shifted by -c
+    (dropped when it cancels), declared in the largest field of the
+    matrices and values, and eliminated once."""
+    data: list[Row] = []
+    for m, c in zip(mats, values):
+        for i, row in enumerate(m.data):
+            row = dict(row)
+            if c.num:
+                d = row.get(i)
+                if d is None:
+                    row[i] = -c
+                elif (d := d - c).num:
+                    row[i] = d
+                else:
+                    del row[i]
+            data.append(row)
+    order = lcm(*{m.order for m in mats}, *{c.order for c in values})
+    return ExactMatrix._of(len(data), mats[0].cols, order, data).kernel()

@@ -9,6 +9,9 @@ central with one product by ``QuasiHopfAlgebra.commutators``, and names
 the first module whose element is not central, with the first basis
 element e_i it does not commute with.  ``verlinde_fusion`` calls it on
 all simples at once; ``chi_central`` and ``phi_central`` on one module.
+``verlinde_fusion`` then takes every product chi_u chi_v as one
+``merge_legs`` of the 2-leg tensor (s, chi_s) with itself, and expands
+them all in the central elements with one batched solve.
 
 The oracle is an identity check: for each pair (U, V) the Verlinde
 coefficients N_uv^w must satisfy sum_w N_uv^w chi_w = chi_{U (x) V},
@@ -244,11 +247,15 @@ def verlinde_fusion(A: QuasiHopfAlgebra, simples: SimpleSet) -> FusionTable:
     # column s is chi_central of simple s
     cmat = _central_elements(A, A.monodromy_core, simples.characters, simples.labels,
                              "internal character")
-    chis = cmat.transpose().dense
     if cmat.rank() != n:
         raise FusionError("internal characters are linearly dependent")
     pairs = [(iu, iv) for iu in range(n) for iv in range(n)]
-    expansions = cmat.solve_each([A.product(chis[iu], chis[iv]) for iu, iv in pairs])
+    # every product chi_u chi_v at once: (s, chi_s) times itself gives
+    # (u, v, chi_u chi_v), whose row u dim + v is the target of the pair
+    chis = Tensor._of(A.dim, 2, cmat.order, {(s, i): c for (i, s), c in cmat.nonzero()})
+    products = ts.as_matrix(ts.merge_legs((chis, chis), ((1,), (3,), (2, 4)), A.mult_table),
+                            2).dense
+    expansions = cmat.solve_each([products[iu * A.dim + iv] for iu, iv in pairs])
     tensor_chars = _tensor_characters(A, simples.characters)
     table = [[[0] * n for _ in range(n)] for _ in range(n)]
     # checked pair by pair, so the first failing pair is the one reported

@@ -20,6 +20,13 @@ Drinfeld elements and the twist are read through the module functions
 ``monodromy``, ``drinfeld_element`` and ``drinfeld_twist``.
 :class:`QuasiHopfAlgebra` says what each view is.
 
+Each family of matrices is built in one pass.  ``left_mult`` and
+``right_mult`` write every ``(k, c)`` of ``mult_table`` straight into its
+row and column.  The conjugation and adjoint actions of all basis elements
+come from one helper, ``_coproduct_actions``: the slot (b, S(b'), b''), or
+(b, b', S(b'')), times the slot (a, e_a) is one ``merge_legs`` call giving
+(b, t_1 e_a t_2, a), which is split by b into the dim matrices.
+
 ``product`` multiplies two elements through ``mult_table`` and builds no
 matrix, and an element that multiplies a leg of a tensor (alpha, beta,
 u~) enters ``tensorspace.merge_legs`` as a 1-leg factor.  ``lmult_of``
@@ -80,7 +87,8 @@ class QuasiHopfAlgebra:
     * ``mult_table``: the nonzero ``(k, c)`` pairs of ``mult[i][j]``, the
       form the tensorspace products take;
     * ``left_mult`` / ``right_mult``: the matrices of x -> e_i x and
-      x -> x e_i, both built from ``mult_table`` by ``_mult_matrices``;
+      x -> x e_i, both written from ``mult_table`` by ``_mult_matrices``,
+      each (k, c) of table entry (i, j) into row k, column j of matrix i;
     * ``commutators``: the maps x -> e_i x - x e_i stacked, so x is
       central exactly when ``commutators`` sends it to zero;
     * ``cop_table``: the nonzero terms of each ``coproduct[i]``;
@@ -89,7 +97,8 @@ class QuasiHopfAlgebra:
       and ``coadjoint_action``: their transposes, the action
       (b.f)(x) = f(sum S(b') x b'') on A* that underlies the universal
       Hopf algebra; ``adjoint_action``: b.x = sum b' x S(b'') on A; the
-      conjugation and adjoint actions are built by ``two_sided_action``;
+      conjugation and adjoint actions of every b are built together by
+      ``_coproduct_actions``, one ``merge_legs`` call each;
     * ``monodromy_core``: phi^-1 M_12 phi for the monodromy M; the coend
       elements w and X_q, the tangle route of the monodromy matrix and the
       internal characters all start from it;
@@ -149,9 +158,16 @@ class QuasiHopfAlgebra:
         return [list(self.coproduct[i].nonzero()) for i in range(self.dim)]
 
     def _mult_matrices(self, table) -> list[ExactMatrix]:
-        # matrix i has column j equal to table[i][j], given as (k, c) pairs
-        return [ts.as_matrix(Tensor.from_entries(self.dim, 2, self.order, (
-            ((k, j), c) for j, terms in enumerate(row) for k, c in terms)), 1) for row in table]
+        # matrix i has column j equal to table[i][j]: each (k, c) there is
+        # written into row k, column j
+        mats = []
+        for row in table:
+            data: list[dict[int, Scalar]] = [{} for _ in range(self.dim)]
+            for j, terms in enumerate(row):
+                for k, c in terms:
+                    data[k][j] = c
+            mats.append(ExactMatrix._of(self.dim, self.dim, self.order, data))
+        return mats
 
     @cached_property
     def left_mult(self) -> list[ExactMatrix]:
@@ -169,9 +185,22 @@ class QuasiHopfAlgebra:
     def antipode_inv(self) -> ExactMatrix:
         return self.antipode.inverse()
 
+    def _coproduct_actions(self, leg: int) -> list[ExactMatrix]:
+        # matrix b is x -> sum t_1 x t_2 for t = Delta(e_b) with S on the
+        # given leg of the coproduct: the slot (b, t_1, t_2) and the slot
+        # (a, e_a) give (b, t_1 e_a t_2, a) in one merge_legs, split by b
+        slot = ts.identity(self.dim, self.order)
+        t = ts.leg_map(ts.coproduct_leg(slot, 2, self.cop_table), leg + 1, self.antipode)
+        acted = ts.merge_legs((t, slot), ((1,), (2, 5, 3), (4,)), self.mult_table)
+        data: list[list[dict[int, Scalar]]] = [[{} for _ in range(self.dim)]
+                                               for _ in range(self.dim)]
+        for (b, k, a), c in acted.entries.items():
+            data[b][k][a] = c
+        return [ExactMatrix._of(self.dim, self.dim, acted.order, rows) for rows in data]
+
     @cached_property
     def conjugation_action(self) -> list[ExactMatrix]:
-        return [self.two_sided_action(ts.leg_map(d, 1, self.antipode)) for d in self.coproduct]
+        return self._coproduct_actions(1)
 
     @cached_property
     def coadjoint_action(self) -> list[ExactMatrix]:
@@ -179,8 +208,7 @@ class QuasiHopfAlgebra:
 
     @cached_property
     def adjoint_action(self) -> list[ExactMatrix]:
-        return [self.two_sided_action(ts.leg_map(d, 2, self.antipode))
-                for d in self.coproduct]
+        return self._coproduct_actions(2)
 
     @cached_property
     def _monodromy(self) -> Tensor:

@@ -1,18 +1,23 @@
-"""The module check and the fusion character oracle run in batch: one block
-matrix identity per module, and the characters of every U (x) V from one
-pass over the coproduct.  Each is compared here with the route it replaced,
-kept as the reference: the pairwise loop of ``check_representation`` on
-seeded single-entry mutants, and the two ``contract_leg`` calls per pair of
-the oracle."""
+"""The module check, the fusion character oracle and the families of A's
+linear maps run in batch: one block matrix identity per module, the
+characters of every U (x) V from one pass over the coproduct, each
+multiplication matrix written from ``mult_table``, the conjugation and
+adjoint actions of every basis element from one ``merge_legs`` call, and
+every product of internal characters from one more.  Each is compared
+here with the route it replaced, kept as the reference: the pairwise loop
+of ``check_representation`` on seeded single-entry mutants, the two
+``contract_leg`` calls per pair of the oracle, one ``product`` per column
+and one ``two_sided_action`` per basis element.  A counter on
+``merge_legs`` keeps a per-element loop from coming back."""
 
 import random
 
 import pytest
 
-from qhopf import tensorspace as ts
-from qhopf.exactmath import ExactMatrix, Scalar, kron_combination
+from qhopf import fusion, tensorspace as ts
+from qhopf.exactmath import ExactMatrix, Scalar, basis_vector, kron_combination
 from qhopf.fileformat import parse_text
-from qhopf.fusion import _tensor_characters
+from qhopf.fusion import _tensor_characters, verlinde_fusion
 from qhopf.presets import PRESET_NAMES, preset
 from qhopf.repcat import AModule, regular_module
 
@@ -94,3 +99,63 @@ def test_tensor_characters_match_contract_route(double_z3, name):
     got = _tensor_characters(alg, chars)
     assert len(got) == len(chars) ** 2
     assert got == tensor_characters_reference(alg, chars)
+
+
+FAMILY_INPUTS = [*PRESET_NAMES, "H4", "double_Z3-k1", "double_Z3-k2"]
+
+
+def _algebra(name, double_z3, h4):
+    if name == "H4":
+        return h4
+    if name.startswith("double_Z3"):
+        return double_z3[int(name[-1])].algebra
+    return preset(name).algebra
+
+
+@pytest.mark.parametrize("name", FAMILY_INPUTS)
+def test_multiplication_matrices_match_products(double_z3, h4, name):
+    # column j of left_mult[i] is e_i e_j and of right_mult[i] is e_j e_i
+    alg = _algebra(name, double_z3, h4)
+    e = [basis_vector(alg.dim, i, alg.order) for i in range(alg.dim)]
+    for i in range(alg.dim):
+        left, right = alg.left_mult[i].transpose().dense, alg.right_mult[i].transpose().dense
+        assert alg.left_mult[i].order == alg.right_mult[i].order == alg.order
+        for j in range(alg.dim):
+            assert left[j] == alg.product(e[i], e[j])
+            assert right[j] == alg.product(e[j], e[i])
+
+
+@pytest.mark.parametrize("name", FAMILY_INPUTS)
+def test_coproduct_actions_match_two_sided_actions(double_z3, h4, name):
+    # conjugation: x -> S(b') x b''; adjoint: x -> b' x S(b''), b = e_b
+    alg = _algebra(name, double_z3, h4)
+    for b in range(alg.dim):
+        delta = alg.delta_of(basis_vector(alg.dim, b, alg.order))
+        for leg, got in ((1, alg.conjugation_action[b]), (2, alg.adjoint_action[b])):
+            want = alg.two_sided_action(ts.leg_map(delta, leg, alg.antipode))
+            assert got == want
+            assert got.order == want.order
+
+
+def test_each_family_is_one_merge_legs_call(monkeypatch, double_z3):
+    # on a fresh D(Z/3), the conjugation action, the adjoint action and the
+    # products of the nine internal characters take one call each
+    alg, simples = parse_text(double_z3[1].text)
+    cmat = fusion._central_elements(alg, alg.monodromy_core, simples.characters,
+                                    simples.labels, "internal character")
+    monkeypatch.setattr(fusion, "_central_elements", lambda *args: cmat)
+    calls = []
+    merge_legs = ts.merge_legs
+
+    def counted(*args):
+        calls.append(args)
+        return merge_legs(*args)
+
+    monkeypatch.setattr(ts, "merge_legs", counted)
+    counts = []
+    for build in (lambda: alg.conjugation_action, lambda: alg.adjoint_action,
+                  lambda: verlinde_fusion(alg, simples)):
+        calls.clear()
+        build()
+        counts.append(len(calls))
+    assert counts == [1, 1, 1]

@@ -14,6 +14,7 @@ from qhopf.exactmath import (
     basis_vector,
     collect,
     collect_products,
+    common_eigenvectors,
     cyclotomic_polynomial,
     dot,
     euler_phi,
@@ -1067,3 +1068,54 @@ def test_sparse_invariant_under_matrix_operations(triple, problem):
                  (combined, kron_combination_reference(terms, factors)),
                  (written, ExactMatrix(written.rows, written.cols, order, dense))]:
         assert (s == t) == (s.dense == t.dense)
+
+
+# ---------------------------------------------------------------------------
+# common eigenvectors
+
+
+def common_eigenvectors_reference(mats, values):
+    """The definition: the kernel of the stacked M - c 1, each shift built
+    as a scaled identity and subtracted."""
+    n = mats[0].rows
+    return stack_rows([m - ExactMatrix.identity(n, m.order).scale(c)
+                       for m, c in zip(mats, values)]).kernel()
+
+
+@st.composite
+def eigen_systems(draw):
+    """(mats, values): 1-3 sparse n x n matrices, n <= 3, each at order 1
+    or 4, and one value per matrix at order 1 or 4: zero, a small scalar,
+    or a diagonal entry of its matrix, so that the shifted entry cancels
+    (kept at order 4 when its matrix is)."""
+    n = draw(st.integers(1, 3))
+    mats, values = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        order = draw(st.sampled_from([1, 4]))
+        m = ExactMatrix(n, n, order, [[draw(small_scalars(order)) for _ in range(n)]
+                                      for _ in range(n)])
+        vorder = draw(st.sampled_from([1, 4]))
+        kind = draw(st.sampled_from(("zero", "small", "diagonal")))
+        if kind == "zero":
+            c = Scalar.zero(vorder)
+        elif kind == "small":
+            c = draw(small_scalars(vorder))
+        else:
+            i = draw(st.integers(0, n - 1))
+            c = m[i, i] if vorder % order else m[i, i].embed(vorder)
+        mats.append(m)
+        values.append(c)
+    return mats, values
+
+
+@settings(max_examples=200, deadline=None)
+@given(eigen_systems())
+@example(([ExactMatrix.identity(2, 4)], [Scalar.one(1)]))
+@example(([ExactMatrix(2, 2, 1, [[rat(2), rat(0)], [rat(0), rat(0)]]), ExactMatrix.identity(2, 4)],
+          [rat(2), Scalar.zero(4)]))
+@example(([ExactMatrix(2, 2, 4, [[Z4, rat(1, order=4)], [rat(0, order=4), Z4]])], [Z4]))
+def test_common_eigenvectors_match_the_definition(system):
+    mats, values = system
+    got, want = common_eigenvectors(mats, values), common_eigenvectors_reference(mats, values)
+    assert got == want
+    assert [[x.order for x in v] for v in got] == [[x.order for x in v] for v in want]

@@ -12,7 +12,7 @@ from qhopf.exactmath import (
     zero_vector,
 )
 from qhopf import modular, tensorspace as ts
-from qhopf.coend import coend_maps, conjugation_action, factorisability, invariant_functionals
+from qhopf.coend import coend_maps, factorisability, invariant_functionals
 from qhopf.modular import (
     center,
     cointegral_L,
@@ -140,7 +140,7 @@ def test_s_hat_commutes_with_conjugation_action(presets, all_modular):
     for name in FACTORISABLE:
         alg = presets[name].algebra
         s_hat = all_modular[name].s_hat
-        for b, m in enumerate(conjugation_action(alg)):
+        for b, m in enumerate(alg.conjugation_action):
             assert s_hat * m == m * s_hat, (name, b)
 
 
