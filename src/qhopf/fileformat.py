@@ -26,23 +26,27 @@ basis element 0 is the unit.
     ribbon:                    # optional
     simple NAME dim D:         # a r c = action of e_a, matrix entry (r, c)
 
-The ``dim`` and ``field`` headers each appear once.  Every number in a
-header, an index or a literal is ASCII digits only (``str.isdigit`` and
-``int`` accept more: superscripts, other scripts' digits, '+0' and
-'1_0'), and one longer than Python's integer string conversion limit
+The ``dim``, ``field`` and ``flags`` headers each appear once, and so
+does each simple's label.  Every number in a header, an index or a
+literal is ASCII digits only (``str.isdigit`` and ``int`` accept more:
+superscripts, other scripts' digits, '+0' and '1_0'), and one longer
+than Python's integer string conversion limit
 (``sys.get_int_max_str_digits``) is a ``ParseError`` at its line.  A
 section header fixes one bound per index (dim, or (dim, D, D) for a
 simple), and one path checks, bounds and stores the entries of every
-section.  An omitted inverse is solved for, with a note.  Scalar
-literals are sums of products of rationals ``p/q`` and powers of the
-cyclotomic generator ``z``, e.g. ``1/2*z^3 - 1``; one nested too deeply
-is a ``ParseError``, as is (in ``cli``) a file that is not UTF-8.
-``parse_text`` can embed the algebra into a larger cyclotomic field:
-each literal is parsed in the declared field and embedded as it is read.
-Within one call each distinct literal text is parsed and embedded once,
-and every entry with that text shares the resulting ``Scalar``.  A
-refused literal is located by line and by its column in that line, and
-its message repeats only the start of a long literal.
+section.  Each section becomes the one stored form of its structure
+constant: ``mult``, ``coproduct``, ``phi`` and ``phi_inv`` a 3-leg
+``Tensor`` each, ``R`` and ``R_inv`` a 2-leg one.  An omitted inverse
+is solved for, with a note.  Scalar literals are sums of products of
+rationals ``p/q`` and powers of the cyclotomic generator ``z``, e.g.
+``1/2*z^3 - 1``; one nested too deeply is a ``ParseError``, as is (in
+``cli``) a file that is not UTF-8.  ``parse_text`` can embed the algebra
+into a larger cyclotomic field: each literal is parsed in the declared
+field and embedded as it is read.  Within one call each distinct literal
+text is parsed and embedded once, and every entry with that text shares
+the resulting ``Scalar``.  A refused literal is located by line and by
+its column in that line, and its message repeats only the start of a
+long literal.
 
 ``serialize`` writes the canonical form, and ``parse_text`` reads it back
 exactly; ``algebras_equal`` compares two algebras by that text.
@@ -244,7 +248,7 @@ def parse_text(text: str, source: str = "<string>", field_order: int | None = No
     dim: int | None = None
     declared: int | None = None     # the file's field; order is the target field
     order: int | None = None
-    flags: list[str] = []
+    flags: list[str] | None = None
     sections: dict[str, list[tuple[tuple[int, ...], Scalar]]] = {}
     simples: list[tuple[str, int, list]] = []     # (label, D, entries)
     # the open section: current names it in messages, and its header sets
@@ -278,6 +282,8 @@ def parse_text(text: str, source: str = "<string>", field_order: int | None = No
                     err(f"field order {field_order} is not a positive multiple "
                         f"of declared {declared}", line_no)
         elif head[0] == "flags":
+            if flags is not None:
+                err("repeated 'flags' header", line_no)
             flags = head[1:]
         elif line.endswith(":"):
             name = line[:-1].strip()
@@ -291,6 +297,8 @@ def parse_text(text: str, source: str = "<string>", field_order: int | None = No
             if dim is None or order is None:
                 err("sections must come after the 'dim' and 'field' header", line_no)
             if is_simple:
+                if any(label == parts[1] for label, _, _ in simples):
+                    err(f"repeated simple label {parts[1]!r}", line_no)
                 d = _int_of(parts[3], source, line_no)
                 current, bounds, entries = "simple", (dim, d, d), []
                 simples.append((parts[1], d, entries))
@@ -343,25 +351,18 @@ def parse_text(text: str, source: str = "<string>", field_order: int | None = No
         return tensor_of(name, 1).to_vector()
 
     def by_first(entries):
-        # the entries (i, *rest) as one list of (rest, value) per i < dim
+        # a simple's entries (a, r, c) as one list of ((r, c), value) per a < dim
         out: list[list] = [[] for _ in range(dim)]
         for (i, *rest), c in entries:
             out[i].append((tuple(rest), c))
         return out
 
-    # the dense mult shares one zero; its inner lists are distinct, since
-    # presets.mutate edits them in place
-    zero = Scalar.zero(order)
-    mult = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for (i, j, k), c in tensor_of("mult", 3).entries.items():
-        mult[i][j][k] = c
     alg = QuasiHopfAlgebra(
         dim=dim,
         order=order,
-        mult=mult,
+        mult=tensor_of("mult", 3),
         counit=vector_of("counit"),
-        coproduct=[Tensor.from_entries(dim, 2, order, e)
-                   for e in by_first(sections["coproduct"])],
+        coproduct=tensor_of("coproduct", 3),
         antipode=ExactMatrix.from_entries(
             dim, dim, order, (((j, i), c) for (i, j), c in sections["antipode"])),
         phi=tensor_of("phi", 3),
@@ -389,7 +390,7 @@ def parse_text(text: str, source: str = "<string>", field_order: int | None = No
         alg.r_inv = solved_inverse("R", alg.r_matrix)
     if alg.ribbon is not None:
         alg.ribbon_inv = solved_inverse("ribbon", tensor_of("ribbon", 1)).to_vector()
-    alg.notes.extend(f"flag {f}" for f in flags)
+    alg.notes.extend(f"flag {f}" for f in flags or ())
     if order != declared:
         alg.notes.append(f"embedded into cyclotomic order {order}")
 
@@ -428,11 +429,9 @@ def serialize(A: QuasiHopfAlgebra, simples=None, flags: list[str] | None = None,
             out.extend(lines)
             out.append("")
 
-    emit("mult", [((i, j, k), A.mult[i][j][k])
-                  for i in range(A.dim) for j in range(A.dim) for k in range(A.dim)])
+    emit("mult", list(A.mult.nonzero()))
     emit("counit", [((i,), A.counit[i]) for i in range(A.dim)])
-    emit("coproduct", [((i,) + idx, c)
-                       for i in range(A.dim) for idx, c in A.coproduct[i].nonzero()])
+    emit("coproduct", list(A.coproduct.nonzero()))
     emit("antipode", [((j, i), c) for (i, j), c in A.antipode.nonzero()])
     emit("phi", list(A.phi.nonzero()))
     emit("phi_inv", list(A.phi_inv.nonzero()))

@@ -79,9 +79,10 @@ def mutate(algebra: QuasiHopfAlgebra, site: tuple, delta: Scalar) -> QuasiHopfAl
 
     ``site`` is (field, indices): e.g. ("mult", (i, j, k)),
     ("r_matrix", (i, j)), ("coproduct", (i, j, k)), ("alpha", (i,)).
-    Each list level of the field takes one index, and a ``Tensor`` or
-    ``ExactMatrix`` takes the remaining ones as one key, so
-    ("antipode", (i, j)) is the matrix entry (i, j).
+    A vector field (counit, alpha, beta, ribbon, ribbon_inv) takes its one
+    index, and a ``Tensor`` or ``ExactMatrix`` takes the whole tuple as
+    one key, so ("antipode", (i, j)) is the matrix entry (i, j).  An entry
+    that cancels leaves the stored ``Tensor``.
     """
     section, idx = site
     if section not in _SITES:
@@ -89,10 +90,7 @@ def mutate(algebra: QuasiHopfAlgebra, site: tuple, delta: Scalar) -> QuasiHopfAl
     # replace() builds a new instance from the fields alone, so no cached
     # view of the original is carried over
     out = copy.deepcopy(replace(algebra, name=f"{algebra.name}~mutated"))
-    entries, key = getattr(out, section), tuple(idx)
-    while isinstance(entries, list) and len(key) > 1:
-        entries, key = entries[key[0]], key[1:]
-    if isinstance(entries, list):
-        key = key[0]
+    entries = getattr(out, section)
+    key = idx[0] if isinstance(entries, list) else tuple(idx)
     entries[key] = entries[key] + delta
     return out

@@ -5,18 +5,18 @@ field: multiplication table, counit, coproduct, antipode matrix, the
 coassociator and its inverse, evaluation/coevaluation elements, the
 R-matrix and its inverse, and optional ribbon data.
 
-The dense ``mult`` is the one stored form of the product.  The views
-derived from it and from the other structure constants are
-``functools.cached_property`` values, built on first use, and each one is
-the only builder of its element: every module that needs one reads the
-view.  Besides the tables and matrices of the product and the coproduct,
-they are the conjugation action and its transpose, the coadjoint action,
-the adjoint action, the monodromy and its coassociator conjugate
-phi^-1 M_12 phi, the coassociator split by the coproduct and its
-inverse, q~ = S(phi_1) alpha phi_2 (x) phi_3, x_d and
-its double coproduct, the Drinfeld elements, the pivotal element v^-1 u
-and its inverse, and the Drinfeld twist.  The monodromy, the checked
-Drinfeld elements and the twist are read through the module functions
+The product and the coproduct are stored as 3-leg Tensors, as phi and R
+are.  The views derived from them and from the other structure constants
+are ``functools.cached_property`` values, built on first use, and each
+one is the only builder of its element: every module that needs one
+reads the view.  Besides the tables and matrices of the product and the
+coproduct, they are the conjugation action and its transpose, the
+coadjoint action, the adjoint action, the monodromy and its coassociator
+conjugate phi^-1 M_12 phi, the coassociator split by the coproduct and
+its inverse, q~ = S(phi_1) alpha phi_2 (x) phi_3, x_d and its double
+coproduct, the Drinfeld elements, the pivotal element v^-1 u and its
+inverse, and the Drinfeld twist.  The monodromy, the checked Drinfeld
+elements and the twist are read through the module functions
 ``monodromy``, ``drinfeld_element`` and ``drinfeld_twist``.
 :class:`QuasiHopfAlgebra` says what each view is.
 
@@ -77,21 +77,23 @@ from .tensorspace import Tensor
 class QuasiHopfAlgebra:
     """Structure constants of a quasi-triangular quasi-Hopf algebra.
 
-    Basis convention: e_0 is the unit.  ``mult[i][j][k]`` is the
-    coefficient of e_k in e_i e_j; it is the only stored form of the
-    product.  ``coproduct[i]`` is a 2-leg Tensor.  ``antipode`` has the
-    image of e_i in column i.
+    Basis convention: e_0 is the unit.  ``mult`` is a 3-leg Tensor whose
+    entry (i, j, k) is the coefficient of e_k in e_i e_j, and
+    ``coproduct`` one whose entry (i, j, k) is the coefficient of
+    e_j x e_k in Delta(e_i); they are the only stored forms of the product
+    and the coproduct.  ``antipode`` has the image of e_i in column i.
 
     Derived views, each built once on first use and cached:
 
-    * ``mult_table``: the nonzero ``(k, c)`` pairs of ``mult[i][j]``, the
-      form the tensorspace products take;
+    * ``mult_table``: the ``(k, c)`` pairs of the entries (i, j, k) of
+      ``mult``, at [i][j], the form the tensorspace products take;
     * ``left_mult`` / ``right_mult``: the matrices of x -> e_i x and
       x -> x e_i, both written from ``mult_table`` by ``_mult_matrices``,
       each (k, c) of table entry (i, j) into row k, column j of matrix i;
     * ``commutators``: the maps x -> e_i x - x e_i stacked, so x is
       central exactly when ``commutators`` sends it to zero;
-    * ``cop_table``: the nonzero terms of each ``coproduct[i]``;
+    * ``cop_table``: the ``((j, k), c)`` pairs of the entries (i, j, k)
+      of ``coproduct``, at [i];
     * ``antipode_inv``: the inverse of ``antipode``;
     * ``conjugation_action``: the matrices of x -> sum S(b') x b'' on A,
       and ``coadjoint_action``: their transposes, the action
@@ -128,9 +130,9 @@ class QuasiHopfAlgebra:
 
     dim: int
     order: int
-    mult: list[list[list[Scalar]]]
+    mult: Tensor
     counit: list[Scalar]
-    coproduct: list[Tensor]
+    coproduct: Tensor
     antipode: ExactMatrix
     phi: Tensor
     phi_inv: Tensor
@@ -143,19 +145,33 @@ class QuasiHopfAlgebra:
     name: str = ""
     notes: list[str] = field(default_factory=list)
 
+    def __post_init__(self):
+        # perfbench/inputs.py passes the product as a dense dim^3 list and the
+        # coproduct as one 2-leg Tensor per basis element
+        if isinstance(self.mult, list):
+            self.mult = Tensor.from_entries(self.dim, 3, self.order, (
+                ((i, j, k), c) for i, row in enumerate(self.mult)
+                for j, ij in enumerate(row) for k, c in enumerate(ij) if c.num))
+        if isinstance(self.coproduct, list):
+            self.coproduct = Tensor.from_entries(self.dim, 3, self.order, (
+                ((i, *idx), c) for i, t in enumerate(self.coproduct)
+                for idx, c in t.entries.items()))
+
     # -- derived views ----------------------------------------------------
 
     @cached_property
     def mult_table(self) -> ts.MultTable:
-        return [
-            [[(k, c) for k, c in enumerate(self.mult[i][j]) if c.num]
-             for j in range(self.dim)]
-            for i in range(self.dim)
-        ]
+        table: ts.MultTable = [[[] for _ in range(self.dim)] for _ in range(self.dim)]
+        for (i, j, k), c in self.mult.nonzero():
+            table[i][j].append((k, c))
+        return table
 
     @cached_property
     def cop_table(self) -> ts.CopTable:
-        return [list(self.coproduct[i].nonzero()) for i in range(self.dim)]
+        table: ts.CopTable = [[] for _ in range(self.dim)]
+        for (i, j, k), c in self.coproduct.nonzero():
+            table[i].append(((j, k), c))
+        return table
 
     def _mult_matrices(self, table) -> list[ExactMatrix]:
         # matrix i has column j equal to table[i][j]: each (k, c) there is
@@ -479,7 +495,7 @@ def validate(A: QuasiHopfAlgebra) -> AxiomReport:
 
     rep.compare("counit_algebra_map", (eps[:1], [one]),
                 (ts.counit_leg(prod, 3, eps), ts.tensor_product(eps_t, eps_t)))
-    rep.compare("coproduct_algebra_map", (A.coproduct[0], unit2),
+    rep.compare("coproduct_algebra_map", (ts.coproduct_leg(unit1, 1, cop), unit2),
                 (ts.coproduct_leg(prod, 3, cop),
                  ts.merge_legs((cop_slot, cop_slot), ((1,), (4,), (2, 5), (3, 6)), mt)))
     rep.compare("counitality", (ts.counit_leg(cop_slot, 2, eps), slot),

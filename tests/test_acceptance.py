@@ -42,22 +42,10 @@ def _mutation_sample(presets):
     for name in PRESET_NAMES:
         alg = presets[name].algebra
         sites = []
-        mult_sites = [
-            ("mult", (i, j, k))
-            for i in range(alg.dim)
-            for j in range(alg.dim)
-            for k in range(alg.dim)
-            if not alg.mult[i][j][k].is_zero()
-        ]
-        sites.extend(mult_sites[:2])
+        sites.extend(("mult", idx) for idx, _ in list(alg.mult.nonzero())[:2])
         sites.extend(("phi", idx) for idx, _ in list(alg.phi.nonzero())[:1])
         sites.extend(("r_matrix", idx) for idx, _ in list(alg.r_matrix.nonzero())[:2])
-        cop_sites = [
-            ("coproduct", (i,) + idx)
-            for i in range(alg.dim)
-            for idx, _ in alg.coproduct[i].nonzero()
-        ]
-        sites.extend(cop_sites[:1])
+        sites.extend(("coproduct", idx) for idx, _ in list(alg.coproduct.nonzero())[:1])
         sites.append(("antipode", (0, 0)))
         sites.append(("counit", (0,)))
         if not alg.alpha[0].is_zero():

@@ -13,6 +13,7 @@ import hashlib
 import importlib.util
 import json
 import pathlib
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
@@ -145,6 +146,22 @@ def test_generated_report_bytes_are_pinned(tmp_path, monkeypatch, name):
     assert result.exit_code == 0, result.output
     data = pathlib.Path("report.json").read_bytes()
     assert hashlib.sha256(data).hexdigest() == GENERATED_DIGESTS[name]
+
+
+def test_parse_cost_follows_the_entries():
+    # Q[Z/200] has 200^2 products among the 8M slots of a dense dim^3
+    # product; parsing it stores the entries only, and writes them back
+    alg = INPUTS.group_algebra((200,), list(range(200)))
+    assert (alg.mult.legs, alg.coproduct.legs) == (3, 3)
+    text = INPUTS.serialize(alg, comment=alg.name)
+    tracemalloc.start()
+    try:
+        parsed, _ = parse_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"parse_text peaked at {peak / 2**20:.1f} MiB"
+    assert INPUTS.serialize(parsed, comment=alg.name) == text
 
 
 @pytest.mark.parametrize("name", [*PRESET_NAMES, "H4", *GENERATED_DIGESTS])

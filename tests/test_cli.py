@@ -421,6 +421,14 @@ REFUSED_FILES = {
                      "repeated 'dim' header"),
     "repeated-field": (TRIVIAL.replace("flags", "field 1\nflags", 1), "field 1\nflags",
                        "repeated 'field' header"),
+    # a second flags line would replace the first, and a second simple of
+    # one label would give its fusion rows two contradictory values
+    "repeated-flags": (TRIVIAL.replace("flags factorisable hopf semisimple",
+                                       "flags hopf\nflags factorisable semisimple", 1),
+                       "flags factorisable", "repeated 'flags' header"),
+    "repeated-simple-label": (preset_text("double_Z2").replace(
+        "simple s11 dim 1:", "simple s10 dim 1:  # was s11"), "simple s10 dim 1:  #",
+        "repeated simple label 's10'"),
     # int() refuses more than 4,300 digits; the long dim is refused before
     # any section could be built at that size
     "long-dim": (TRIVIAL.replace("dim 1", "dim " + "1" * 5000, 1), "dim 1",

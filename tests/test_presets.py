@@ -6,7 +6,7 @@ from qhopf.qha import validate
 from qhopf.coend import factorisability
 from qhopf.fusion import radical_dimension
 from qhopf.presets import PRESET_NAMES, mutate, preset, preset_path
-from qhopf.fileformat import algebras_equal, serialize
+from qhopf.fileformat import algebras_equal, parse_text, serialize
 
 
 def test_preset_names_resolve():
@@ -128,6 +128,20 @@ def test_mutate_reaches_every_serialised_site(presets, section, arity):
     if section == "antipode":
         # matrix indices: entry (1, 2) is the coefficient of e_1 in S(e_2)
         assert once.antipode[1, 2] == alg.antipode[1, 2] + d
+
+
+# H4 in the basis (1, g, x, gx) has x g = -gx and the term x (x) 1 of Delta(x)
+@pytest.mark.parametrize("section, idx, delta", [("mult", (2, 1, 3), 1),
+                                                 ("coproduct", (2, 2, 0), -1)])
+def test_a_cancelled_entry_leaves_the_stored_tensor(h4, section, idx, delta):
+    m = mutate(h4, (section, idx), Scalar.rational(delta))
+    assert idx in getattr(h4, section).entries
+    assert idx not in getattr(m, section).entries
+    text = serialize(m)
+    block = next(b for b in text.split("\n\n") if b.startswith(section + ":\n"))
+    assert not any(line.startswith(f"{' '.join(map(str, idx))} = ")
+                   for line in block.splitlines()), block
+    assert algebras_equal(parse_text(text)[0], m)
 
 
 def test_every_preset_carries_simples(presets):

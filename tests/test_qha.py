@@ -42,12 +42,12 @@ def test_witness_is_the_failing_index(presets):
     m, S, r, zero = alg.mult, alg.antipode, range(alg.dim), Scalar.zero(alg.order)
     rep = validate(alg)
     i, j, k, n = rep["associativity"].witness
-    left = sum((m[i][j][a] * m[a][k][n] for a in r), zero)        # (e_i e_j) e_k
-    right = sum((m[j][k][a] * m[i][a][n] for a in r), zero)       # e_i (e_j e_k)
+    left = sum((m[i, j, a] * m[a, k, n] for a in r), zero)        # (e_i e_j) e_k
+    right = sum((m[j, k, a] * m[i, a, n] for a in r), zero)       # e_i (e_j e_k)
     assert left != right
     i, j, n = rep["antipode_anti_homomorphism"].witness
-    lhs = sum((m[i][j][a] * S[n, a] for a in r), zero)            # S(e_i e_j)
-    rhs = sum((S[x, j] * S[y, i] * m[x][y][n] for x in r for y in r), zero)
+    lhs = sum((m[i, j, a] * S[n, a] for a in r), zero)            # S(e_i e_j)
+    rhs = sum((S[x, j] * S[y, i] * m[x, y, n] for x in r for y in r), zero)
     assert lhs != rhs
 
 
@@ -80,9 +80,9 @@ def test_twist_conjugation_identity(presets):
         f, f_inv, _ = drinfeld_twist(alg)
         mt = alg.mult_table
         for i in range(alg.dim):
-            sa = alg.antipode_of(basis_vector(alg.dim, i, alg.order))
-            lhs = ts.mul(ts.mul(f, alg.delta_of(sa), mt), f_inv, mt)
-            rhs = ts.permute(alg.coproduct[i], (2, 1))
+            e_i = basis_vector(alg.dim, i, alg.order)
+            lhs = ts.mul(ts.mul(f, alg.delta_of(alg.antipode_of(e_i)), mt), f_inv, mt)
+            rhs = ts.permute(alg.delta_of(e_i), (2, 1))
             rhs = ts.leg_map(ts.leg_map(rhs, 1, alg.antipode), 2, alg.antipode)
             assert lhs == rhs, (name, i)
 

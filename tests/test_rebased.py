@@ -46,13 +46,11 @@ def rebased_text() -> str:
             t = ts.leg_map(t, leg, inputs if leg <= ins else inv)
         return t
 
-    mult = rebase(Tensor(n, 3, order, [c for row in A.mult for ij in row for c in ij]), 2).coeffs
-    cop = rebase(Tensor(n, 3, order, [c for t in A.coproduct for c in t.coeffs]), 1).coeffs
     rebased = QuasiHopfAlgebra(
         dim=n, order=order,
-        mult=[[mult[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)] for i in range(n)],
+        mult=rebase(A.mult, 2),
         counit=inputs.apply(A.counit),
-        coproduct=[Tensor(n, 2, order, cop[i * n * n:(i + 1) * n * n]) for i in range(n)],
+        coproduct=rebase(A.coproduct, 1),
         antipode=inv * A.antipode * basis,
         phi=rebase(A.phi), phi_inv=rebase(A.phi_inv),
         alpha=inv.apply(A.alpha), beta=inv.apply(A.beta),
